@@ -80,16 +80,16 @@ TRACING_OFF_BUDGET_PERCENT = 2.0
 SMOKE_MIN_WARM_IPS = 12_000
 #: Perf-smoke ratchet (CI): steady-state compiled throughput must beat
 #: the interpreted path by at least this factor, measured as
-#: interleaved rounds on two long-warmed kernels (superblock formation
-#: completes during warmup; see ``_steady_state_ab``).  The reference
-#: container measures 1.6-1.75x; the gate keeps a noise margin below
-#: that so a regression to the old single-record replay (~1.1x) or to
-#: interpreted speed (1.0x) fails loudly without flaking on slow CI.
+#: interleaved rounds on two long-warmed kernels (every hot record has
+#: generated code by the end of warmup; see ``_steady_state_ab``).  The
+#: gate sits below the committed steady-state ratio so a regression to
+#: the op-loop replay or to interpreted speed (1.0x) fails loudly.
 SMOKE_MIN_COMPILED_SPEEDUP = 1.50
 
-#: Steady-state A/B configuration: instructions of warmup per arm
-#: (superblock discovery decays after ~100k instructions), measured
-#: instructions per round, and interleaved rounds per arm.
+#: Steady-state A/B configuration: instructions of warmup per arm (long
+#: enough that record compilation has died down and the measured rounds
+#: run generated code), measured instructions per round, and
+#: interleaved rounds per arm.
 STEADY_WARMUP_INSTRUCTIONS = 100_000
 STEADY_ROUND_INSTRUCTIONS = 20_000
 STEADY_ROUNDS = 3
@@ -199,8 +199,8 @@ def _enable_codegen_tier():
 def _steady_state_ab(warmup, instructions, rounds):
     """Interleaved compiled-vs-interpreted A/B at simulation steady state.
 
-    Builds one kernel per arm, warms each past superblock formation
-    (discovery decays after ~100k instructions), then times ``rounds``
+    Builds one kernel per arm, warms each until record compilation has
+    died down, then times ``rounds``
     alternating measurement rounds *continuing on the same kernels* —
     compiled, interpreted, compiled, ... — so both arms see the same
     machine-load drift.  Best round per arm is reported: scheduler
@@ -270,7 +270,7 @@ def smoke(jobs: int) -> int:
     (the tracer is passive) with a valid Chrome export; a K=3 sharded
     run must be bit-identical to the unsharded reference; and the
     steady-state compiled path must clear the throughput floor and the
-    compiled-vs-interpreted speedup ratchet with superblocks formed."""
+    compiled-vs-interpreted speedup ratchet with generated code run."""
     from repro.core.engine import RunSpec, execute_spec, execute_spec_sharded
     from repro.core.experiment import run_workload
     from repro.obs.trace import Tracer, validate_chrome
@@ -319,8 +319,8 @@ def smoke(jobs: int) -> int:
 
     # Replay-compiler bit-identity: a compiled measured run must produce
     # the same result object as an interpreted one (with the codegen
-    # tier forced on, so the generated functions — superblocks included
-    # — are what actually executes).
+    # tier forced on, so the generated functions are what actually
+    # executes).
     compiled_result, _ = _timed_workload(2_500, 500)
     with _no_compile():
         interpreted_result, _ = _timed_workload(2_500, 500)
@@ -331,7 +331,7 @@ def smoke(jobs: int) -> int:
     # Replay-compiler ratchet: steady-state compiled throughput must
     # clear the absolute floor and beat the interpreted path, measured
     # as interleaved rounds on two long-warmed kernels.
-    compiled_ips, interpreted_ips, sb_stats, identical = _steady_state_ab(
+    compiled_ips, interpreted_ips, steady_stats, identical = _steady_state_ab(
         STEADY_WARMUP_INSTRUCTIONS, STEADY_ROUND_INSTRUCTIONS, STEADY_ROUNDS
     )
     if not identical:
@@ -340,14 +340,8 @@ def smoke(jobs: int) -> int:
             file=sys.stderr,
         )
         return 1
-    if sb_stats.superblocks_formed == 0 or sb_stats.records_compiled == 0:
-        print(
-            "FAIL: codegen tier never fired ({} records compiled, "
-            "{} superblocks formed)".format(
-                sb_stats.records_compiled, sb_stats.superblocks_formed
-            ),
-            file=sys.stderr,
-        )
+    if steady_stats.records_compiled == 0:
+        print("FAIL: codegen tier never fired (0 records compiled)", file=sys.stderr)
         return 1
     if compiled_ips < SMOKE_MIN_WARM_IPS:
         print(
@@ -372,8 +366,7 @@ def smoke(jobs: int) -> int:
         "tracing passive ({} events, valid Chrome export); "
         "3-shard merge bit-identical; "
         "steady-state compiled {:.0f} ips vs interpreted {:.0f} ips "
-        "({:.2f}x, {} superblocks, mean {:.2f} instr/dispatch), "
-        "bit-identical".format(
+        "({:.2f}x, {} records compiled), bit-identical".format(
             jobs,
             seq_wall,
             par_wall,
@@ -382,8 +375,7 @@ def smoke(jobs: int) -> int:
             compiled_ips,
             interpreted_ips,
             compiled_ips / interpreted_ips,
-            sb_stats.superblocks_formed,
-            sb_stats.superblock_mean_length,
+            steady_stats.records_compiled,
         )
     )
     return 0
@@ -538,11 +530,11 @@ def main() -> int:
     warm_phase_ips = _measure_phase_ips(warm_runs, instructions)
     interpreted_phase_ips = _measure_phase_ips(interpreted_runs, instructions)
 
-    # Steady-state A/B: the headline compiled-path figure, measured past
-    # superblock formation on long-warmed kernels with interleaved
-    # rounds (the short composite arms above never leave the formation
-    # transient, so their ratio understates the compiled path).
-    steady_compiled_ips, steady_interpreted_ips, sb_stats, steady_identical = (
+    # Steady-state A/B: the compiled-path figure on long-warmed kernels
+    # with interleaved rounds (the short composite arms above never
+    # leave the compilation transient, so their ratio understates the
+    # compiled path).
+    steady_compiled_ips, steady_interpreted_ips, steady_stats, steady_identical = (
         _steady_state_ab(
             STEADY_WARMUP_INSTRUCTIONS, STEADY_ROUND_INSTRUCTIONS, STEADY_ROUNDS
         )
@@ -644,12 +636,7 @@ def main() -> int:
                 ),
                 "speedup": round(steady_compiled_ips / steady_interpreted_ips, 2),
                 "bit_identical_to_interpreted": True,
-                "superblocks_formed": sb_stats.superblocks_formed,
-                "superblock_runs": sb_stats.superblock_runs,
-                "superblock_instructions": sb_stats.superblock_instructions,
-                "superblock_deopts": sb_stats.superblock_deopts,
-                "superblock_mean_length": round(sb_stats.superblock_mean_length, 2),
-                "records_compiled": sb_stats.records_compiled,
+                "records_compiled": steady_stats.records_compiled,
             },
             "stats": compile_stats,
         },

@@ -42,15 +42,15 @@ Commands
 ``trace WORKLOAD``
     Run one workload with cycle-level tracing attached and export the
     capture as Chrome trace-event JSON (loadable in Perfetto or
-    ``about://tracing``), the compact binary dump, or the indexed
-    on-disk store (``--format store``) that ``repro query`` reads.
+    ``about://tracing``) or the indexed on-disk store (``--format
+    store``) that ``repro query`` reads.
 ``query EXPRESSION``
     Ask questions of a trace: ``repro query "stall cycles where
     track=MEM and routine=SPEC_FETCH"`` against a stored trace
     (``--trace``) or a fresh in-process traced run (``--workload``).
-    ``--jit`` captures compile-lifecycle events (record/superblock
-    formation, tier-ups, deopts, fallbacks) with the compiled hot path
-    still enabled.
+    ``--jit`` captures compile-lifecycle events (record formation,
+    tier-ups, interpreter fallbacks) with the compiled hot path still
+    enabled.
 ``check [WORKLOAD]``
     Evaluate every counter identity (cycle classification, instruction
     counts, miss splits, and with ``--trace`` the trace-vs-counter
@@ -594,7 +594,7 @@ def cmd_trace(args) -> int:
     import json
 
     from repro.core.experiment import run_workload
-    from repro.obs.trace import Tracer, validate_chrome, write_binary
+    from repro.obs.trace import Tracer, validate_chrome
 
     log = get_logger("repro.trace")
     tracer = Tracer(capacity=args.capacity)
@@ -614,7 +614,7 @@ def cmd_trace(args) -> int:
     if stem.endswith(".json"):
         stem = stem[: -len(".json")]
     written = []
-    if args.format in ("json", "both"):
+    if args.format == "json":
         payload = tracer.to_chrome()
         for problem in validate_chrome(payload):
             log.warn("trace validation", problem=problem)
@@ -622,11 +622,7 @@ def cmd_trace(args) -> int:
         with open(path, "w") as handle:
             json.dump(payload, handle)
         written.append(path)
-    if args.format in ("binary", "both"):
-        path = stem + ".bin"
-        write_binary(tracer, path)
-        written.append(path)
-    if args.format == "store":
+    else:
         from repro.obs.query import write_store
 
         path = stem + ".vaxtrace"
@@ -1016,17 +1012,6 @@ def cmd_bench(args) -> int:
                 compile_stats.get("records_compiled", 0),
             )
         )
-        if compile_stats.get("superblock_runs"):
-            emit(
-                "superblocks: {} formed, {} dispatches retiring {} instructions "
-                "(mean {:.2f}/dispatch), {} deopts".format(
-                    compile_stats.get("superblocks_formed", 0),
-                    compile_stats.get("superblock_runs", 0),
-                    compile_stats.get("superblock_instructions", 0),
-                    compile_stats.get("superblock_mean_length", 0.0),
-                    compile_stats.get("superblock_deopts", 0),
-                )
-            )
     return 0
 
 
@@ -1101,30 +1086,6 @@ def cmd_stats(args) -> int:
                     compile_stats.get("records_compiled", 0),
                 )
             )
-            if compile_stats.get("superblock_runs"):
-                emit(
-                    "  superblocks: {} formed, {} dispatches retiring {} "
-                    "instructions (mean {:.2f}/dispatch), {} deopts".format(
-                        compile_stats.get("superblocks_formed", 0),
-                        compile_stats.get("superblock_runs", 0),
-                        compile_stats.get("superblock_instructions", 0),
-                        compile_stats.get("superblock_mean_length", 0.0),
-                        compile_stats.get("superblock_deopts", 0),
-                    )
-                )
-            reasons = {
-                key.split(".", 1)[1]: value
-                for key, value in compile_stats.items()
-                if key.startswith("deopt.") and value
-            }
-            if reasons:
-                emit(
-                    "  deopt reasons: "
-                    + ", ".join(
-                        "{} {}".format(reason, count)
-                        for reason, count in sorted(reasons.items())
-                    )
-                )
             causes = {
                 key.split(".", 1)[1]: value
                 for key, value in compile_stats.items()
@@ -1389,10 +1350,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "--format",
-        choices=("json", "binary", "both", "store"),
+        choices=("json", "store"),
         default="json",
-        help="Chrome trace-event JSON, compact binary dump, both, or the "
-        "indexed on-disk store that `repro query --trace` reads",
+        help="Chrome trace-event JSON, or the indexed on-disk store that "
+        "`repro query --trace` reads",
     )
     trace_parser.add_argument(
         "--capacity",

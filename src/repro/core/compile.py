@@ -77,6 +77,7 @@ from repro.isa.specifiers import (
     TABLE4_ROW_FOR_MODE,
 )
 from repro.memory.pagetable import PAGE_SIZE
+from repro.obs.channel import KIND_TIER_UP
 from repro.ucode.control_store import CONTROL_STORE_SIZE
 from repro.ucode.costs import INDEX_EXTRA_CYCLES, SPEC_COSTS
 from repro.ucode.microword import MicroSlot
@@ -216,18 +217,6 @@ class CompileStats:
     fast_cycles: int = 0
     #: cycles charged by interpreted instructions (compile enabled)
     slow_cycles: int = 0
-    #: chained superblocks generated (windows promoted to one function)
-    superblocks_formed: int = 0
-    #: superblock dispatches that retired at least one instruction
-    superblock_runs: int = 0
-    #: instructions retired inside superblock dispatches
-    superblock_instructions: int = 0
-    #: superblock dispatches that exited before the full window
-    #: (pending interrupt, cycle limit, or a byte-guard mismatch)
-    superblock_deopts: int = 0
-    #: superblock deopts by reason ("interrupt" / "cycle_limit" /
-    #: "byte_guard"), diagnosed at the deopt site
-    deopt_reasons: dict = field(default_factory=dict)
     #: interpreter fallbacks by cause ("uncompilable" / "byte_mismatch"
     #: / "unresolved"), diagnosed on the jit-miss path
     fallback_causes: dict = field(default_factory=dict)
@@ -242,11 +231,6 @@ class CompileStats:
         total = self.fast_cycles + self.slow_cycles
         return self.fast_cycles / total if total else 0.0
 
-    @property
-    def superblock_mean_length(self) -> float:
-        runs = self.superblock_runs
-        return self.superblock_instructions / runs if runs else 0.0
-
     def to_dict(self) -> dict:
         return {
             "routines_specialized": self.routines_specialized,
@@ -257,13 +241,7 @@ class CompileStats:
             "uncompilable": self.uncompilable,
             "fast_cycles": self.fast_cycles,
             "slow_cycles": self.slow_cycles,
-            "superblocks_formed": self.superblocks_formed,
-            "superblock_runs": self.superblock_runs,
-            "superblock_instructions": self.superblock_instructions,
-            "superblock_deopts": self.superblock_deopts,
-            "deopt_reasons": dict(sorted(self.deopt_reasons.items())),
             "fallback_causes": dict(sorted(self.fallback_causes.items())),
-            "superblock_mean_length": round(self.superblock_mean_length, 2),
             "fast_instruction_fraction": round(self.fast_instruction_fraction, 4),
             "fast_cycle_fraction": round(self.fast_cycle_fraction, 4),
         }
@@ -280,17 +258,8 @@ class CompileStats:
         self.uncompilable += other.uncompilable
         self.fast_cycles += other.fast_cycles
         self.slow_cycles += other.slow_cycles
-        self.superblocks_formed += other.superblocks_formed
-        self.superblock_runs += other.superblock_runs
-        self.superblock_instructions += other.superblock_instructions
-        self.superblock_deopts += other.superblock_deopts
-        for reason, count in other.deopt_reasons.items():
-            self.deopt_reasons[reason] = self.deopt_reasons.get(reason, 0) + count
         for cause, count in other.fallback_causes.items():
             self.fallback_causes[cause] = self.fallback_causes.get(cause, 0) + count
-
-    def note_deopt(self, reason: str) -> None:
-        self.deopt_reasons[reason] = self.deopt_reasons.get(reason, 0) + 1
 
     def note_fallback(self, cause: str) -> None:
         self.fallback_causes[cause] = self.fallback_causes.get(cause, 0) + 1
@@ -298,15 +267,6 @@ class CompileStats:
 
 #: MetricsRegistry name prefix for the replay diagnostics.
 METRIC_PREFIX = "sim.compile."
-
-# Lifecycle-event kinds, bound locally so emission sites read tersely.
-from repro.obs.channel import (  # noqa: E402  (grouped with its users)
-    KIND_DEOPT as _KIND_DEOPT,
-    KIND_FALLBACK as _KIND_FALLBACK,
-    KIND_RECORD_FORMED as _KIND_RECORD_FORMED,
-    KIND_SUPERBLOCK_FORMED as _KIND_SUPERBLOCK_FORMED,
-    KIND_TIER_UP as _KIND_TIER_UP,
-)
 
 #: CompileStats fields that accumulate (counters; the remainder are
 #: point-in-time gauges).
@@ -318,10 +278,6 @@ _COUNTER_FIELDS = (
     "uncompilable",
     "fast_cycles",
     "slow_cycles",
-    "superblocks_formed",
-    "superblock_runs",
-    "superblock_instructions",
-    "superblock_deopts",
 )
 
 
@@ -341,11 +297,6 @@ def record_metrics(
     """
     for name in _COUNTER_FIELDS:
         registry.counter(METRIC_PREFIX + name).inc(getattr(stats, name))
-    for reason, count in sorted(stats.deopt_reasons.items()):
-        registry.counter(
-            METRIC_PREFIX + "deopt." + reason,
-            "superblock deopts: " + reason,
-        ).inc(count)
     for cause, count in sorted(stats.fallback_causes.items()):
         registry.counter(
             METRIC_PREFIX + "fallback." + cause,
@@ -400,11 +351,6 @@ def stats_from_snapshot(snapshot) -> "dict | None":
     slow = out.get("slow_cycles", 0)
     if fast + slow:
         out["fast_cycle_fraction"] = round(fast / (fast + slow), 4)
-    runs = out.get("superblock_runs", 0)
-    if runs:
-        out["superblock_mean_length"] = round(
-            out.get("superblock_instructions", 0) / runs, 2
-        )
     return out
 
 
@@ -573,7 +519,6 @@ class InstructionRecord:
         "last_source_routine",
         "run",
         "hits",
-        "chainable",
     )
 
     #: distinguishes real records from NeverRecord on the hot path
@@ -757,10 +702,6 @@ def compile_record(layout, raw, decode_overlap: bool):
         in (AddressingMode.REGISTER, AddressingMode.SHORT_LITERAL)
     )
     record.last_source_routine = last_source_routine
-    # SYSTEM-group instructions (HALT, CHMx, REI, LDPCTX, MTPR, ...) can
-    # halt the machine, swap the event sink, redirect privilege or IPL —
-    # exactly the state superblock prologues hoist — so they end chains.
-    record.chainable = opcode.group is not OpcodeGroup.SYSTEM
     record.hits = 0
     threshold = codegen_threshold()
     if threshold <= 1:
@@ -1119,7 +1060,7 @@ def _tiered_run(record, threshold=None):
             channel = ebox._compile_events
             if channel is not None:
                 channel.emit(
-                    ebox.cycle_count, _KIND_TIER_UP, record.mnemonic, hits
+                    ebox.cycle_count, KIND_TIER_UP, record.mnemonic, hits
                 )
             return record.run(ebox, start_va)
         return execute_record(record, ebox, start_va)
@@ -1130,13 +1071,12 @@ def _tiered_run(record, threshold=None):
 def _op_uses(ops):
     """Which prologue bindings a record's op list needs.
 
-    Returns ``(uses_counts, uses_regs, uses_data_read, uses_start_va)``;
-    the generated prologue only hoists what the body references.
+    Returns ``(uses_counts, uses_regs, uses_data_read)``; the generated
+    prologue only hoists what the body references.
     """
     uses_counts = False
     uses_regs = False
     uses_data_read = False
-    uses_start_va = False
     for op in ops:
         kind = op[0]
         if kind in (OP_ADVANCE, OP_DECODE_TICK):
@@ -1155,13 +1095,9 @@ def _op_uses(ops):
                     )
                 )
                 uses_regs = uses_regs or template.is_indexed
-                uses_start_va = uses_start_va or template.ea_kind in (
-                    EA_RELATIVE,
-                    EA_RELATIVE_DEFERRED,
-                )
             elif template.kind == K_REGISTER and template.read_value:
                 uses_regs = True
-    return uses_counts, uses_regs, uses_data_read, uses_start_va
+    return uses_counts, uses_regs, uses_data_read
 
 
 def _fold_incs(incs):
@@ -1181,87 +1117,74 @@ def _fold_incs(incs):
     return folded
 
 
-class _Deferred:
-    """Statically-known event increments batched to one commit per block.
+def _codegen(record):
+    """Generate a specialized replay function for ``record``.
 
-    A superblock defers every event/histogram increment whose amount is
-    known at build time — specifier and opcode Counter keys, byte and
-    instruction totals, the charge bursts' histogram buckets — and
-    commits them once per dispatch.  Scalars and histogram buckets
-    commute, so folding across segments is unconditionally safe;
-    Counter-dict increments fold in first-occurrence program order so
-    key insertion order (part of the bit-identity contract on
-    serialized results) matches an interpreted run.  Snapshots taken at
-    segment boundaries become the prefix tables early exits commit.
+    Emits straight-line Python with every compile-time constant inlined
+    (cycle charges, histogram buckets, byte counts, event keys) and
+    non-literal objects (routines, the opcode, the handler, enum
+    members) bound as exec-namespace globals.  The emitted body is a
+    statement-for-statement transcription of :func:`execute_record`'s
+    op loop with the dispatch unrolled away — that function remains the
+    readable oracle; tests hold the two executors equivalent.
     """
+    consts = []
+    names = []
 
-    __slots__ = ("_totals",)
+    def cref(obj):
+        for name, seen in zip(names, consts):
+            if seen is obj:
+                return name
+        name = "_k{}".format(len(consts))
+        names.append(name)
+        consts.append(obj)
+        return name
 
-    def __init__(self):
-        self._totals = {}  # (kind, attr, key) -> total, insertion-ordered
-
-    def _add(self, entry, n):
-        totals = self._totals
-        totals[entry] = totals.get(entry, 0) + n
-
-    def scalar(self, attr, n=1):
-        self._add(("s", attr, None), n)
-
-    def dict_count(self, attr, key, n=1):
-        self._add(("d", attr, key), n)
-
-    def buckets(self, incs):
-        for bucket, count in incs:
-            self._add(("c", None, bucket), count)
-
-    def snapshot(self):
-        """Commit entries so far, in first-occurrence order."""
-        return tuple(
-            (kind, attr, key, total)
-            for (kind, attr, key), total in self._totals.items()
-        )
-
-
-def _commit_prefix(events, counts, entries):
-    """Apply a prefix table: the deferred increments of the segments a
-    superblock dispatch completed before exiting early."""
-    for kind, attr, key, total in entries:
-        if kind == "s":
-            setattr(events, attr, getattr(events, attr) + total)
-        elif kind == "d":
-            getattr(events, attr)[key] += total
-        elif counts is not None:  # "c": histogram buckets, collecting only
-            counts[key] += total
-
-
-def _emit_ops(emit, cref, record, ovar_prefix="_o", defer=None):
-    """Emit the replay statements for one record's op list.
-
-    The shared body of the per-record generator and the superblock
-    generator: cycle charges, I-stream consumes, specifier evaluation
-    and operand construction, at 4-space indent over the standard
-    prologue names (``ebox``, ``ib``, ``buf``, ``events``,
-    ``collecting``, ``counts``, ``ib_run``, ``regs``, ``regs_read``,
-    ``data_read``, ``start_va``).  With ``defer`` set, statically-known
-    event increments are collected there instead of emitted inline
-    (OP_DECODE_TICK's stay inline — they are conditional on the
-    previous instruction's redirect).  Returns the operand variable
-    names for the handler call.
-    """
+    lines = []
+    emit = lines.append
 
     def emit_incs(incs, indent):
         emit("{}if collecting:".format(indent))
         for bucket, count in _fold_incs(incs):
             emit("{}    counts[{}] += {}".format(indent, bucket, count))
 
+    uses_counts, uses_regs, uses_data_read = _op_uses(record.ops)
+
+    emit("def _replay(ebox, start_va):")
+    emit("    ib = ebox.ib")
+    emit("    buf = ib._bytes")
+    emit("    if not buf.startswith({!r}):".format(record.raw))
+    emit(
+        "        if not {}(ebox, ib, buf, {!r}):".format(
+            cref(_image_ready), record.raw
+        )
+    )
+    emit("            return False")
+    emit("    events = ebox.events")
+    emit("    board = ebox._board")
+    emit("    collecting = board is not None and board._collecting")
+    if uses_counts:
+        emit("    counts = board._counts if collecting else None")
+    emit("    ib_run = ebox._ib_run")
+    emit("    regs = ebox.regs")
+    if uses_regs:
+        emit("    regs_read = regs.read")
+    if uses_data_read:
+        emit("    data_read = ebox.data_read")
+    emit("    ib_stats = ib.stats")
+    emit("    redirects_before = ib_stats.redirects")
+    emit("    ebox._instruction_start_cycle = ebox.cycle_count")
+    emit("    ebox.current_opcode = {}".format(cref(record.opcode)))
+    emit("    ebox._exec_routine = {}".format(cref(record.exec_routine)))
+    emit("    ebox._exec_a_used = False")
+    emit("    ebox._last_source_routine = None")
+    emit("    ebox.branch_displacement = None")
+
     operand_vars = []
     for op in record.ops:
         kind = op[0]
         if kind == OP_ADVANCE:
-            if defer is None:
-                emit_incs(op[2], "    ")
-            else:
-                defer.buckets(_fold_incs(op[2]))
+            emit_incs(op[2], "    ")
             emit("    ebox.cycle_count += {}".format(op[1]))
             # The prefetcher's nothing-can-happen exits (fill
             # outstanding handled by run(); TB-miss paused or buffer
@@ -1286,27 +1209,15 @@ def _emit_ops(emit, cref, record, ovar_prefix="_o", defer=None):
             emit("        ebox._take_bytes({}, {})".format(op[1], cref(op[2])))
         elif kind == OP_SPEC:
             template = op[1]
-            if defer is None:
-                if template.is_indexed:
-                    emit(
-                        "    events.indexed_specifiers[{!r}] += 1".format(
-                            template.position_class
-                        )
-                    )
+            if template.is_indexed:
                 emit(
-                    "    events.specifier_counts[{!r}] += 1".format(
-                        template.count_key
+                    "    events.indexed_specifiers[{!r}] += 1".format(
+                        template.position_class
                     )
                 )
-                emit("    events.specifier_bytes += {}".format(template.length))
-            else:
-                if template.is_indexed:
-                    defer.dict_count(
-                        "indexed_specifiers", template.position_class
-                    )
-                defer.dict_count("specifier_counts", template.count_key)
-                defer.scalar("specifier_bytes", template.length)
-            var = "{}{}".format(ovar_prefix, len(operand_vars))
+            emit("    events.specifier_counts[{!r}] += 1".format(template.count_key))
+            emit("    events.specifier_bytes += {}".format(template.length))
+            var = "_o{}".format(len(operand_vars))
             operand_vars.append(var)
             address = "None"
             value = "None"
@@ -1417,12 +1328,8 @@ def _emit_ops(emit, cref, record, ovar_prefix="_o", defer=None):
             )
         elif kind == OP_BRANCH:
             emit("    ebox.branch_displacement = {}".format(op[2]))
-            if defer is None:
-                emit("    events.branch_displacements += 1")
-                emit("    events.displacement_bytes += {}".format(op[1]))
-            else:
-                defer.scalar("branch_displacements", 1)
-                defer.scalar("displacement_bytes", op[1])
+            emit("    events.branch_displacements += 1")
+            emit("    events.displacement_bytes += {}".format(op[1]))
         else:  # OP_DECODE_TICK
             emit("    if ebox._last_instruction_redirected:")
             emit_incs(op[2], "        ")
@@ -1438,68 +1345,6 @@ def _emit_ops(emit, cref, record, ovar_prefix="_o", defer=None):
             emit("            ib._now += {}".format(op[1]))
             emit("        else:")
             emit("            ib_run({})".format(op[1]))
-    return operand_vars
-
-
-def _codegen(record):
-    """Generate a specialized replay function for ``record``.
-
-    Emits straight-line Python with every compile-time constant inlined
-    (cycle charges, histogram buckets, byte counts, event keys) and
-    non-literal objects (routines, the opcode, the handler, enum
-    members) bound as exec-namespace globals.  The emitted body is a
-    statement-for-statement transcription of :func:`execute_record`'s
-    op loop with the dispatch unrolled away — that function remains the
-    readable oracle; tests hold the two executors equivalent.
-    """
-    consts = []
-    names = []
-
-    def cref(obj):
-        for name, seen in zip(names, consts):
-            if seen is obj:
-                return name
-        name = "_k{}".format(len(consts))
-        names.append(name)
-        consts.append(obj)
-        return name
-
-    lines = []
-    emit = lines.append
-
-    uses_counts, uses_regs, uses_data_read, _ = _op_uses(record.ops)
-
-    emit("def _replay(ebox, start_va):")
-    emit("    ib = ebox.ib")
-    emit("    buf = ib._bytes")
-    emit("    if not buf.startswith({!r}):".format(record.raw))
-    emit(
-        "        if not {}(ebox, ib, buf, {!r}):".format(
-            cref(_image_ready), record.raw
-        )
-    )
-    emit("            return False")
-    emit("    events = ebox.events")
-    emit("    board = ebox._board")
-    emit("    collecting = board is not None and board._collecting")
-    if uses_counts:
-        emit("    counts = board._counts if collecting else None")
-    emit("    ib_run = ebox._ib_run")
-    emit("    regs = ebox.regs")
-    if uses_regs:
-        emit("    regs_read = regs.read")
-    if uses_data_read:
-        emit("    data_read = ebox.data_read")
-    emit("    ib_stats = ib.stats")
-    emit("    redirects_before = ib_stats.redirects")
-    emit("    ebox._instruction_start_cycle = ebox.cycle_count")
-    emit("    ebox.current_opcode = {}".format(cref(record.opcode)))
-    emit("    ebox._exec_routine = {}".format(cref(record.exec_routine)))
-    emit("    ebox._exec_a_used = False")
-    emit("    ebox._last_source_routine = None")
-    emit("    ebox.branch_displacement = None")
-
-    operand_vars = _emit_ops(emit, cref, record)
 
     emit("    ebox._merge_pending = {}".format(record.merge_pending))
     if record.last_source_routine is not None:
@@ -1532,334 +1377,15 @@ def _codegen(record):
     return namespace["_replay"]
 
 
-# ---------------------------------------------------------------------------
-# layer 3b: chained superblocks
-# ---------------------------------------------------------------------------
-#
-# When the same window of records repeatedly executes back-to-back with
-# no fallback between them, the per-instruction dispatch (kernel loop,
-# device poll, pending-interrupt check, record-cache probe, function
-# call) is pure overhead: one generated function can replay the whole
-# window.  Guard structure keeps every exit an exact interpreter state:
-#
-# * each segment re-checks its byte image against the IB (or the
-#   side-effect-free lookahead) *before mutating anything*, so segments
-#   are atomic — after k completed segments the machine is bit-identical
-#   to k interpreted instructions, and a mid-block exit simply returns k
-#   (self-modifying code, aliasing and IB under-runs all land here);
-# * each boundary checks the hoisted interrupt-pending list and the
-#   caller's cycle limit (the device board's next fire time), so
-#   interrupt delivery and device polls happen at the same instruction
-#   boundary, at the same cycle, as the stepped loop;
-# * SYSTEM-group records never chain (they can halt, swap the event
-#   sink, or change IPL — the state the block prologue hoists).
-#
-# Page faults, TB misses, and IB stalls are serviced *inside* segments
-# by the same data_read/data_write/_take_bytes code the interpreter
-# uses, so they need no guards.  The one divergence: if the run is
-# aborted by an unrecoverable fault mid-segment (HaltExecution), the
-# block's deferred event commits are lost — acceptable, because an
-# aborted run's state is never part of a measured result.
-
-#: Hard cap on a window's length; hot paths longer than this split
-#: into consecutive blocks.
-_SB_MAX_LEN = 8
-
-#: Minimum window length worth a block (a single instruction already
-#: has its per-record function).
-_SB_MIN_LEN = 2
-
-#: Times a specific window must recur before its block is generated.
-#: Superblock ``compile()`` costs a few ms — an order of magnitude more
-#: than a record — so the bar matches the record codegen threshold:
-#: short default runs (tests, cold benchmarks) never pay it, while any
-#: real experiment's warmup crosses it thousands of times over.  The
-#: tier-threshold env override collapses this to first sight.
-_SB_MIN_SIGHTINGS = 16
-
-#: Cap on generated superblocks per layout.
-_SB_CACHE_CAP = 4096
-
-#: Cap on the candidate-window sightings table; cleared wholesale when
-#: exceeded (counting restarts, installed blocks are unaffected).
-_SB_CANDIDATE_CAP = 4096
-
-#: Per-layout formation state, shared by every machine on the layout:
-#: candidate-window sighting counts and the generated blocks, both
-#: keyed by ``(head_va, window records)`` so a pool of machines running
-#: the same program shares one generation cost per window.
-_SB_STATE = WeakKeyDictionary()
-
-
-def superblock_state(layout):
-    state = _SB_STATE.get(layout.store)
-    if state is None:
-        state = {"candidates": {}, "blocks": {}, "installed": 0}
-        _SB_STATE[layout.store] = state
-    return state
-
-
 def clear_record_caches() -> None:
-    """Drop every layout's record and superblock caches.
+    """Drop every layout's record cache.
 
-    Benchmarks call this between arms so each run re-resolves, re-tiers
-    and re-forms from cold under the current environment knobs
-    (machines built afterwards start with empty per-machine caches; the
+    Benchmarks call this between arms so each run re-resolves and
+    re-tiers from cold under the current environment knobs (machines
+    built afterwards start with empty per-machine caches; the
     layout-wide byte-keyed caches are what persists across machines).
     """
     _LAYOUT_RECORDS.clear()
-    _SB_STATE.clear()
-
-
-class Superblock:
-    """A chained window of records replayed by one generated function.
-
-    ``run(ebox, limit)`` returns the number of instructions retired:
-    the full window, a prefix (boundary deopt — pending interrupt,
-    cycle limit reached, byte-guard mismatch), or 0 when the first
-    segment's own guard declines (state untouched, the per-record path
-    handles the instruction).
-    """
-
-    __slots__ = ("records", "length", "run")
-
-
-def chain_note(ebox, va, record):
-    """Account one compiled-record execution toward superblock formation.
-
-    Called by the EBOX on every per-record fast-path hit; consecutive
-    chainable hits grow the chain, and the length cap closes it into a
-    window.  Windows are *traces*: they run straight through branches,
-    recording the path actually executed — replay is position-blind
-    (every segment re-reads the live decode VA and re-checks its byte
-    image before touching anything), so when a later execution branches
-    the other way the mismatching segment's guard simply ends the run
-    there.  Records are keyed by byte image and shared across every
-    code site with the same bytes, so windows are keyed by their head
-    *address* — a block only ever dispatches at the site whose
-    successor path it recorded (first window wins per head VA).  A
-    window sighted ``_SB_MIN_SIGHTINGS`` times is generated and
-    installed in the machine's VA-keyed block cache.
-    """
-    chain = ebox._sb_chain
-    if not record.chainable:
-        # The chain so far still happened back-to-back; a short window
-        # ending here is how code bracketed by SYSTEM instructions
-        # (kernel paths full of MTPR/REI) earns blocks at all.
-        if chain:
-            _close_window(ebox, chain)
-        return
-    chain.append((va, record))
-    if len(chain) >= _SB_MAX_LEN:
-        _close_window(ebox, chain)
-
-
-def chain_break(ebox):
-    """A non-replay event ended the consecutive run: close what's there.
-
-    Called where the EBOX abandons the chain (interpreter fallback,
-    interrupt delivery) — the instructions already chained were still
-    consecutive, so a long-enough prefix becomes a window rather than
-    being thrown away.
-    """
-    chain = ebox._sb_chain
-    if chain:
-        _close_window(ebox, chain)
-
-
-def _close_window(ebox, chain):
-    """Turn the current chain into a (possibly cached) superblock."""
-    if len(chain) < _SB_MIN_LEN:
-        chain.clear()
-        return
-    head_va = chain[0][0]
-    window = tuple(entry[1] for entry in chain)
-    chain.clear()
-    cache = ebox._sb_cache
-    if head_va in cache:
-        return
-    state = ebox._sb_state
-    # Keyed by head VA plus the *first* record only: the head bytes
-    # pin the program, while the tail of a trace varies with where
-    # earlier dispatches happened to cut the chain — keying on the
-    # full window would make every machine re-sight and re-generate
-    # its own variant of the same hot path.  Whichever variant is
-    # generated first serves them all; a divergent tail just ends a
-    # run early at its byte guard.
-    key = (head_va, window[0])
-    blocks = state["blocks"]
-    sb = blocks.get(key)
-    if sb is not None:
-        cache[head_va] = sb
-        return
-    if state["installed"] >= _SB_CACHE_CAP:
-        return
-    candidates = state["candidates"]
-    count = candidates.get(key, 0) + 1
-    # The tier-threshold override lowers the bar to two sightings (the
-    # steady-state benchmarks want formation done within warmup) but
-    # not to one: first-wins installation means an unfiltered one-shot
-    # variant would squat its head VA, and measured deopt rates
-    # quadruple when it does.
-    min_sightings = 2 if codegen_threshold() <= 1 else _SB_MIN_SIGHTINGS
-    if count < min_sightings:
-        if len(candidates) >= _SB_CANDIDATE_CAP:
-            candidates.clear()
-        candidates[key] = count
-        return
-    candidates.pop(key, None)
-    sb = compile_superblock(window)
-    blocks[key] = sb
-    cache[head_va] = sb
-    state["installed"] += 1
-    ebox.compile_stats.superblocks_formed += 1
-    channel = ebox._compile_events
-    if channel is not None:
-        channel.emit(
-            ebox.cycle_count,
-            _KIND_SUPERBLOCK_FORMED,
-            "+".join(record.mnemonic for record in window),
-            len(window),
-        )
-
-
-def compile_superblock(records):
-    """Generate one dispatch function for a window of chainable records.
-
-    The emitted body concatenates each record's replay statements
-    (:func:`_emit_ops`, the same emitter the per-record generator
-    uses), with the per-record prologue hoisted to block entry and
-    every statically-known event increment deferred to one commit.
-    Early exits commit the completed segments' prefix table, so any
-    return value ``k`` leaves the machine byte-identical to ``k``
-    interpreted instructions.
-    """
-    records = tuple(records)
-    consts = []
-    names = []
-
-    def cref(obj):
-        for name, seen in zip(names, consts):
-            if seen is obj:
-                return name
-        name = "_k{}".format(len(consts))
-        names.append(name)
-        consts.append(obj)
-        return name
-
-    lines = []
-    emit = lines.append
-
-    uses_regs = False
-    uses_data_read = False
-    seg_start_va = []
-    for record in records:
-        _, regs_u, dread_u, sva_u = _op_uses(record.ops)
-        uses_regs = uses_regs or regs_u
-        uses_data_read = uses_data_read or dread_u
-        seg_start_va.append(sva_u)
-
-    emit("def _sbrun(ebox, limit):")
-    emit("    ib = ebox.ib")
-    emit("    buf = ib._bytes")
-    emit("    events = ebox.events")
-    emit("    board = ebox._board")
-    emit("    collecting = board is not None and board._collecting")
-    emit("    counts = board._counts if collecting else None")
-    emit("    ib_run = ebox._ib_run")
-    emit("    regs = ebox.regs")
-    if uses_regs:
-        emit("    regs_read = regs.read")
-    if uses_data_read:
-        emit("    data_read = ebox.data_read")
-    emit("    ib_stats = ib.stats")
-    emit("    machine = ebox.machine")
-    # The pending list's identity is stable (post appends, acknowledge
-    # removes in place), so one hoist covers every boundary check.
-    emit("    pending = machine.interrupts._pending if machine is not None else ()")
-
-    defer = _Deferred()
-    commit = cref(_commit_prefix)
-    for seg, record in enumerate(records):
-        emit("    # -- segment {}: {}".format(seg, record.mnemonic))
-        if seg:
-            prefix = cref(defer.snapshot())
-            emit("    if pending or ebox.cycle_count >= limit:")
-            emit("        {}(events, counts, {})".format(commit, prefix))
-            emit("        return {}".format(seg))
-        emit("    if not buf.startswith({!r}):".format(record.raw))
-        emit(
-            "        if not {}(ebox, ib, buf, {!r}):".format(
-                cref(_image_ready), record.raw
-            )
-        )
-        if seg:
-            emit("            {}(events, counts, {})".format(commit, prefix))
-        emit("            return {}".format(seg))
-        emit("    redirects_before = ib_stats.redirects")
-        emit("    ebox._instruction_start_cycle = ebox.cycle_count")
-        emit("    ebox.current_opcode = {}".format(cref(record.opcode)))
-        emit("    ebox._exec_routine = {}".format(cref(record.exec_routine)))
-        emit("    ebox._exec_a_used = False")
-        emit("    ebox._last_source_routine = None")
-        emit("    ebox.branch_displacement = None")
-        if seg_start_va[seg]:
-            emit("    start_va = ib._decode_va")
-        operand_vars = _emit_ops(
-            emit, cref, record, ovar_prefix="_o{}_".format(seg), defer=defer
-        )
-        emit("    ebox._merge_pending = {}".format(record.merge_pending))
-        if record.last_source_routine is not None:
-            emit(
-                "    ebox._last_source_routine = {}".format(
-                    cref(record.last_source_routine)
-                )
-            )
-        defer.scalar("instruction_bytes", record.length)
-        defer.dict_count("opcode_counts", record.mnemonic)
-        emit(
-            "    {}(ebox, {}, [{}])".format(
-                cref(record.handler), cref(record.opcode), ", ".join(operand_vars)
-            )
-        )
-        defer.scalar("instructions", 1)
-        emit("    regs.pc = ib._decode_va")
-        emit("    ebox._merge_pending = False")
-        emit(
-            "    ebox._last_instruction_redirected ="
-            " ib_stats.redirects != redirects_before"
-        )
-
-    # Full-window commit, inlined (every completed dispatch runs it).
-    emit("    # -- block commit")
-    bucket_entries = []
-    for kind, attr, key, total in defer.snapshot():
-        if kind == "s":
-            emit("    events.{} += {}".format(attr, total))
-        elif kind == "d":
-            emit("    events.{}[{!r}] += {}".format(attr, key, total))
-        else:
-            bucket_entries.append((key, total))
-    if bucket_entries:
-        emit("    if collecting:")
-        for bucket, total in bucket_entries:
-            emit("        counts[{}] += {}".format(bucket, total))
-    emit("    return {}".format(len(records)))
-
-    namespace = dict(zip(names, consts))
-    exec(
-        compile(
-            "\n".join(lines),
-            "<superblock:{}>".format("+".join(r.mnemonic for r in records)),
-            "exec",
-        ),
-        namespace,
-    )
-    sb = Superblock()
-    sb.records = records
-    sb.length = len(records)
-    sb.run = namespace["_sbrun"]
-    return sb
 
 
 # ---------------------------------------------------------------------------

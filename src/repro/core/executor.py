@@ -373,7 +373,8 @@ def _run_pool_tasks(
     and the remainder runs in-process (degraded mode: retries still
     apply, timeouts cannot preempt).
 
-    A ``KeyboardInterrupt`` cancels outstanding futures, shuts the pool
+    On completion the pool's workers are joined before returning.  A
+    ``KeyboardInterrupt`` cancels outstanding futures, shuts the pool
     down without waiting and re-raises as
     :class:`~repro.core.resilience.SweepInterrupted` carrying everything
     that already finished.
@@ -538,7 +539,9 @@ def _run_pool_tasks(
             pool.shutdown(wait=False, cancel_futures=True)
         raise SweepInterrupted(payloads=payloads, failures=failures, stats=stats)
     if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
+        # Join the workers when nothing is left in flight, so none outlive
+        # the call; a raise-mode early exit abandons in-flight work.
+        pool.shutdown(wait=not inflight, cancel_futures=True)
     return payloads, failures, stats
 
 

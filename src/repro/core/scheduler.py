@@ -626,6 +626,7 @@ def execute_spec_sharded(
             workers = min(jobs, len(worker_tasks))
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
             futures = {}
+            joined = False
             try:
                 for task in worker_tasks:
                     notify(
@@ -651,6 +652,7 @@ def execute_spec_sharded(
                 try:
                     for future in as_completed(futures):
                         collect(futures[future], future.result())
+                    joined = True
                 except BrokenProcessPool:
                     # One dead worker poisons every outstanding future;
                     # whatever did not finish falls to the repair chain.
@@ -663,7 +665,9 @@ def execute_spec_sharded(
                                 "",
                             )
             finally:
-                pool.shutdown(wait=False, cancel_futures=True)
+                # Join the workers once every shard has come back; a
+                # crash or an interrupt abandons whatever is in flight.
+                pool.shutdown(wait=joined, cancel_futures=True)
         else:
             for task in worker_tasks:
                 notify(
@@ -791,9 +795,6 @@ class Scheduler:
     historical API, and publishes every completed run so concurrent and
     future clients dedupe against it.
 
-    ``dedupe=False`` turns the partitioning off entirely — the facade's
-    ``run_specs`` uses that to stay bit-compatible with the historical
-    engine (where submitting the same spec twice executed it twice).
     ``run_resolution`` additionally banks and resolves whole runs in
     the content-addressed cache (the service turns this on; shard-level
     caching inside ``execute_spec_sharded`` is independent of it).
@@ -807,7 +808,6 @@ class Scheduler:
         policy=None,
         metrics=None,
         result_index_size: int = 256,
-        dedupe: bool = True,
         run_resolution: bool = False,
     ):
         self.jobs = jobs
@@ -816,7 +816,6 @@ class Scheduler:
         self.policy = policy
         self.metrics = metrics
         self.result_index_size = max(1, result_index_size)
-        self.dedupe = dedupe
         self.run_resolution = run_resolution
         #: registry + index bookkeeping
         self._lock = threading.Lock()
@@ -992,56 +991,52 @@ class Scheduler:
         batch_attach: Dict[int, int] = {}
         owners: List[int] = []
         tickets: Dict[int, _Ticket] = {}
-        digests: List[Optional[str]] = [None] * total
+        digests = [config_hash(spec) for spec in specs]
 
-        if not self.dedupe:
-            owners = list(range(total))
-        else:
-            digests = [config_hash(spec) for spec in specs]
-            with self._lock:
-                seen: Dict[str, int] = {}
-                for index, (spec, digest) in enumerate(zip(specs, digests)):
-                    if digest in seen:
-                        batch_attach[index] = seen[digest]
+        with self._lock:
+            seen: Dict[str, int] = {}
+            for index, (spec, digest) in enumerate(zip(specs, digests)):
+                if digest in seen:
+                    batch_attach[index] = seen[digest]
+                    self._count(
+                        "scheduler.specs.deduped_batch",
+                        "duplicate specs within one sweep attached to the"
+                        " batch primary",
+                    )
+                    continue
+                seen[digest] = index
+                held = self._index.get(digest)
+                if held is not None:
+                    self._index.move_to_end(digest)
+                    resolved[index] = self._attached_copy(held, digest)
+                    self._count(
+                        "scheduler.specs.resolved_index",
+                        "specs resolved from the bounded result index",
+                    )
+                    continue
+                ticket = self._inflight.get(digest)
+                if ticket is not None:
+                    waiters[index] = ticket
+                    self._count(
+                        "scheduler.specs.attached_inflight",
+                        "specs attached to an already-running job instead"
+                        " of executing a duplicate",
+                    )
+                    continue
+                if self.run_resolution and self.cache is not None:
+                    run = resolve_cached_run(self.cache, spec)
+                    if run is not None:
+                        self._index_put(digest, run)
+                        resolved[index] = run
                         self._count(
-                            "scheduler.specs.deduped_batch",
-                            "duplicate specs within one sweep attached to the"
-                            " batch primary",
+                            "scheduler.specs.resolved_cache",
+                            "specs resolved whole from the run cache",
                         )
                         continue
-                    seen[digest] = index
-                    held = self._index.get(digest)
-                    if held is not None:
-                        self._index.move_to_end(digest)
-                        resolved[index] = self._attached_copy(held, digest)
-                        self._count(
-                            "scheduler.specs.resolved_index",
-                            "specs resolved from the bounded result index",
-                        )
-                        continue
-                    ticket = self._inflight.get(digest)
-                    if ticket is not None:
-                        waiters[index] = ticket
-                        self._count(
-                            "scheduler.specs.attached_inflight",
-                            "specs attached to an already-running job instead"
-                            " of executing a duplicate",
-                        )
-                        continue
-                    if self.run_resolution and self.cache is not None:
-                        run = resolve_cached_run(self.cache, spec)
-                        if run is not None:
-                            self._index_put(digest, run)
-                            resolved[index] = run
-                            self._count(
-                                "scheduler.specs.resolved_cache",
-                                "specs resolved whole from the run cache",
-                            )
-                            continue
-                    ticket = _Ticket(digest)
-                    self._inflight[digest] = ticket
-                    tickets[index] = ticket
-                    owners.append(index)
+                ticket = _Ticket(digest)
+                self._inflight[digest] = ticket
+                tickets[index] = ticket
+                owners.append(index)
 
         # Progress remap: owner-batch events carry batch-local indices;
         # clients expect sweep-local ones.  Shard-level events (total ==
@@ -1054,9 +1049,8 @@ class Scheduler:
 
         owner_runs: Dict[int, Optional[EngineRun]] = {}
         batch_report = None
-        outcome = None
         try:
-            if owners or not self.dedupe:
+            if owners:
                 try:
                     with self._exec_lock:
                         outcome = self._execute_batch(
@@ -1097,10 +1091,9 @@ class Scheduler:
                                 "scheduler.specs.executed",
                                 "specs this scheduler actually executed",
                             )
-                            if digests[index] is not None:
-                                if self.run_resolution and self.cache is not None:
-                                    store_run(self.cache, specs[index], run)
-                                self._index_put(digests[index], run)
+                            if self.run_resolution and self.cache is not None:
+                                store_run(self.cache, specs[index], run)
+                            self._index_put(digests[index], run)
                             if ticket is not None:
                                 ticket.run = run
                         elif ticket is not None:
@@ -1162,9 +1155,6 @@ class Scheduler:
                 "wall-clock of one scheduled sweep, recorded once at the"
                 " scheduler layer",
             ).observe(time.perf_counter() - sweep_started)
-
-        if not self.dedupe:
-            return outcome
 
         runs: List[Optional[EngineRun]] = [None] * total
         for index in range(total):

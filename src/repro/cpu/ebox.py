@@ -177,7 +177,6 @@ class EBox:
         # nothing needs the per-cycle interpreted path: no tracer (the
         # tracer's spans narrate individual specifiers and stalls), the
         # standard 16,000-bucket board, and no REPRO_NO_COMPILE=1.
-        self._execute_record = replay.execute_record
         self._resolve_record = replay.resolve
         self._peek_image = replay.peek_image
         # Preserved across tracer swaps (records and diagnostics are
@@ -185,27 +184,17 @@ class EBox:
         if "_record_cache" not in self.__dict__:
             # Replay caches are keyed by decode VA, and a VA only names
             # code *within one address space*: at a context switch the
-            # same VA maps to a different process's bytes.  One
-            # (record cache, superblock cache) pair per P0 page table,
-            # swapped when dispatch notices the table changed, keeps a
-            # process's records and blocks warm across switches instead
-            # of letting processes evict each other's entries forever.
+            # same VA maps to a different process's bytes.  One record
+            # cache per P0 page table, swapped when dispatch notices the
+            # table changed, keeps a process's records warm across
+            # switches instead of letting processes evict each other's
+            # entries forever.
             self._record_cache = {}
-            self._sb_cache = {}
-            self._space_caches = {None: (self._record_cache, self._sb_cache)}
+            self._space_caches = {None: self._record_cache}
             self._cache_space = None
             self._records_overlap = self.decode_overlap
         if "compile_stats" not in self.__dict__:
             self.compile_stats = replay.CompileStats()
-        # Superblock formation: the chain of consecutively replayed
-        # (va, record) pairs, and the layout-wide candidate/block state.
-        # The chain starts empty on every rebind — a tracer swap or
-        # snapshot restore breaks the consecutive-execution property the
-        # window asserts.
-        self._sb_chain = []
-        self._sb_state = replay.superblock_state(self.layout)
-        self._chain_note = replay.chain_note
-        self._chain_break = replay.chain_break
         # The costs.skew fault site (repro.testing.faults): when armed,
         # the named micro-routine overcharges compute cycles — the
         # seeded model error the refutation suite exists to catch.  The
@@ -267,11 +256,9 @@ class EBox:
         "_dispatch",
         "_process_specifier",
         "_tracer",
-        "_execute_record",
         "_resolve_record",
         "_peek_image",
         "_record_cache",
-        "_sb_cache",
         "_space_caches",
         "_cache_space",
         "_records_overlap",
@@ -280,10 +267,6 @@ class EBox:
         "_compile_disabled_by_tracer",
         "_tracer_fallback_warned",
         "_compile_events",
-        "_sb_chain",
-        "_sb_state",
-        "_chain_note",
-        "_chain_break",
     )
 
     def set_compile_events(self, channel) -> None:
@@ -931,16 +914,13 @@ class EBox:
 
         Keyed by page-table object identity; tables live as long as
         their process, so an entry here never outlives the code it
-        caches.  The formation chain never survives a switch — the
-        consecutive instructions it asserts straddle two programs.
+        caches.
         """
-        entry = self._space_caches.get(space)
-        if entry is None:
-            entry = ({}, {})
-            self._space_caches[space] = entry
-        self._record_cache, self._sb_cache = entry
+        cache = self._space_caches.get(space)
+        if cache is None:
+            cache = self._space_caches[space] = {}
+        self._record_cache = cache
         self._cache_space = space
-        self._sb_chain.clear()
 
     def _step_compiled(self) -> bool:
         """Replay the next instruction from its compiled record.
@@ -968,7 +948,6 @@ class EBox:
         if record is not None:
             if record.never:
                 if ib._bytes.startswith(record.raw):
-                    self._chain_break(self)
                     start = self.cycle_count
                     result = self._step_interpreted()
                     stats.jit_misses += 1
@@ -985,7 +964,6 @@ class EBox:
                 stats.fast_cycles += (
                     self.cycle_count - self._instruction_start_cycle
                 )
-                self._chain_note(self, va, record)
                 return not self.halted
             else:
                 # Bytes at this address changed (process aliasing or a
@@ -1030,12 +1008,10 @@ class EBox:
                 stats.fast_cycles += (
                     self.cycle_count - self._instruction_start_cycle
                 )
-                self._chain_note(self, va, record)
                 return not self.halted
             cause = "uncompilable" if record.never else "byte_mismatch"
         else:
             cause = cause or "unresolved"
-        self._chain_break(self)
         start = self.cycle_count
         result = self._step_interpreted()
         stats.jit_misses += 1
@@ -1124,104 +1100,15 @@ class EBox:
         )
         return not self.halted
 
-    def step_block(self, budget: int, limit) -> int:
-        """Run one dispatch unit: a superblock when one is installed at
-        the current decode address, else one :meth:`step`-equivalent
-        instruction.
-
-        ``budget`` bounds the instructions this dispatch may retire
-        (the caller's remaining ``max_instructions``); ``limit`` is a
-        cycle ceiling — a superblock deopts at the first instruction
-        boundary at or past it, exactly where the stepped loop would
-        have regained control (the kernel passes the device board's
-        next fire time).  Returns instructions retired; 0 means halted
-        (the halting instruction itself is not counted, matching the
-        ``if not step(): break`` contract).
-        """
-        if self.halted:
-            return 0
-        machine = self.machine
-        if machine is not None:
-            pending = machine.pending_interrupt(self.psl.ipl)
-            if pending is not None:
-                self._deliver_interrupt(*pending)
-                return 1
-        if self._compile_active:
-            if self.decode_overlap is not self._records_overlap:
-                self._space_caches.clear()
-                self._records_overlap = self.decode_overlap
-                self._switch_space(self.memory.page_tables["p0"])
-            else:
-                space = self.memory.page_tables["p0"]
-                if space is not self._cache_space:
-                    self._switch_space(space)
-            cache = self._sb_cache
-            sb = cache.get(self.ib._decode_va)
-            if sb is not None and budget >= sb.length:
-                stats = self.compile_stats
-                pending = (
-                    machine.interrupts._pending if machine is not None else ()
-                )
-                total = 0
-                start = self.cycle_count
-                # Consecutive blocks run back-to-back without returning
-                # to the caller: between blocks the device board cannot
-                # fire (cycle_count < limit) and no interrupt is
-                # pending, so the stepped loop's per-instruction poll
-                # and delivery checks would all be no-ops here.
-                while True:
-                    n = sb.run(self, limit)
-                    if not n:
-                        break
-                    total += n
-                    stats.superblock_runs += 1
-                    stats.superblock_instructions += n
-                    if n < sb.length:
-                        stats.superblock_deopts += 1
-                        # Diagnose the early exit from machine state:
-                        # the generated body only leaves the window at
-                        # a boundary check (pending interrupt / cycle
-                        # limit) or a failed byte guard.
-                        if pending:
-                            reason = "interrupt"
-                        elif self.cycle_count >= limit:
-                            reason = "cycle_limit"
-                        else:
-                            reason = "byte_guard"
-                        stats.note_deopt(reason)
-                        channel = self._compile_events
-                        if channel is not None:
-                            channel.emit(self.cycle_count, "deopt", reason, n)
-                        break
-                    if pending or self.cycle_count >= limit or self.halted:
-                        break
-                    sb = cache.get(self.ib._decode_va)
-                    if sb is None or budget - total < sb.length:
-                        break
-                if total:
-                    stats.jit_hits += total
-                    stats.fast_cycles += self.cycle_count - start
-                    # The instructions chained before this run were
-                    # consecutive right up to the block: promote them
-                    # rather than discarding.
-                    self._chain_break(self)
-                    return total
-                # n == 0: the first segment's guard declined with
-                # nothing mutated — the per-record path sorts it out.
-            return 1 if self._step_compiled() else 0
-        return 1 if self._step_interpreted() else 0
-
     def run(self, max_instructions: int = 1_000_000, max_cycles: Optional[int] = None) -> int:
         """Run until halt or a budget runs out; returns instructions run."""
         executed = 0
-        limit = float("inf") if max_cycles is None else max_cycles
         while executed < max_instructions:
             if max_cycles is not None and self.cycle_count >= max_cycles:
                 break
-            n = self.step_block(max_instructions - executed, limit)
-            if not n:
+            if not self.step():
                 break
-            executed += n
+            executed += 1
         return executed
 
     # ------------------------------------------------------------------
@@ -1230,9 +1117,6 @@ class EBox:
 
     def _deliver_interrupt(self, ipl: int, vector_va: int) -> None:
         """Interrupt delivery microcode: save state, raise IPL, vector."""
-        # Delivery redirects control; the instructions chained so far
-        # were still consecutive, so promote them before the detour.
-        self._chain_break(self)
         tracer = self._tracer
         if tracer is not None:
             tracer.begin(

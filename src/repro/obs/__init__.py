@@ -5,16 +5,16 @@ micro-PC without perturbing the machine.  This package turns the same
 discipline on the simulator itself:
 
 * :mod:`repro.obs.trace` — cycle-level event tracing into a bounded ring
-  buffer, exported as Chrome trace-event JSON (Perfetto-loadable) or a
-  compact binary dump.  Off by default; near-zero cost when off.
+  buffer, exported as Chrome trace-event JSON (Perfetto-loadable) or
+  the indexed store below.  Off by default; near-zero cost when off.
 * :mod:`repro.obs.metrics` — typed counters / gauges / histograms plus
   wall-clock self-profiling of the simulator (phase timings,
   instructions/sec, cycles/sec).
 * :mod:`repro.obs.query` — the indexed VAXTRACE v2 store and the
-  filter/aggregate query engine behind ``repro query`` (live tracers,
-  stored captures and v1 dumps all answer the same questions).
+  filter/aggregate query engine behind ``repro query`` (live tracers
+  and stored captures answer the same questions).
 * :mod:`repro.obs.channel` — the bounded compile-lifecycle event
-  channel (record/superblock formation, tier-ups, deopts, fallbacks)
+  channel (record formation, tier-ups, interpreter fallbacks)
   that, unlike a tracer, leaves the compiled hot path enabled.
 * :mod:`repro.obs.invariants` — counter-identity checking between the
   independent instruments (``repro check``), with subsystem and

@@ -9,17 +9,18 @@ see of *why*.
 
 :class:`EventChannel` is the narrow channel that works *with* the
 compiled path enabled.  It records only compile-tier lifecycle events —
-a record compiled, a record promoted to generated code, a superblock
-formed, a deopt and its reason, an interpreter fallback and its cause —
-each a single tuple appended to a bounded ring.  Emission sites sit on
-the compiler's own slow paths (resolution, promotion, window close,
-deopt), never inside a generated body, so an attached channel leaves
-the replayed instruction stream bit-identical (tests assert this).
+a record compiled, a record promoted to generated code, an interpreter
+fallback and its cause — each a single tuple appended to a bounded
+ring.  Emission sites sit on the compiler's own slow paths (resolution,
+promotion, fallback), never inside a generated body, so an attached
+channel leaves the replayed instruction stream bit-identical (tests
+assert this).
 
 Events normalize into the same record shape the trace query engine
 consumes (:meth:`EventChannel.to_trace_events`), on a synthetic "JIT"
-track, so ``repro query`` can answer "why did this superblock deopt"
-over either a live channel or a store that archived one.
+track, so ``repro query`` can answer "why did this instruction fall
+back to the interpreter" over either a live channel or a store that
+archived one.
 """
 
 from __future__ import annotations
@@ -34,15 +35,11 @@ JIT_TRACK = "JIT"
 #: Event kinds, in lifecycle order.
 KIND_RECORD_FORMED = "record formed"
 KIND_TIER_UP = "tier up"
-KIND_SUPERBLOCK_FORMED = "superblock formed"
-KIND_DEOPT = "deopt"
 KIND_FALLBACK = "fallback"
 
 KINDS = (
     KIND_RECORD_FORMED,
     KIND_TIER_UP,
-    KIND_SUPERBLOCK_FORMED,
-    KIND_DEOPT,
     KIND_FALLBACK,
 )
 
@@ -51,9 +48,9 @@ class EventChannel:
     """A bounded ring of ``(cycle, kind, label, value)`` tuples.
 
     ``kind`` is one of :data:`KINDS`; ``label`` is the one categorical
-    annotation worth keeping (a mnemonic, a deopt reason, a fallback
-    cause); ``value`` is a small integer payload (instructions retired
-    before a deopt, a record's byte length).  Strictly passive and
+    annotation worth keeping (a mnemonic or a fallback cause);
+    ``value`` is a small integer payload (a record's byte length, the
+    executions that earned a tier-up, a fallback's VA).  Strictly passive and
     bounded, like the tracer; unlike the tracer, attaching one does not
     change which execution path runs.
     """
@@ -97,7 +94,7 @@ class EventChannel:
         return Counter(kind for _cycle, kind, _label, _value in self._events)
 
     def label_counts(self, kind: str) -> Counter:
-        """Label histogram for one kind (deopt reasons, fallback causes)."""
+        """Label histogram for one kind (e.g. fallback causes)."""
         return Counter(
             label
             for _cycle, event_kind, label, _value in self._events

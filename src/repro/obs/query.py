@@ -10,9 +10,7 @@ viewer.  This module makes traces *queryable*:
   segment's track set, name set and cycle range.  A query plans against
   the footer and seeks straight to the segments that can match; the
   rest of the file is never read.
-* :func:`open_store` — reads v2 natively and falls back to the v1
-  reader (:func:`repro.obs.trace.read_binary`) for old captures, so
-  every trace ever written stays queryable.
+* :func:`open_store` — opens a v2 store through its footer index.
 * :class:`TraceQuery` — ``TraceQuery(trace).where(track="MEM",
   name_contains="stall").sum("cycles")`` / ``.histogram()`` /
   ``.group_by("routine")`` over a store, a live
@@ -25,7 +23,7 @@ Records carry one categorical annotation (``aux``) distilled from the
 event's args at write time — the micro-routine for stalls, the
 addressing mode for specifier spans, the reason for compile-lifecycle
 events — which is what makes ``routine=`` and ``reason=`` filters work
-on the binary format (v1 dropped args entirely).
+on the binary format.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from repro.obs.trace import (
     PHASE_INSTANT,
     TRACKS,
     Tracer,
-    read_binary,
 )
 
 _MAGIC = b"VAXTRACE"
@@ -225,7 +222,7 @@ def write_store(
 class TraceStore:
     """A queryable trace: either an indexed v2 file (seekable; queries
     scan only the segments whose footer entry can match) or an
-    in-memory event list (v1 fallback, live tracers)."""
+    in-memory event list (live tracers, event channels)."""
 
     def __init__(
         self,
@@ -266,7 +263,7 @@ class TraceStore:
 
     @property
     def footer(self) -> dict:
-        """The index footer (empty for in-memory / v1 sources)."""
+        """The index footer (empty for in-memory sources)."""
         return dict(self._footer) if self._footer else {}
 
     @property
@@ -354,16 +351,16 @@ class TraceStore:
 
 
 def open_store(path: str) -> TraceStore:
-    """Open any VAXTRACE capture: v2 natively (indexed), v1 via the
-    legacy reader (materialized in memory, aux empty)."""
+    """Open a VAXTRACE v2 store written by :func:`write_store`."""
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC))
         if magic != _MAGIC:
             raise QueryError("not a VAXTRACE capture: {}".format(path))
         (version,) = _HEADER.unpack(handle.read(_HEADER.size))
         if version != STORE_VERSION:
-            # v1 wrote "<HII" here; the first half-word is the version.
-            return TraceStore(records=list(normalize(read_binary(path))))
+            raise QueryError(
+                "unsupported VAXTRACE version {}: {}".format(version, path)
+            )
         handle.seek(-(_TRAILER.size + len(_MAGIC)), 2)
         trailer = handle.read(_TRAILER.size + len(_MAGIC))
         if trailer[_TRAILER.size:] != _MAGIC:
@@ -642,7 +639,7 @@ def parse_query(text: str) -> QueryPlan:
         count events where track=VMS and name=page fault
         cycles where name=read stall group by routine
         histogram cycles where opcode=MOVL
-        count events where track=JIT and name=deopt group by reason
+        count events where track=JIT and name=fallback group by reason
     """
     source = " ".join(text.split())
     if not source:

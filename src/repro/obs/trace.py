@@ -22,14 +22,14 @@ Design constraints, in order:
    counts what it dropped; a runaway trace cannot exhaust memory.
 
 Exports: Chrome trace-event JSON (loadable in Perfetto or
-``about://tracing``; one track per pipeline stage) and a compact binary
-dump with a string table (:func:`write_binary` / :func:`read_binary`).
+``about://tracing``; one track per pipeline stage) and the indexed
+binary store of :mod:`repro.obs.query` (:func:`~repro.obs.query.write_store`
+/ :func:`~repro.obs.query.open_store`).
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from collections import deque
 from typing import Dict, IO, List, Optional, Tuple, Union
 
@@ -56,13 +56,6 @@ TRACKS = ("EBOX", "UCODE", "IFETCH", "MEM", "VMS")
 #: time in the Chrome export (ts is in microseconds there).
 MICROCYCLE_NS = 200
 
-_BINARY_MAGIC = b"VAXTRACE"
-_BINARY_VERSION = 1
-#: phase(1) track(1) name-id(2) ts-cycles(8) dur-cycles(8)
-_RECORD = struct.Struct("<BBHqq")
-_PHASE_CODES = {PHASE_BEGIN: 0, PHASE_END: 1, PHASE_COMPLETE: 2, PHASE_INSTANT: 3}
-_PHASE_NAMES = {code: phase for phase, code in _PHASE_CODES.items()}
-
 
 def tracing_enabled(tracer: Optional["Tracer"]) -> bool:
     """The guard every instrumentation site reduces to."""
@@ -83,7 +76,7 @@ class Tracer:
 
     Components call :meth:`instant`, :meth:`complete`, or the
     :meth:`begin`/:meth:`end` pair; analysis calls :meth:`events`,
-    :meth:`to_chrome`, or :func:`write_binary`.
+    :meth:`to_chrome`, or :func:`repro.obs.query.write_store`.
     """
 
     def __init__(self, capacity: int = 262_144):
@@ -240,74 +233,6 @@ class Tracer:
         else:
             with open(destination, "w") as handle:
                 json.dump(payload, handle)
-
-
-# -- compact binary dump -------------------------------------------------
-
-
-def write_binary(tracer: Tracer, destination: Union[str, IO[bytes]]) -> None:
-    """Dump the retained events as a compact binary stream.
-
-    Layout: magic, version, record count, string-table (names), then
-    fixed-width records referencing the table.  Per-event ``args`` are
-    dropped — this is the bulk format for long captures; use the Chrome
-    export when you want the annotations.
-    """
-    events = tracer.events()
-    names: Dict[str, int] = {}
-    for _phase, _track, _ts, name, _dur, _args in events:
-        if name not in names:
-            names[name] = len(names)
-    if len(names) > 0xFFFF:
-        raise ValueError("too many distinct event names for the binary format")
-    table = json.dumps(sorted(names, key=names.get)).encode("utf-8")
-
-    def _write(handle: IO[bytes]) -> None:
-        handle.write(_BINARY_MAGIC)
-        handle.write(struct.pack("<HII", _BINARY_VERSION, len(events), len(table)))
-        handle.write(table)
-        track_ids = {track: i for i, track in enumerate(TRACKS)}
-        for phase, track, ts, name, dur, _args in events:
-            handle.write(
-                _RECORD.pack(
-                    _PHASE_CODES[phase], track_ids[track], names[name], ts, dur
-                )
-            )
-
-    if hasattr(destination, "write"):
-        _write(destination)
-    else:
-        with open(destination, "wb") as handle:
-            _write(handle)
-
-
-def read_binary(source: Union[str, IO[bytes]]) -> List[tuple]:
-    """Reload :func:`write_binary` output as ``(phase, track, ts, name,
-    dur, None)`` tuples — the round-trip counterpart of
-    :meth:`Tracer.events`."""
-
-    def _read(handle: IO[bytes]) -> List[tuple]:
-        magic = handle.read(len(_BINARY_MAGIC))
-        if magic != _BINARY_MAGIC:
-            raise ValueError("not a VAXTRACE binary dump")
-        version, count, table_len = struct.unpack("<HII", handle.read(10))
-        if version != _BINARY_VERSION:
-            raise ValueError("unsupported VAXTRACE version {}".format(version))
-        names = json.loads(handle.read(table_len).decode("utf-8"))
-        events = []
-        for _ in range(count):
-            phase_code, track_id, name_id, ts, dur = _RECORD.unpack(
-                handle.read(_RECORD.size)
-            )
-            events.append(
-                (_PHASE_NAMES[phase_code], TRACKS[track_id], ts, names[name_id], dur, None)
-            )
-        return events
-
-    if hasattr(source, "read"):
-        return _read(source)
-    with open(source, "rb") as handle:
-        return _read(handle)
 
 
 # -- validation (used by tests and the trace CLI) ------------------------

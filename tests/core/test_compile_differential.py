@@ -9,6 +9,8 @@ This file holds it to that promise:
   must serialize to the same bytes (histogram banks included), and the
   compiled arm must actually have replayed instructions;
 * an attached tracer forces the slow path yet changes nothing;
+* interrupt delivery, a cycle budget ending at a device's fire time,
+  and a loop branch falling through leave both machines identical;
 * mid-run snapshots from the two modes carry identical digests (the
   compiler's caches and stats are deliberately outside machine state);
 * the engine's run manifest records whether the compiler was active;
@@ -148,6 +150,100 @@ class TestTracerPassivity:
         with interpreter():
             measured_run("educational", tracer=tracer_b)
         assert tracer_a.events() == tracer_b.events()
+
+
+def countdown_program(iterations):
+    """A hot five-instruction loop ending in a HALT; returns
+    ``(image, budget)`` with a budget that overshoots the program."""
+    asm = Assembler(origin=ORIGIN)
+    asm.instr("MOVL", "I^#%d" % iterations, "R1")
+    asm.instr("CLRL", "R0")
+    asm.label("loop")
+    asm.instr("ADDL2", "#3", "R0")
+    asm.instr("XORL2", "R1", "R0")
+    asm.instr("INCL", "R0")
+    asm.instr("DECL", "R2")
+    asm.instr("SOBGTR", "R1", "loop")
+    asm.instr("HALT")
+    return asm.assemble(), 2 + 5 * iterations + 50
+
+
+def machine_state(machine):
+    return {
+        "regs": [machine.ebox.regs.read(i) for i in range(16)],
+        "psl": machine.ebox.psl.pack(),
+        "cycles": machine.ebox.cycle_count,
+        "halted": machine.ebox.halted,
+    }
+
+
+def kernel_state(kernel):
+    state = machine_state(kernel.machine)
+    state["devices"] = kernel.devices.state_summary()
+    return state
+
+
+class TestBoundaries:
+    @pytest.fixture(autouse=True)
+    def _generated_code(self, monkeypatch):
+        # Records generate code at first sight, so the hot loops below
+        # run the generated tier rather than the op-loop.
+        monkeypatch.setenv(replay.TIER_THRESHOLD_ENV, "1")
+        replay.clear_record_caches()
+        yield
+        replay.clear_record_caches()
+
+    def test_interrupt_heavy_run_bit_identical(self):
+        # Device interrupts deliver between replayed instructions; a
+        # profile with live terminal traffic must serialize identically.
+        c_result, c_board, c_machine = measured_run(
+            "timesharing_heavy", instructions=4000, warmup=500
+        )
+        with interpreter():
+            i_result, i_board, _ = measured_run(
+                "timesharing_heavy", instructions=4000, warmup=500
+            )
+        assert c_machine.ebox.compile_stats.jit_hits > 0
+        assert c_result.events.interrupts_delivered > 0
+        assert result_to_json(c_result, c_board) == result_to_json(
+            i_result, i_board
+        )
+
+    def test_budget_ending_at_device_fire_time(self):
+        # Stop exactly where the next device timer fires, then keep
+        # going: the poll at that boundary must see the same cycle and
+        # the same pending device state in both modes.
+        def stopped_kernel():
+            kernel, _ = prepare_workload("timesharing_heavy")
+            kernel.run(max_instructions=600)
+            fire = min(timer.next_fire for timer in kernel.devices.timers)
+            executed = kernel.run(max_instructions=50_000, max_cycles=fire)
+            stopped = kernel_state(kernel)
+            kernel.run(max_instructions=300)
+            return executed, stopped, kernel_state(kernel), kernel
+
+        c_executed, c_stopped, c_after, c_kernel = stopped_kernel()
+        with interpreter():
+            i_executed, i_stopped, i_after, _ = stopped_kernel()
+        assert c_kernel.machine.ebox.compile_stats.jit_hits > 0
+        assert c_executed == i_executed
+        assert c_stopped == i_stopped
+        assert c_after == i_after
+
+    def test_branch_fallthrough_identical_state(self):
+        # The last SOBGTR falls through after the taken path ran hot.
+        program, budget = countdown_program(40)
+        compiled = VAX780(monitor=UPCMonitor.build())
+        compiled.load_program(program, ORIGIN)
+        c_executed = compiled.run(max_instructions=budget)
+        with interpreter():
+            interpreted = VAX780(monitor=UPCMonitor.build())
+            interpreted.load_program(program, ORIGIN)
+            i_executed = interpreted.run(max_instructions=budget)
+        assert compiled.ebox.compile_stats.jit_hits > 0
+        assert compiled.ebox.halted
+        assert c_executed == i_executed
+        assert machine_state(compiled) == machine_state(interpreted)
 
 
 class TestSnapshotEquivalence:

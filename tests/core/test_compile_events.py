@@ -7,10 +7,8 @@ import pytest
 from repro.core import compile as replay
 from repro.core.experiment import run_workload
 from repro.obs.channel import (
-    KIND_DEOPT,
     KIND_FALLBACK,
     KIND_RECORD_FORMED,
-    KIND_SUPERBLOCK_FORMED,
     KIND_TIER_UP,
     EventChannel,
 )
@@ -58,8 +56,7 @@ class TestChannelCapture:
         channel, _result, _compiled = channel_run()
         kinds = channel.kind_counts()
         assert kinds.get(KIND_RECORD_FORMED, 0) > 0
-        assert kinds.get(KIND_SUPERBLOCK_FORMED, 0) > 0
-        assert kinds.get(KIND_DEOPT, 0) > 0
+        assert kinds.get(KIND_FALLBACK, 0) > 0
 
     def test_tier_up_events_appear_at_the_default_threshold(self, monkeypatch):
         # Threshold 1 compiles records on first sighting, skipping the
@@ -69,16 +66,12 @@ class TestChannelCapture:
         channel, _result, _compiled = channel_run()
         assert channel.kind_counts().get(KIND_TIER_UP, 0) > 0
 
-    def test_deopt_labels_match_the_stats_reason_tally(self):
+    def test_fallback_labels_match_the_stats_cause_tally(self):
         channel, _result, compiled = channel_run()
         assert compiled is not None
-        assert channel.label_counts(KIND_DEOPT) == reason_tally(compiled, "deopt")
-        assert channel.label_counts(KIND_FALLBACK) == reason_tally(
-            compiled, "fallback"
-        )
-        assert set(reason_tally(compiled, "deopt")) <= {
-            "interrupt", "cycle_limit", "byte_guard"
-        }
+        causes = reason_tally(compiled, "fallback")
+        assert channel.label_counts(KIND_FALLBACK) == causes
+        assert set(causes) <= {"uncompilable", "byte_mismatch", "unresolved"}
 
     def test_events_adapt_to_trace_tuples(self):
         channel, _result, _compiled = channel_run()

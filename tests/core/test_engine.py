@@ -1,5 +1,6 @@
 """The parallel experiment engine: specs, configs, fan-out, determinism."""
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -133,6 +134,14 @@ class TestRunSpecs:
             "scientific",
             "timesharing_light",
         ]
+
+    def test_pool_workers_are_joined_on_return(self):
+        specs = [
+            RunSpec(workload=name, **SMALL)
+            for name in ("scientific", "timesharing_light")
+        ]
+        run_specs(specs, jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_seed_offset_perturbs_the_run(self):
         # seed_offset reseeds the kernel's device-jitter streams, so the

@@ -1,5 +1,5 @@
 """The trace query engine: v2 store round-trips, segment pruning,
-v1 backward compatibility, the query grammar, and aggregates."""
+rejection of foreign files, the query grammar, and aggregates."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.obs.query import (
     parse_query,
     write_store,
 )
-from repro.obs.trace import Tracer, write_binary
+from repro.obs.trace import Tracer
 
 
 def synthetic_tracer(spans=64):
@@ -114,23 +114,18 @@ def test_extra_events_merge_by_timestamp(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# v1 backward compatibility
+# foreign files
 # ---------------------------------------------------------------------------
 
 
-def test_v1_binary_opens_through_the_same_front_door(tmp_path):
-    tracer = synthetic_tracer()
-    path = tmp_path / "t.bin"
-    write_binary(tracer, str(path))
-    store = open_store(str(path))
-    live = TraceQuery(tracer)
-    stored = TraceQuery(store)
-    assert stored.count() == live.count()
-    assert stored.where(track="MEM").sum("cycles") == live.where(
-        track="MEM"
-    ).sum("cycles")
-    # v1 dropped args, so aux filters match nothing — but must not error.
-    assert stored.where(routine="exec.movl").count() == 0
+def test_open_store_rejects_other_versions(tmp_path):
+    path = tmp_path / "t.vaxtrace"
+    write_store(synthetic_tracer(spans=4), str(path))
+    blob = bytearray(path.read_bytes())
+    blob[8:10] = (1).to_bytes(2, "little")  # the version after the magic
+    path.write_bytes(bytes(blob))
+    with pytest.raises(QueryError, match="unsupported VAXTRACE version 1"):
+        open_store(str(path))
 
 
 def test_open_store_rejects_garbage(tmp_path):

@@ -1,17 +1,19 @@
-"""The tracer itself: ring bound, exports, validation, round-trips."""
+"""The tracer itself: ring bound, exports, validation, round-trips.
+
+The binary round-trips go through the indexed store of
+:mod:`repro.obs.query`, the one binary trace format."""
 
 import io
 import json
 
 import pytest
 
+from repro.obs.query import normalize, open_store, write_store
 from repro.obs.trace import (
     TRACKS,
     Tracer,
-    read_binary,
     tracing_enabled,
     validate_chrome,
-    write_binary,
 )
 
 
@@ -126,40 +128,37 @@ def test_chrome_json_round_trips_through_serialization():
     assert payload["otherData"]["microcycle_ns"] == 200
 
 
-def test_binary_round_trip():
+def test_binary_round_trip(tmp_path):
     tracer = Tracer()
     tracer.begin("EBOX", 0, "MOVL", {"va": 1})
     tracer.instant("IFETCH", 2, "redirect")
-    tracer.complete("MEM", 3, "read stall", 6)
+    tracer.complete("MEM", 3, "read stall", 6, {"routine": "spec1"})
     tracer.end("EBOX", 9)
-    buffer = io.BytesIO()
-    write_binary(tracer, buffer)
-    buffer.seek(0)
-    events = read_binary(buffer)
-    # args are dropped by the bulk format; everything else survives.
-    expected = [
-        (phase, track, ts, name, dur, None)
-        for phase, track, ts, name, dur, _args in tracer.events()
-    ]
-    assert events == expected
+    path = tmp_path / "dump.vaxtrace"
+    write_store(tracer, str(path))
+    # args distil into the aux column; everything else survives.
+    records = list(open_store(str(path)).iter_records())
+    assert records == list(normalize(tracer.events()))
+    assert records[2].aux == "spec1"
 
 
 def test_binary_round_trip_via_files(tmp_path):
     tracer = Tracer()
     for cycle in range(100):
         tracer.instant("VMS", cycle, "tick", {"n": cycle})
-    path = tmp_path / "dump.bin"
-    write_binary(tracer, str(path))
-    events = read_binary(str(path))
-    assert len(events) == 100
-    assert events[0][:4] == ("I", "VMS", 0, "tick")
+    path = tmp_path / "dump.vaxtrace"
+    write_store(tracer, str(path))
+    store = open_store(str(path))
+    records = list(store.iter_records())
+    assert len(store) == len(records) == 100
+    assert records[0][:4] == ("I", "VMS", 0, "tick")
 
 
 def test_binary_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "bogus.bin"
+    path = tmp_path / "bogus.vaxtrace"
     path.write_bytes(b"NOTATRACE")
     with pytest.raises(ValueError):
-        read_binary(str(path))
+        open_store(str(path))
 
 
 def test_validator_flags_regressing_timestamps():
