@@ -80,15 +80,16 @@ TRACING_OFF_BUDGET_PERCENT = 2.0
 SMOKE_MIN_WARM_IPS = 12_000
 #: Perf-smoke ratchet (CI): steady-state compiled throughput must beat
 #: the interpreted path by at least this factor, measured as
-#: interleaved rounds on two long-warmed kernels (every hot record has
-#: generated code by the end of warmup; see ``_steady_state_ab``).  The
-#: gate sits below the committed steady-state ratio so a regression to
-#: the op-loop replay or to interpreted speed (1.0x) fails loudly.
+#: interleaved rounds on two long-warmed kernels (every hot record is
+#: replayed by the op-loop by the end of warmup; see
+#: ``_steady_state_ab``).  The gate sits below the committed
+#: steady-state ratio so a regression of the replay toward interpreted
+#: speed (1.0x) fails loudly.
 SMOKE_MIN_COMPILED_SPEEDUP = 1.50
 
 #: Steady-state A/B configuration: instructions of warmup per arm (long
 #: enough that record compilation has died down and the measured rounds
-#: run generated code), measured instructions per round, and
+#: replay compiled records), measured instructions per round, and
 #: interleaved rounds per arm.
 STEADY_WARMUP_INSTRUCTIONS = 100_000
 STEADY_ROUND_INSTRUCTIONS = 20_000
@@ -182,20 +183,6 @@ class _no_compile:
             os.environ["REPRO_NO_COMPILE"] = self._saved
 
 
-def _enable_codegen_tier():
-    """Promote every replay record straight to generated Python.
-
-    The bench measures the compiled path as shipped to a long-running
-    experiment: by the time a sweep's measurement window opens, every
-    hot record has crossed ``CODEGEN_THRESHOLD``.  The short bench
-    workloads would leave most records in the op-loop tier (and report
-    ``records_compiled: 0``), so the bench pins the promotion point at
-    the first execution instead of simulating hundreds of thousands of
-    instructions per arm just to cross thresholds.
-    """
-    os.environ["REPRO_COMPILE_TIER_THRESHOLD"] = "1"
-
-
 def _steady_state_ab(warmup, instructions, rounds):
     """Interleaved compiled-vs-interpreted A/B at simulation steady state.
 
@@ -270,12 +257,11 @@ def smoke(jobs: int) -> int:
     (the tracer is passive) with a valid Chrome export; a K=3 sharded
     run must be bit-identical to the unsharded reference; and the
     steady-state compiled path must clear the throughput floor and the
-    compiled-vs-interpreted speedup ratchet with generated code run."""
+    compiled-vs-interpreted speedup ratchet."""
     from repro.core.engine import RunSpec, execute_spec, execute_spec_sharded
     from repro.core.experiment import run_workload
     from repro.obs.trace import Tracer, validate_chrome
 
-    _enable_codegen_tier()
     sequential, seq_wall, _ = _measure_composite(600, 150, jobs=1)
     parallel, par_wall, _ = _measure_composite(600, 150, jobs=jobs)
     if not _equal(sequential, parallel):
@@ -318,9 +304,7 @@ def smoke(jobs: int) -> int:
         return 1
 
     # Replay-compiler bit-identity: a compiled measured run must produce
-    # the same result object as an interpreted one (with the codegen
-    # tier forced on, so the generated functions are what actually
-    # executes).
+    # the same result object as an interpreted one.
     compiled_result, _ = _timed_workload(2_500, 500)
     with _no_compile():
         interpreted_result, _ = _timed_workload(2_500, 500)
@@ -341,7 +325,7 @@ def smoke(jobs: int) -> int:
         )
         return 1
     if steady_stats.records_compiled == 0:
-        print("FAIL: codegen tier never fired (0 records compiled)", file=sys.stderr)
+        print("FAIL: replay compiler never compiled a record", file=sys.stderr)
         return 1
     if compiled_ips < SMOKE_MIN_WARM_IPS:
         print(
@@ -398,29 +382,25 @@ def main() -> int:
     from repro.obs.metrics import registry_from_result
 
     # The cold figure represents a user's first run under default
-    # settings — the codegen tier threshold stays at its default here
-    # and is only pinned to 1 (below) for the arms that measure the
-    # compiled path itself.
+    # settings.
     cold_result, cold_wall, _ = _measure_composite(
         INSTRUCTIONS_PER_WORKLOAD, WARMUP_INSTRUCTIONS, jobs=1
     )
-    # Parallel also runs under default settings: each pool worker is a
-    # fresh process, so pinning the tier here would time per-worker
-    # code generation instead of process-pool scaling.
+    # Parallel also runs under default settings; each pool worker is a
+    # fresh process that compiles its own records.
     parallel_result, parallel_wall, _ = _measure_composite(
         INSTRUCTIONS_PER_WORKLOAD, WARMUP_INSTRUCTIONS, jobs=args.jobs
     )
     if not _equal(cold_result, parallel_result):
         print("FAIL: parallel composite differs from sequential", file=sys.stderr)
         return 1
-    _enable_codegen_tier()
     # Warm (compiled) and interpreted arms run as adjacent interleaved
     # trials so both see the same machine load — container throughput
     # drifts by tens of percent over minutes, so arms measured far
     # apart produce garbage ratios.  Best wall of three per arm:
     # scheduler noise only ever slows a run down.  The first warm trial
-    # pays the full generation cost (tier pinned to first sight); the
-    # best-of-three is the converged figure.
+    # pays the full record-compilation cost; the best-of-three is the
+    # converged figure.
     warm_result = warm_wall = warm_runs = None
     interpreted_result = interpreted_wall = interpreted_runs = None
     for _ in range(3):

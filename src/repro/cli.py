@@ -49,8 +49,7 @@ Commands
     track=MEM and routine=SPEC_FETCH"`` against a stored trace
     (``--trace``) or a fresh in-process traced run (``--workload``).
     ``--jit`` captures compile-lifecycle events (record formation,
-    tier-ups, interpreter fallbacks) with the compiled hot path still
-    enabled.
+    interpreter fallbacks) with the compiled hot path still enabled.
 ``check [WORKLOAD]``
     Evaluate every counter identity (cycle classification, instruction
     counts, miss splits, and with ``--trace`` the trace-vs-counter
@@ -1446,9 +1445,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser.add_argument(
         "--mode",
         default="all",
-        choices=("all", "interpreted", "compiled", "tier1", "current"),
+        choices=("all", "interpreted", "compiled", "current"),
         help="compile mode(s) to run under; 'current' keeps the caller's "
-        "environment (default: all three pinned modes)",
+        "environment (default: both pinned modes)",
     )
     validate_parser.add_argument(
         "--no-trace",

@@ -77,18 +77,12 @@ from repro.isa.specifiers import (
     TABLE4_ROW_FOR_MODE,
 )
 from repro.memory.pagetable import PAGE_SIZE
-from repro.obs.channel import KIND_TIER_UP
 from repro.ucode.control_store import CONTROL_STORE_SIZE
 from repro.ucode.costs import INDEX_EXTRA_CYCLES, SPEC_COSTS
 from repro.ucode.microword import MicroSlot
 
 #: Environment switch: set to 1/true/yes/on to force the interpreted path.
 NO_COMPILE_ENV = "REPRO_NO_COMPILE"
-
-#: The IB's capacity; replay byte images may exceed it (see _MAX_IMAGE)
-#: because the I-stream lookahead verifies bytes the buffer has not
-#: accepted yet.
-_IB_CAPACITY = 8
 
 #: Cap on a record's byte image.  Instructions longer than the IB are
 #: verified via the lookahead and consume through ``_take_bytes``
@@ -167,30 +161,6 @@ def compile_disabled_by_env() -> bool:
         "yes",
         "on",
     )
-
-
-#: Environment override for the codegen tier threshold: the number of
-#: op-loop executions a record earns before its specialized function is
-#: generated.  ``REPRO_COMPILE_TIER_THRESHOLD=1`` generates code at
-#: record creation (warm benchmarks, the CI tier-1 leg); unset or
-#: invalid values fall back to :data:`CODEGEN_THRESHOLD`.
-TIER_THRESHOLD_ENV = "REPRO_COMPILE_TIER_THRESHOLD"
-
-
-def codegen_threshold() -> int:
-    """The effective codegen tier threshold (env override or default).
-
-    Read at record creation, so it can be flipped between runs without
-    reloading the module; already-created records keep the threshold
-    they were born with (use :func:`clear_record_caches` to rebuild).
-    """
-    raw = os.environ.get(TIER_THRESHOLD_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return CODEGEN_THRESHOLD
 
 
 @dataclass
@@ -368,10 +338,9 @@ class RoutineProgram:
     detour included.
     """
 
-    __slots__ = ("routine", "buckets", "patched", "abort_bucket")
+    __slots__ = ("buckets", "patched", "abort_bucket")
 
     def __init__(self, routine, bucket_map, abort_bucket):
-        self.routine = routine
         # Dense per-slot bucket table, indexed by MicroSlot.value; None
         # for slots the routine does not implement.
         self.buckets = tuple(
@@ -427,13 +396,10 @@ class LayoutReplay:
             upc if upc < top else top for upc in range(CONTROL_STORE_SIZE)
         ]
         abort_bucket = bucket_map[layout.abort.address(MicroSlot.COMPUTE_A)]
-        self.abort_bucket = abort_bucket
-        self.programs = {}
-        self._by_id = {}
-        for routine in layout.store.routines:
-            program = RoutineProgram(routine, bucket_map, abort_bucket)
-            self.programs[routine.name] = program
-            self._by_id[id(routine)] = program
+        self._by_id = {
+            id(routine): RoutineProgram(routine, bucket_map, abort_bucket)
+            for routine in layout.store.routines
+        }
 
     def program_for(self, routine) -> RoutineProgram:
         program = self._by_id.get(id(routine))
@@ -442,7 +408,7 @@ class LayoutReplay:
         return program
 
     def __len__(self):
-        return len(self.programs)
+        return len(self._by_id)
 
 
 #: control store -> LayoutReplay.  Keyed by the store (1:1 with its
@@ -505,7 +471,11 @@ class SpecTemplate:
 
 
 class InstructionRecord:
-    """A compiled instruction: the merged replay program."""
+    """A compiled instruction: the merged replay program.
+
+    Never mutated after :func:`compile_record` returns, so one record
+    is safely shared by every machine on its layout.
+    """
 
     __slots__ = (
         "raw",
@@ -517,8 +487,6 @@ class InstructionRecord:
         "exec_routine",
         "merge_pending",
         "last_source_routine",
-        "run",
-        "hits",
     )
 
     #: distinguishes real records from NeverRecord on the hot path
@@ -702,12 +670,6 @@ def compile_record(layout, raw, decode_overlap: bool):
         in (AddressingMode.REGISTER, AddressingMode.SHORT_LITERAL)
     )
     record.last_source_routine = last_source_routine
-    record.hits = 0
-    threshold = codegen_threshold()
-    if threshold <= 1:
-        record.run = _codegen(record)
-    else:
-        record.run = _tiered_run(record, threshold)
     return record
 
 
@@ -879,10 +841,7 @@ def resolve(layout, buf, decode_overlap: bool, stats=None):
                     return record
     key = bytes(buf[:_MAX_IMAGE])
     count = sightings.get(key, 0) + 1
-    # The tier-threshold override collapses the sighting gate too:
-    # benchmarks and the CI tier leg want every generation cost paid on
-    # first sight (cold run / warmup), not trickled across measurement.
-    if count < _COMPILE_MIN_SIGHTINGS and codegen_threshold() > 1:
+    if count < _COMPILE_MIN_SIGHTINGS:
         if len(sightings) >= _SIGHTINGS_CAP:
             sightings.clear()
         sightings[key] = count
@@ -902,6 +861,17 @@ def resolve(layout, buf, decode_overlap: bool, stats=None):
         records[(record.raw, decode_overlap)] = record
         lengths.setdefault(record.raw[0], set()).add(len(record.raw))
     return record
+
+
+def clear_record_caches() -> None:
+    """Drop every layout's record cache.
+
+    Benchmarks call this between arms so each run re-resolves and
+    re-compiles from cold under the current environment knobs (machines
+    built afterwards start with empty per-machine caches; the
+    layout-wide byte-keyed caches are what persists across machines).
+    """
+    _LAYOUT_RECORDS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1031,365 +1001,7 @@ def peek_image(ebox):
 
 
 # ---------------------------------------------------------------------------
-# layer 3: per-record code generation
-# ---------------------------------------------------------------------------
-
-#: Executions of a record through the op-loop executor before its
-#: specialized function is generated.  ``compile()``-ing the emitted
-#: source costs ~0.5 ms per record; one-shot records (cold code, boot
-#: paths) never earn it back, while hot-loop records cross this within
-#: the warmup of any real run.
-CODEGEN_THRESHOLD = 16
-
-
-def _tiered_run(record, threshold=None):
-    """The warm tier: interpret the op list, counting executions.
-
-    Once the record proves hot, generate its specialized function and
-    replace ``record.run`` with it — subsequent dispatches go straight
-    to the generated code with no check at all.  ``threshold`` pins the
-    promotion point at record creation (the env override); ``None``
-    reads the module default live, so tests can patch it.
-    """
-
-    def run(ebox, start_va):
-        hits = record.hits + 1
-        record.hits = hits
-        if hits >= (threshold if threshold is not None else CODEGEN_THRESHOLD):
-            record.run = _codegen(record)
-            channel = ebox._compile_events
-            if channel is not None:
-                channel.emit(
-                    ebox.cycle_count, KIND_TIER_UP, record.mnemonic, hits
-                )
-            return record.run(ebox, start_va)
-        return execute_record(record, ebox, start_va)
-
-    return run
-
-
-def _op_uses(ops):
-    """Which prologue bindings a record's op list needs.
-
-    Returns ``(uses_counts, uses_regs, uses_data_read)``; the generated
-    prologue only hoists what the body references.
-    """
-    uses_counts = False
-    uses_regs = False
-    uses_data_read = False
-    for op in ops:
-        kind = op[0]
-        if kind in (OP_ADVANCE, OP_DECODE_TICK):
-            uses_counts = True
-        elif kind == OP_SPEC:
-            template = op[1]
-            if template.kind == K_MEMORY:
-                uses_regs = uses_regs or template.ea_kind != EA_ABSOLUTE
-                uses_data_read = uses_data_read or (
-                    template.read_value
-                    or template.ea_kind
-                    in (
-                        EA_AUTOINCREMENT_DEFERRED,
-                        EA_DISPLACEMENT_DEFERRED,
-                        EA_RELATIVE_DEFERRED,
-                    )
-                )
-                uses_regs = uses_regs or template.is_indexed
-            elif template.kind == K_REGISTER and template.read_value:
-                uses_regs = True
-    return uses_counts, uses_regs, uses_data_read
-
-
-def _fold_incs(incs):
-    """Coalesce a charge burst's (bucket, count) pairs.
-
-    Increments inside one burst commute; a merged burst can touch the
-    same bucket twice.
-    """
-    folded = []
-    for bucket, count in incs:
-        for i, (seen, total) in enumerate(folded):
-            if seen == bucket:
-                folded[i] = (bucket, total + count)
-                break
-        else:
-            folded.append((bucket, count))
-    return folded
-
-
-def _codegen(record):
-    """Generate a specialized replay function for ``record``.
-
-    Emits straight-line Python with every compile-time constant inlined
-    (cycle charges, histogram buckets, byte counts, event keys) and
-    non-literal objects (routines, the opcode, the handler, enum
-    members) bound as exec-namespace globals.  The emitted body is a
-    statement-for-statement transcription of :func:`execute_record`'s
-    op loop with the dispatch unrolled away — that function remains the
-    readable oracle; tests hold the two executors equivalent.
-    """
-    consts = []
-    names = []
-
-    def cref(obj):
-        for name, seen in zip(names, consts):
-            if seen is obj:
-                return name
-        name = "_k{}".format(len(consts))
-        names.append(name)
-        consts.append(obj)
-        return name
-
-    lines = []
-    emit = lines.append
-
-    def emit_incs(incs, indent):
-        emit("{}if collecting:".format(indent))
-        for bucket, count in _fold_incs(incs):
-            emit("{}    counts[{}] += {}".format(indent, bucket, count))
-
-    uses_counts, uses_regs, uses_data_read = _op_uses(record.ops)
-
-    emit("def _replay(ebox, start_va):")
-    emit("    ib = ebox.ib")
-    emit("    buf = ib._bytes")
-    emit("    if not buf.startswith({!r}):".format(record.raw))
-    emit(
-        "        if not {}(ebox, ib, buf, {!r}):".format(
-            cref(_image_ready), record.raw
-        )
-    )
-    emit("            return False")
-    emit("    events = ebox.events")
-    emit("    board = ebox._board")
-    emit("    collecting = board is not None and board._collecting")
-    if uses_counts:
-        emit("    counts = board._counts if collecting else None")
-    emit("    ib_run = ebox._ib_run")
-    emit("    regs = ebox.regs")
-    if uses_regs:
-        emit("    regs_read = regs.read")
-    if uses_data_read:
-        emit("    data_read = ebox.data_read")
-    emit("    ib_stats = ib.stats")
-    emit("    redirects_before = ib_stats.redirects")
-    emit("    ebox._instruction_start_cycle = ebox.cycle_count")
-    emit("    ebox.current_opcode = {}".format(cref(record.opcode)))
-    emit("    ebox._exec_routine = {}".format(cref(record.exec_routine)))
-    emit("    ebox._exec_a_used = False")
-    emit("    ebox._last_source_routine = None")
-    emit("    ebox.branch_displacement = None")
-
-    operand_vars = []
-    for op in record.ops:
-        kind = op[0]
-        if kind == OP_ADVANCE:
-            emit_incs(op[2], "    ")
-            emit("    ebox.cycle_count += {}".format(op[1]))
-            # The prefetcher's nothing-can-happen exits (fill
-            # outstanding handled by run(); TB-miss paused or buffer
-            # full advance the clock and return) inlined at the call
-            # site — the overwhelmingly common burst.
-            emit("    _w = ib._fill_wait")
-            emit("    if _w == 0:")
-            emit("        if ib.tb_miss_pending or len(buf) >= 8:")
-            emit("            ib._now += {}".format(op[1]))
-            emit("        else:")
-            emit("            ib_run({})".format(op[1]))
-            emit("    elif _w > {}:".format(op[1]))
-            emit("        ib._fill_wait = _w - {}".format(op[1]))
-            emit("        ib._now += {}".format(op[1]))
-            emit("    else:")
-            emit("        ib_run({})".format(op[1]))
-        elif kind == OP_CONSUME:
-            emit("    if len(buf) >= {}:".format(op[1]))
-            emit("        del buf[:{}]".format(op[1]))
-            emit("        ib._decode_va += {}".format(op[1]))
-            emit("    else:")
-            emit("        ebox._take_bytes({}, {})".format(op[1], cref(op[2])))
-        elif kind == OP_SPEC:
-            template = op[1]
-            if template.is_indexed:
-                emit(
-                    "    events.indexed_specifiers[{!r}] += 1".format(
-                        template.position_class
-                    )
-                )
-            emit("    events.specifier_counts[{!r}] += 1".format(template.count_key))
-            emit("    events.specifier_bytes += {}".format(template.length))
-            var = "_o{}".format(len(operand_vars))
-            operand_vars.append(var)
-            address = "None"
-            value = "None"
-            if template.kind == K_MEMORY:
-                ea_kind = template.ea_kind
-                reg = template.register
-                if ea_kind == EA_DISPLACEMENT:
-                    emit(
-                        "    _addr = (regs_read({}) + {}) & 0xFFFFFFFF".format(
-                            reg, template.extension
-                        )
-                    )
-                elif ea_kind == EA_REG_DEFERRED:
-                    emit("    _addr = regs_read({})".format(reg))
-                elif ea_kind == EA_AUTOINCREMENT:
-                    emit("    _addr = regs_read({})".format(reg))
-                    emit(
-                        "    regs.write({}, _addr + {})".format(reg, template.size)
-                    )
-                elif ea_kind == EA_AUTODECREMENT:
-                    emit(
-                        "    _addr = (regs_read({}) - {}) & 0xFFFFFFFF".format(
-                            reg, template.size
-                        )
-                    )
-                    emit("    regs.write({}, _addr)".format(reg))
-                elif ea_kind == EA_AUTOINCREMENT_DEFERRED:
-                    emit("    _ptr = regs_read({})".format(reg))
-                    emit("    regs.write({}, _ptr + 4)".format(reg))
-                    emit(
-                        "    _addr = data_read(_ptr, 4, {}, {!r})".format(
-                            cref(template.routine), template.row
-                        )
-                    )
-                elif ea_kind == EA_DISPLACEMENT_DEFERRED:
-                    emit(
-                        "    _ptr = (regs_read({}) + {}) & 0xFFFFFFFF".format(
-                            reg, template.extension
-                        )
-                    )
-                    emit(
-                        "    _addr = data_read(_ptr, 4, {}, {!r})".format(
-                            cref(template.routine), template.row
-                        )
-                    )
-                elif ea_kind == EA_RELATIVE:
-                    emit(
-                        "    _addr = (start_va + {}) & 0xFFFFFFFF".format(
-                            template.rel_partial
-                        )
-                    )
-                elif ea_kind == EA_ABSOLUTE:
-                    emit("    _addr = {}".format(template.extension & _MASK32))
-                else:  # EA_RELATIVE_DEFERRED
-                    emit(
-                        "    _ptr = (start_va + {}) & 0xFFFFFFFF".format(
-                            template.rel_partial
-                        )
-                    )
-                    emit(
-                        "    _addr = data_read(_ptr, 4, {}, {!r})".format(
-                            cref(template.routine), template.row
-                        )
-                    )
-                if template.is_indexed:
-                    emit(
-                        "    _addr = (_addr + regs_read({}) * {}) & 0xFFFFFFFF".format(
-                            template.index_register, template.size
-                        )
-                    )
-                address = "_addr"
-                if template.read_value:
-                    emit(
-                        "    _val = data_read(_addr, {}, {}, {!r})".format(
-                            template.size, cref(template.routine), template.row
-                        )
-                    )
-                    value = "_val"
-            elif template.kind == K_REGISTER and template.read_value:
-                if template.reg_quad:
-                    emit(
-                        "    _val = regs_read({}) | (regs_read({}) << 32)".format(
-                            template.register, (template.register + 1) & 0xF
-                        )
-                    )
-                else:
-                    emit(
-                        "    _val = regs_read({}) & {}".format(
-                            template.register, template.reg_mask
-                        )
-                    )
-                value = "_val"
-            elif template.kind == K_VALUE:
-                value = repr(template.value)
-            emit(
-                "    {} = {}({}, {}, {}, {}, {}, {}, {!r}, {})".format(
-                    var,
-                    cref(OperandRef),
-                    cref(template.spec),
-                    cref(template.mode),
-                    template.register,
-                    address,
-                    value,
-                    cref(template.routine),
-                    template.position_class,
-                    template.is_indexed,
-                )
-            )
-        elif kind == OP_BRANCH:
-            emit("    ebox.branch_displacement = {}".format(op[2]))
-            emit("    events.branch_displacements += 1")
-            emit("    events.displacement_bytes += {}".format(op[1]))
-        else:  # OP_DECODE_TICK
-            emit("    if ebox._last_instruction_redirected:")
-            emit_incs(op[2], "        ")
-            emit("        ebox.cycle_count += {}".format(op[1]))
-            emit("        _w = ib._fill_wait")
-            emit("        if _w == 0:")
-            emit("            if ib.tb_miss_pending or len(buf) >= 8:")
-            emit("                ib._now += {}".format(op[1]))
-            emit("            else:")
-            emit("                ib_run({})".format(op[1]))
-            emit("        elif _w > {}:".format(op[1]))
-            emit("            ib._fill_wait = _w - {}".format(op[1]))
-            emit("            ib._now += {}".format(op[1]))
-            emit("        else:")
-            emit("            ib_run({})".format(op[1]))
-
-    emit("    ebox._merge_pending = {}".format(record.merge_pending))
-    if record.last_source_routine is not None:
-        emit(
-            "    ebox._last_source_routine = {}".format(
-                cref(record.last_source_routine)
-            )
-        )
-    emit("    events.instruction_bytes += {}".format(record.length))
-    emit("    events.opcode_counts[{!r}] += 1".format(record.mnemonic))
-    emit(
-        "    {}(ebox, {}, [{}])".format(
-            cref(record.handler), cref(record.opcode), ", ".join(operand_vars)
-        )
-    )
-    emit("    ebox.events.instructions += 1")
-    emit("    regs.pc = ib._decode_va")
-    emit("    ebox._merge_pending = False")
-    emit(
-        "    ebox._last_instruction_redirected ="
-        " ib_stats.redirects != redirects_before"
-    )
-    emit("    return True")
-
-    namespace = dict(zip(names, consts))
-    exec(
-        compile("\n".join(lines), "<replay:{}>".format(record.mnemonic), "exec"),
-        namespace,
-    )
-    return namespace["_replay"]
-
-
-def clear_record_caches() -> None:
-    """Drop every layout's record cache.
-
-    Benchmarks call this between arms so each run re-resolves and
-    re-tiers from cold under the current environment knobs (machines
-    built afterwards start with empty per-machine caches; the
-    layout-wide byte-keyed caches are what persists across machines).
-    """
-    _LAYOUT_RECORDS.clear()
-
-
-# ---------------------------------------------------------------------------
-# layer 4: the replay engine
+# layer 3: the replay engine
 # ---------------------------------------------------------------------------
 
 

@@ -221,7 +221,7 @@ def run_workload(
     ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`) collects
     wall-clock self-profiling: per-phase timings and simulation speed.
     ``compile_events`` (a :class:`repro.obs.channel.EventChannel`)
-    records compile-tier lifecycle events; unlike ``tracer`` it leaves
+    records compile lifecycle events; unlike ``tracer`` it leaves
     the compiled hot path enabled.
     """
     import time as _time

@@ -773,10 +773,11 @@ def execute_spec_sharded(
 class _Ticket:
     """One in-flight unique spec: who runs it, and who is waiting."""
 
-    __slots__ = ("digest", "event", "run", "error")
+    __slots__ = ("digest", "spec_name", "event", "run", "error")
 
-    def __init__(self, digest: str):
+    def __init__(self, digest: str, spec_name: str):
         self.digest = digest
+        self.spec_name = spec_name
         self.event = threading.Event()
         self.run: Optional[EngineRun] = None
         self.error: Optional[BaseException] = None
@@ -1033,7 +1034,7 @@ class Scheduler:
                             "specs resolved whole from the run cache",
                         )
                         continue
-                ticket = _Ticket(digest)
+                ticket = _Ticket(digest, spec.name)
                 self._inflight[digest] = ticket
                 tickets[index] = ticket
                 owners.append(index)
@@ -1115,8 +1116,8 @@ class Scheduler:
                     for ticket in abandoned:
                         if ticket.error is None and ticket.run is None:
                             ticket.error = EngineError(
-                                "?", "the executing sweep was interrupted before"
-                                " this spec completed"
+                                ticket.spec_name, "the executing sweep was"
+                                " interrupted before this spec completed"
                             )
                         ticket.event.set()
                         if self._inflight.get(ticket.digest) is ticket:

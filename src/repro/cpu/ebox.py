@@ -178,6 +178,7 @@ class EBox:
         # tracer's spans narrate individual specifiers and stalls), the
         # standard 16,000-bucket board, and no REPRO_NO_COMPILE=1.
         self._resolve_record = replay.resolve
+        self._execute_record = replay.execute_record
         self._peek_image = replay.peek_image
         # Preserved across tracer swaps (records and diagnostics are
         # mode-independent); created fresh on construction and restore.
@@ -200,7 +201,7 @@ class EBox:
         # seeded model error the refutation suite exists to catch.  The
         # compiled path replays charges from specialized programs that
         # never consult the skew, so an armed skew forces the
-        # interpreted path in every mode: all three arms then disagree
+        # interpreted path in every mode: both arms then disagree
         # with the analytic model identically instead of disagreeing
         # with each other.
         from repro.testing.faults import cost_skew
@@ -257,6 +258,7 @@ class EBox:
         "_process_specifier",
         "_tracer",
         "_resolve_record",
+        "_execute_record",
         "_peek_image",
         "_record_cache",
         "_space_caches",
@@ -959,7 +961,7 @@ class EBox:
                     return result
                 stats.byte_fallbacks += 1
                 cause = "byte_mismatch"
-            elif record.run(self, va):
+            elif self._execute_record(record, self, va):
                 stats.jit_hits += 1
                 stats.fast_cycles += (
                     self.cycle_count - self._instruction_start_cycle
@@ -1003,7 +1005,7 @@ class EBox:
                     record.mnemonic,
                     len(record.raw),
                 )
-            if not record.never and record.run(self, va):
+            if not record.never and self._execute_record(record, self, va):
                 stats.jit_hits += 1
                 stats.fast_cycles += (
                     self.cycle_count - self._instruction_start_cycle

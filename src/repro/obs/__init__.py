@@ -14,8 +14,8 @@ discipline on the simulator itself:
   filter/aggregate query engine behind ``repro query`` (live tracers
   and stored captures answer the same questions).
 * :mod:`repro.obs.channel` — the bounded compile-lifecycle event
-  channel (record formation, tier-ups, interpreter fallbacks)
-  that, unlike a tracer, leaves the compiled hot path enabled.
+  channel (record formation, interpreter fallbacks) that, unlike a
+  tracer, leaves the compiled hot path enabled.
 * :mod:`repro.obs.invariants` — counter-identity checking between the
   independent instruments (``repro check``), with subsystem and
   micro-routine localization of any disagreement.

@@ -8,13 +8,12 @@ JIT observability-dark: the faster the simulator got, the less we could
 see of *why*.
 
 :class:`EventChannel` is the narrow channel that works *with* the
-compiled path enabled.  It records only compile-tier lifecycle events —
-a record compiled, a record promoted to generated code, an interpreter
-fallback and its cause — each a single tuple appended to a bounded
-ring.  Emission sites sit on the compiler's own slow paths (resolution,
-promotion, fallback), never inside a generated body, so an attached
-channel leaves the replayed instruction stream bit-identical (tests
-assert this).
+compiled path enabled.  It records only compile lifecycle events — a
+record compiled, an interpreter fallback and its cause — each a single
+tuple appended to a bounded ring.  Emission sites sit on the compiler's
+own slow paths (resolution, fallback), never inside the replay loop, so
+an attached channel leaves the replayed instruction stream
+bit-identical (tests assert this).
 
 Events normalize into the same record shape the trace query engine
 consumes (:meth:`EventChannel.to_trace_events`), on a synthetic "JIT"
@@ -34,14 +33,9 @@ JIT_TRACK = "JIT"
 
 #: Event kinds, in lifecycle order.
 KIND_RECORD_FORMED = "record formed"
-KIND_TIER_UP = "tier up"
 KIND_FALLBACK = "fallback"
 
-KINDS = (
-    KIND_RECORD_FORMED,
-    KIND_TIER_UP,
-    KIND_FALLBACK,
-)
+KINDS = (KIND_RECORD_FORMED, KIND_FALLBACK)
 
 
 class EventChannel:
@@ -49,10 +43,10 @@ class EventChannel:
 
     ``kind`` is one of :data:`KINDS`; ``label`` is the one categorical
     annotation worth keeping (a mnemonic or a fallback cause);
-    ``value`` is a small integer payload (a record's byte length, the
-    executions that earned a tier-up, a fallback's VA).  Strictly passive and
-    bounded, like the tracer; unlike the tracer, attaching one does not
-    change which execution path runs.
+    ``value`` is a small integer payload (a record's byte length, a
+    fallback's VA).  Strictly passive and bounded, like the tracer;
+    unlike the tracer, attaching one does not change which execution
+    path runs.
     """
 
     def __init__(self, capacity: int = 65_536):

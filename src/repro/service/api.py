@@ -67,36 +67,73 @@ def spec_to_payload(spec: RunSpec) -> Dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+#: Every RunSpec field the wire format carries except ``config``:
+#: name -> (check, what the check expects).
+_SPEC_FIELDS = {
+    "workload": (lambda value: isinstance(value, str), "a string"),
+    "instructions": (_is_count, "a non-negative integer"),
+    "warmup_instructions": (_is_count, "a non-negative integer"),
+    "process_count": (lambda value: value is None or _is_count(value),
+                      "a non-negative integer or null"),
+    "seed_offset": (_is_int, "an integer"),
+    "label": (lambda value: value is None or isinstance(value, str),
+              "a string or null"),
+}
+
+
+def _refuse(name: str, expected: str, value) -> None:
+    raise ApiError("{} must be {}, got {!r}".format(name, expected, value))
+
+
 def spec_from_payload(payload: Dict) -> RunSpec:
+    """A :class:`RunSpec` from its JSON form, type-checked field by field.
+
+    Anything the engine would choke on later (a string instruction
+    count, a non-object config) raises :class:`ApiError` here, so the
+    service refuses it with a 400 instead of queueing a doomed job.
+    Workload names are not checked against the registry: an unknown one
+    fails in the worker with an :class:`EngineError` naming the spec.
+    """
     if not isinstance(payload, dict):
         raise ApiError("spec payload must be an object, got {!r}".format(payload))
     if "workload" not in payload:
         raise ApiError("spec payload is missing 'workload'")
-    unknown = set(payload) - {
-        "workload", "instructions", "warmup_instructions", "process_count",
-        "seed_offset", "config", "label",
-    }
+    fields = dict(payload)
+    config = fields.pop("config", None)
+    unknown = set(fields) - set(_SPEC_FIELDS)
     if unknown:
         raise ApiError(
             "spec payload has unknown fields: {}".format(", ".join(sorted(unknown)))
         )
-    config = payload.get("config")
+    for name, value in fields.items():
+        check, expected = _SPEC_FIELDS[name]
+        if not check(value):
+            _refuse(name, expected, value)
     if config is not None:
+        if not isinstance(config, dict):
+            _refuse("config", "an object or null", config)
         bad = set(config) - set(MachineConfig.__dataclass_fields__)
         if bad:
             raise ApiError(
                 "config payload has unknown fields: {}".format(", ".join(sorted(bad)))
             )
+        for name, value in config.items():
+            if name == "decode_overlap":
+                ok, expected = isinstance(value, bool), "a boolean or null"
+            else:
+                ok, expected = _is_int(value), "an integer or null"
+            if value is not None and not ok:
+                _refuse("config." + name, expected, value)
         config = MachineConfig(**config)
-    return RunSpec(
-        workload=payload["workload"],
-        instructions=payload.get("instructions", 30_000),
-        warmup_instructions=payload.get("warmup_instructions", 3_000),
-        process_count=payload.get("process_count"),
-        seed_offset=payload.get("seed_offset", 0),
-        config=config,
-        label=payload.get("label"),
-    )
+    return RunSpec(config=config, **fields)
 
 
 # ----------------------------------------------------------------------

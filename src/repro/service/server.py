@@ -246,7 +246,10 @@ class ExperimentService:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length = headers.get("content-length", "0") or "0"
+        if not length.isdecimal():  # a sign or junk: int() or readexactly fails
+            raise ServiceError(400, "malformed Content-Length")
+        length = int(length)
         if length > MAX_BODY_BYTES:
             raise ServiceError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""

@@ -4,7 +4,7 @@ White-box coverage of the pieces the differential harness exercises
 only in aggregate: the sighting-gated resolve cache, the retry backoff
 for chronically short probes, NeverRecord witnesses, the 16-byte image
 cap, the side-effect-free I-stream lookahead, the env/tracer gates,
-and the metrics round-trip.
+record immutability, and the metrics round-trip.
 """
 
 import os
@@ -25,14 +25,6 @@ def encode(*instrs):
     for mnemonic, *operands in instrs:
         asm.instr(mnemonic, *operands)
     return asm.assemble()
-
-
-@pytest.fixture(autouse=True)
-def _default_tier(monkeypatch):
-    # The CI tier leg exports REPRO_COMPILE_TIER_THRESHOLD=1, which
-    # also collapses the sighting gates these tests pin down; they
-    # assert the default economics, so they own the knob.
-    monkeypatch.delenv(replay.TIER_THRESHOLD_ENV, raising=False)
 
 
 @pytest.fixture
@@ -193,6 +185,41 @@ class TestLookahead:
         replay.peek_image(ebox)
         after = (tb.stats.hits, tb.stats.misses, ebox.cycle_count)
         assert before == after
+
+
+def _slot_values(obj):
+    return tuple(getattr(obj, slot, None) for slot in type(obj).__slots__)
+
+
+def _record_state(record):
+    """Every slot of a record, templates inside its op list included."""
+    ops = getattr(record, "ops", ())
+    templates = tuple(_slot_values(op[1]) for op in ops if op[0] == replay.OP_SPEC)
+    return _slot_values(record), templates
+
+
+class TestSharedRecords:
+    def test_records_are_immutable_after_compilation(self, monkeypatch):
+        # Records are shared by every machine on a layout; running a
+        # second machine over them must not change a single slot.
+        from repro.core.experiment import run_workload
+
+        monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
+        replay.clear_record_caches()
+        try:
+            run_workload(
+                "timesharing_light", instructions=3_000, warmup_instructions=500
+            )
+            records = replay._layout_cache(build_layout())[0]
+            assert any(not record.never for record in records.values())
+            before = {key: _record_state(record) for key, record in records.items()}
+            run_workload(
+                "timesharing_light", instructions=3_000, warmup_instructions=500
+            )
+            after = {key: _record_state(records[key]) for key in before}
+            assert after == before
+        finally:
+            replay.clear_record_caches()
 
 
 class TestMetricsRoundTrip:

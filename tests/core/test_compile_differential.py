@@ -184,15 +184,6 @@ def kernel_state(kernel):
 
 
 class TestBoundaries:
-    @pytest.fixture(autouse=True)
-    def _generated_code(self, monkeypatch):
-        # Records generate code at first sight, so the hot loops below
-        # run the generated tier rather than the op-loop.
-        monkeypatch.setenv(replay.TIER_THRESHOLD_ENV, "1")
-        replay.clear_record_caches()
-        yield
-        replay.clear_record_caches()
-
     def test_interrupt_heavy_run_bit_identical(self):
         # Device interrupts deliver between replayed instructions; a
         # profile with live terminal traffic must serialize identically.
@@ -393,7 +384,7 @@ class TestRandomizedSpecifierModes:
     @given(ops=st.lists(op_strategy, min_size=2, max_size=6))
     def test_check_and_validate_verdicts_agree_across_all_modes(self, ops):
         """Randomized specifier programs put the *verdict machinery*
-        through the differential: all three compile modes must produce
+        through the differential: both compile modes must produce
         bit-identical observables (so ``repro validate``'s cross-mode
         checks hold) and the identical set of passing ``repro check``
         identities."""
@@ -422,7 +413,7 @@ class TestRandomizedSpecifierModes:
             map_ranges=((SCRATCH - 0x440, 0x800),),
         )
 
-        # The runner's cross-mode checks pin all three arms together.
+        # The runner's cross-mode checks pin both arms together.
         report = RefutationRunner(modes=ALL_MODES, trace=False).run_probe(probe)
         assert report.ok, [outcome.to_dict() for outcome in report.failures]
 
@@ -443,4 +434,4 @@ class TestRandomizedSpecifierModes:
             )
             verdicts[mode] = [(outcome.name, outcome.ok) for outcome in outcomes]
             assert all(ok for _name, ok in verdicts[mode]), (mode, outcomes)
-        assert verdicts["interpreted"] == verdicts["compiled"] == verdicts["tier1"]
+        assert verdicts["interpreted"] == verdicts["compiled"]

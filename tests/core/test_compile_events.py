@@ -1,6 +1,7 @@
-"""Compile-lifecycle events: the channel captures tier transitions with
-the compiled path *enabled*, attaching it never perturbs the machine,
-and a forced interpreter fallback is loud (warning + metric)."""
+"""Compile-lifecycle events: the channel captures record formation and
+fallbacks with the compiled path *enabled*, attaching it never perturbs
+the machine, and a forced interpreter fallback is loud (warning +
+metric)."""
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.core.experiment import run_workload
 from repro.obs.channel import (
     KIND_FALLBACK,
     KIND_RECORD_FORMED,
-    KIND_TIER_UP,
     EventChannel,
 )
 from repro.obs.metrics import MetricsRegistry, registry_from_result
@@ -22,7 +22,6 @@ WARMUP = 500
 @pytest.fixture(autouse=True)
 def _own_the_gates(monkeypatch):
     monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
-    monkeypatch.setenv(replay.TIER_THRESHOLD_ENV, "1")
     replay.clear_record_caches()
     yield
     replay.clear_record_caches()
@@ -58,14 +57,6 @@ class TestChannelCapture:
         assert kinds.get(KIND_RECORD_FORMED, 0) > 0
         assert kinds.get(KIND_FALLBACK, 0) > 0
 
-    def test_tier_up_events_appear_at_the_default_threshold(self, monkeypatch):
-        # Threshold 1 compiles records on first sighting, skipping the
-        # promotion step; the default threshold exercises it.
-        monkeypatch.delenv(replay.TIER_THRESHOLD_ENV, raising=False)
-        replay.clear_record_caches()
-        channel, _result, _compiled = channel_run()
-        assert channel.kind_counts().get(KIND_TIER_UP, 0) > 0
-
     def test_fallback_labels_match_the_stats_cause_tally(self):
         channel, _result, compiled = channel_run()
         assert compiled is not None
@@ -85,7 +76,7 @@ class TestChannelCapture:
     def test_channel_is_bounded_and_counts_drops(self):
         channel = EventChannel(capacity=4)
         for cycle in range(10):
-            channel.emit(cycle, KIND_TIER_UP, "MOVL")
+            channel.emit(cycle, KIND_RECORD_FORMED, "MOVL")
         assert len(channel) == 4
         assert channel.emitted == 10
         assert channel.dropped == 6

@@ -202,6 +202,48 @@ class TestInflightAttach:
         # No ticket left dangling for the next client to deadlock on.
         assert scheduler.stats_snapshot()["inflight"] == 0
 
+    def test_abandoned_ticket_error_names_the_spec(self, metrics, monkeypatch):
+        # A non-EngineError escaping the owner's batch leaves its tickets
+        # to the cleanup path; the attached client's error must still
+        # name the spec it was waiting on.
+        from repro.core.engine import EngineError
+
+        entered = threading.Event()
+        release = threading.Event()
+
+        def interrupted(self, specs, notify, policy):
+            entered.set()
+            assert release.wait(30)
+            raise RuntimeError("owner interrupted")
+
+        monkeypatch.setattr(Scheduler, "_execute_batch", interrupted)
+        scheduler = Scheduler(metrics=metrics)
+        raised = {}
+
+        def client(name):
+            try:
+                scheduler.run_specs([_spec()])
+            except (EngineError, RuntimeError) as error:
+                raised[name] = error
+
+        owner = threading.Thread(target=client, args=("owner",))
+        owner.start()
+        assert entered.wait(30)
+        waiter = threading.Thread(target=client, args=("waiter",))
+        waiter.start()
+        for _ in range(200):
+            if _counter(metrics, "scheduler.specs.attached_inflight") == 1:
+                break
+            threading.Event().wait(0.02)
+        assert _counter(metrics, "scheduler.specs.attached_inflight") == 1
+        release.set()
+        owner.join(30)
+        waiter.join(30)
+        assert isinstance(raised["owner"], RuntimeError)
+        assert isinstance(raised["waiter"], EngineError)
+        assert raised["waiter"].spec_name == _spec().name
+        assert scheduler.stats_snapshot()["inflight"] == 0
+
 
 class TestRunCacheResolution:
     def test_runs_resolve_across_scheduler_lifetimes(self, tmp_path, metrics):

@@ -104,7 +104,7 @@ def test_store_records_drop_count(tmp_path):
 
 def test_extra_events_merge_by_timestamp(tmp_path):
     tracer = synthetic_tracer(spans=8)
-    extra = [("I", "JIT", 15, "tier up", 0, {"reason": "MOVL"})]
+    extra = [("I", "JIT", 15, "record formed", 0, {"reason": "MOVL"})]
     path = tmp_path / "t.vaxtrace"
     write_store(tracer, str(path), extra_events=extra)
     store = open_store(str(path))

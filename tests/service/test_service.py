@@ -6,6 +6,7 @@ same stack ``repro serve`` / ``repro submit`` use, minus the argparse.
 """
 
 import json
+import socket
 
 import pytest
 
@@ -137,6 +138,50 @@ class TestRoutes:
         with pytest.raises(ClientError) as caught:
             client.request("POST", "/sweeps", {"specs": [{"bogus": 1}]})
         assert caught.value.status == 400
+
+    @pytest.mark.parametrize(
+        "body, content_length",
+        [
+            (b'{"specs": []}', "twelve"),
+            (b'{"specs": []}', "-5"),
+            ({"config": 5}, None),
+            ({"config": []}, None),
+            ({"config": {"cache_size_bytes": "8k"}}, None),
+            ({"config": {"decode_overlap": 1}}, None),
+            ({"instructions": "abc"}, None),
+            ({"instructions": -1}, None),
+            ({"instructions": True}, None),
+            ({"warmup_instructions": 1.5}, None),
+            ({"process_count": "2"}, None),
+            ({"seed_offset": None}, None),
+            ({"workload": 7}, None),
+            ({"label": ["x"]}, None),
+        ],
+        ids=[
+            "length-not-int", "length-negative", "config-int", "config-list",
+            "config-str-field", "config-int-overlap", "instructions-str",
+            "instructions-negative", "instructions-bool", "warmup-float",
+            "process-count-str", "seed-null", "workload-int", "label-list",
+        ],
+    )
+    def test_bad_input_is_a_400_and_creates_no_job(
+        self, service, client, body, content_length
+    ):
+        if isinstance(body, dict):
+            body = json.dumps({"specs": [dict(SPEC, **body)]}).encode("utf-8")
+        if content_length is None:
+            content_length = str(len(body))
+        jobs_before = len(client.jobs())
+        with socket.create_connection(("127.0.0.1", service.port), timeout=30) as sock:
+            sock.sendall(
+                b"POST /sweeps HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: " + content_length.encode("latin-1")
+                + b"\r\n\r\n" + body
+            )
+            sock.shutdown(socket.SHUT_WR)
+            response = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert response.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert len(client.jobs()) == jobs_before
 
     def test_get_on_sweeps_405(self, client):
         with pytest.raises(ClientError) as caught:
