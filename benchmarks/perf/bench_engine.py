@@ -101,7 +101,8 @@ SHARD_WORKLOAD = "educational"
 
 
 def _measure_composite(instructions, warmup, jobs):
-    from repro.core.engine import RunSpec, run_specs
+    from repro.core.executor import RunSpec
+    from repro.core.scheduler import run_specs
     from repro.core.experiment import composite
     from repro.workloads import COMPOSITE_WORKLOAD_NAMES
 
@@ -125,7 +126,8 @@ def _equal(result_a, result_b) -> bool:
 
 
 def _measure_sharded(instructions, warmup, shards, cache):
-    from repro.core.engine import RunSpec, execute_spec_sharded
+    from repro.core.executor import RunSpec
+    from repro.core.scheduler import execute_spec_sharded
 
     spec = RunSpec(
         workload=SHARD_WORKLOAD,
@@ -258,7 +260,8 @@ def smoke(jobs: int) -> int:
     run must be bit-identical to the unsharded reference; and the
     steady-state compiled path must clear the throughput floor and the
     compiled-vs-interpreted speedup ratchet."""
-    from repro.core.engine import RunSpec, execute_spec, execute_spec_sharded
+    from repro.core.executor import RunSpec, execute_spec
+    from repro.core.scheduler import execute_spec_sharded
     from repro.core.experiment import run_workload
     from repro.obs.trace import Tracer, validate_chrome
 
@@ -421,7 +424,7 @@ def main() -> int:
 
     # Intra-workload sharding: one workload, SHARD_COUNT shards, cold
     # (fresh cache populated) then warm (every shard replayed from it).
-    from repro.core.engine import RunSpec, execute_spec
+    from repro.core.executor import RunSpec, execute_spec
     from repro.core.runcache import RunCache
 
     cache_root = tempfile.mkdtemp(prefix="bench-repro-cache-")

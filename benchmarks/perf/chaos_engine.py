@@ -37,7 +37,7 @@ def _equal(result_a, result_b):
 
 
 def _composite_specs():
-    from repro.core.engine import RunSpec
+    from repro.core.executor import RunSpec
     from repro.workloads import COMPOSITE_WORKLOAD_NAMES
 
     return [
@@ -49,7 +49,7 @@ def _composite_specs():
 
 
 def sweep_chaos(state_dir):
-    from repro.core.engine import run_specs
+    from repro.core.scheduler import run_specs
     from repro.core.experiment import composite
     from repro.core.resilience import ResiliencePolicy, RetryPolicy
     from repro.obs.metrics import MetricsRegistry, resilience_counters
@@ -106,7 +106,8 @@ def sweep_chaos(state_dir):
 
 
 def cache_chaos(state_dir, cache_root):
-    from repro.core.engine import RunSpec, execute_spec, execute_spec_sharded
+    from repro.core.executor import RunSpec, execute_spec
+    from repro.core.scheduler import execute_spec_sharded
     from repro.core.resilience import ResiliencePolicy
     from repro.core.runcache import RunCache
     from repro.obs.metrics import MetricsRegistry, resilience_counters

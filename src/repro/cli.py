@@ -60,10 +60,6 @@ Commands
     surface: simulated counters, derived gauges, wall-clock
     self-profiling, replay-compiler diagnostics, and per-run
     provenance manifests.
-``bench``
-    Run the warm/cold composite benchmark in-process and print the
-    instructions/second delta against the committed
-    ``BENCH_engine.json``.
 
 Diagnostics go to stderr through :mod:`repro.obs.log`; the threshold is
 ``-v``/``--verbose`` (debug), ``-q``/``--quiet`` (warnings only), or the
@@ -403,7 +399,7 @@ def cmd_serve(args) -> int:
 
 def _submit_specs(args):
     """The sweep a ``repro submit`` invocation describes."""
-    from repro.core.engine import RunSpec
+    from repro.core.executor import RunSpec
     from repro.workloads import COMPOSITE_WORKLOAD_NAMES
 
     names = args.workloads or list(COMPOSITE_WORKLOAD_NAMES)
@@ -522,7 +518,8 @@ _SWEEP_PARAMS = {
 
 
 def cmd_sweep(args) -> int:
-    from repro.core.engine import MachineConfig, RunSpec, run_specs
+    from repro.core.executor import MachineConfig, RunSpec
+    from repro.core.scheduler import Scheduler
 
     log = get_logger("repro.sweep")
     make_fields = _SWEEP_PARAMS[args.param]
@@ -542,7 +539,7 @@ def cmd_sweep(args) -> int:
         ),
         jobs=args.jobs,
     )
-    runs = run_specs(specs, jobs=args.jobs, progress=_progress_printer(log))
+    runs = Scheduler(jobs=args.jobs).run_specs(specs, progress=_progress_printer(log))
     header = "{:<40} {:>7} {:>8} {:>8} {:>9} {:>9}".format(
         "configuration", "CPI", "rstall/i", "wstall/i", "ibstall/i", "memmgmt/i"
     )
@@ -915,110 +912,12 @@ def cmd_validate(args) -> int:
     return 0 if not failed else 1
 
 
-def cmd_bench(args) -> int:
-    """Run the warm/cold engine benchmark in-process and print the
-    instructions/second delta against the committed BENCH_engine.json."""
-    import json
-    import os
-    import time
-
-    from repro.core.engine import RunSpec, run_specs
-    from repro.core.experiment import composite
-    from repro.obs.metrics import MetricsRegistry
-    from repro.workloads import COMPOSITE_WORKLOAD_NAMES
-
-    log = get_logger("repro.bench")
-
-    committed = None
-    if os.path.exists(args.baseline):
-        with open(args.baseline) as handle:
-            committed = json.load(handle)
-    else:
-        log.warn("no committed baseline found", path=args.baseline)
-
-    instructions = args.instructions
-    warmup = args.warmup
-    if committed is not None:
-        config = committed.get("config", {})
-        if args.instructions is None:
-            instructions = config.get("instructions_per_workload")
-        if args.warmup is None:
-            warmup = config.get("warmup_instructions")
-    instructions = instructions or 4_000
-    warmup = warmup or 1_000
-
-    def measure():
-        specs = [
-            RunSpec(workload=name, instructions=instructions, warmup_instructions=warmup)
-            for name in COMPOSITE_WORKLOAD_NAMES
-        ]
-        started = time.perf_counter()
-        runs = run_specs(specs, jobs=1)
-        wall = time.perf_counter() - started
-        return composite([run.result for run in runs]), wall, runs
-
-    log.info(
-        "benchmarking composite",
-        instructions=instructions,
-        warmup=warmup,
-        trials=args.trials,
-    )
-    # The first composite in a fresh interpreter is the cold figure
-    # (``python -m repro bench`` is exactly that); the best of the
-    # remaining trials is the warm figure.
-    cold_result, cold_wall, _ = measure()
-    measured = cold_result.instructions
-    warm_wall, warm_runs = None, None
-    for _ in range(max(1, args.trials)):
-        _, wall, runs = measure()
-        if warm_wall is None or wall < warm_wall:
-            warm_wall, warm_runs = wall, runs
-
-    def show(label, ips, committed_ips):
-        if committed_ips:
-            delta = (ips - committed_ips) / committed_ips * 100.0
-            emit(
-                "{:<6} {:>9.0f} instr/s   committed {:>9.0f}   {:+6.1f}%".format(
-                    label, ips, committed_ips, delta
-                )
-            )
-        else:
-            emit("{:<6} {:>9.0f} instr/s   (no committed baseline)".format(label, ips))
-
-    sequential = (committed or {}).get("sequential", {})
-    emit(
-        "composite: {} workloads x {} instructions (warmup {})".format(
-            len(COMPOSITE_WORKLOAD_NAMES), instructions, warmup
-        )
-    )
-    show("cold", measured / cold_wall, sequential.get("cold_instructions_per_second"))
-    show("warm", measured / warm_wall, sequential.get("warm_instructions_per_second"))
-
-    registry = MetricsRegistry()
-    for run in warm_runs:
-        if run.metrics:
-            registry.merge_snapshot(run.metrics)
-    from repro.core.compile import stats_from_snapshot
-
-    compile_stats = stats_from_snapshot(registry.snapshot())
-    if compile_stats is not None and compile_stats.get("active"):
-        emit(
-            "compiled hot path: {:.1%} of instructions replayed "
-            "({} JIT hits, {} misses, {} records compiled)".format(
-                compile_stats.get("fast_instruction_fraction", 0.0),
-                compile_stats.get("jit_hits", 0),
-                compile_stats.get("jit_misses", 0),
-                compile_stats.get("records_compiled", 0),
-            )
-        )
-    return 0
-
-
 def cmd_stats(args) -> int:
     import json
 
-    from repro.core.engine import RunSpec, run_specs
+    from repro.core.executor import RunSpec
     from repro.core.experiment import composite
+    from repro.core.scheduler import Scheduler
     from repro.obs.metrics import registry_from_result
     from repro.workloads import COMPOSITE_WORKLOAD_NAMES
 
@@ -1032,7 +931,7 @@ def cmd_stats(args) -> int:
         )
         for name in names
     ]
-    runs = run_specs(specs, jobs=args.jobs, progress=_progress_printer(log))
+    runs = Scheduler(jobs=args.jobs).run_specs(specs, progress=_progress_printer(log))
     result = (
         runs[0].result if len(runs) == 1 else composite([run.result for run in runs])
     )
@@ -1462,32 +1361,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate_parser.set_defaults(func=cmd_validate)
 
-    bench_parser = sub.add_parser(
-        "bench",
-        help="warm/cold composite benchmark vs the committed BENCH_engine.json",
-    )
-    bench_parser.add_argument(
-        "--instructions",
-        type=int,
-        default=None,
-        help="instructions per workload (default: the committed config)",
-    )
-    bench_parser.add_argument(
-        "--warmup",
-        type=int,
-        default=None,
-        help="warmup instructions (default: the committed config)",
-    )
-    bench_parser.add_argument(
-        "--trials", type=int, default=2, help="warm trials (best one reported)"
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        default="BENCH_engine.json",
-        help="committed benchmark report to diff against",
-    )
-    bench_parser.set_defaults(func=cmd_bench)
-
     stats_parser = sub.add_parser(
         "stats", help="metrics + provenance for one workload (or the composite)"
     )
@@ -1504,7 +1377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from repro.core.engine import EngineError
+    from repro.core.executor import EngineError
 
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -1,137 +1,13 @@
-"""The parallel experiment engine — compatibility facade.
+"""A three-name shim kept only for ``benchmarks/e2e/units.py``.
 
-The engine used to live here as one 1300-line monolith; it is now three
-layers, and this module re-exports their public (and
-historically-relied-upon private) surface so every existing import —
-``from repro.core.engine import RunSpec, run_specs, ...`` — keeps
-working unchanged:
-
-* :mod:`repro.core.executor` — how one unit of work runs: the work
-  descriptions (:class:`RunSpec`, :class:`MachineConfig`), the payloads
-  (:class:`EngineRun`, :class:`ShardResult`), :func:`execute_spec`, the
-  resilient process-pool driver, and the shard measurement primitives.
-* :mod:`repro.core.cache_resolution` — what is already banked: shard
-  and snapshot keys, loaders that quarantine damage, and the run-level
-  objects the experiment service dedupes whole sweeps against.
-* :mod:`repro.core.scheduler` — what runs and what never runs:
-  :func:`run_specs`, :func:`execute_spec_sharded`, and the
-  :class:`Scheduler` front door that deduplicates concurrent clients
-  against the result index, in-flight jobs and the run cache.
-
-The engine's three guarantees are unchanged and live with the layers
-that own them:
-
-* **Determinism.**  A spec fully seeds its run; ``jobs=4`` produces
-  bit-identical histograms, event counters and Table 8 matrices to
-  ``jobs=1`` — the regression tests assert this.  Determinism is also
-  what makes caching and deduplication *sound*: equal
-  :func:`~repro.obs.provenance.config_hash` digests mean bit-identical
-  results, so a cached or attached payload is indistinguishable from a
-  fresh execution.
-* **Picklability.**  Specs and results cross the process boundary by
-  value; ablations are declarative (:class:`MachineConfig`), and
-  :class:`EngineError` round-trips through pickle with its constructor
-  extras intact.
-* **Fault tolerance.**  Retries with backoff, per-spec timeouts, pool
-  respawn and in-process degradation, fail-soft collect mode, cache
-  self-healing via quarantine, and in-process repair chains for shards
-  lost to worker failures — all governed by a
-  :class:`~repro.core.resilience.ResiliencePolicy` and all leaving a
-  recovered sweep bit-identical to an undisturbed one.
-
-One seam is intentionally *live* here rather than re-exported by value:
-``prepare_workload``.  The sharded chain opener resolves it through
-this module at call time (``engine.prepare_workload``), so patching
-``repro.core.engine.prepare_workload`` — as the snapshot-reuse tests do
-to prove a cached boundary made a rebuild unnecessary — intercepts
-every fresh build, wherever the layers trigger it.
+The engine lives in three layers: :mod:`repro.core.executor`,
+:mod:`repro.core.cache_resolution` and :mod:`repro.core.scheduler`.
+Import from those.  The e2e benchmark's units still import these three
+names from here; ROADMAP item 8 moves those imports and deletes this
+module.
 """
 
-from __future__ import annotations
+from repro.core.executor import MachineConfig, RunSpec
+from repro.core.scheduler import run_specs
 
-# -- execution layer ---------------------------------------------------
-from repro.core.executor import (
-    EngineError,
-    EngineRun,
-    MachineConfig,
-    ProgressCallback,
-    ProgressEvent,
-    RunSpec,
-    ShardResult,
-    _execute_shard_task,
-    _execute_shard_task_guarded,
-    _execute_spec_guarded,
-    _ignore_progress,
-    _measure_span,
-    _pool_context,
-    _run_pool_tasks,
-    _sparse_delta,
-    _spec_configure,
-    _tb_summary,
-    execute_spec,
-    parallel_map,
-    shard_boundaries,
-)
-
-# -- cache-resolution layer --------------------------------------------
-from repro.core.cache_resolution import (
-    load_cached_shard,
-    load_cached_snapshot,
-    resolve_cached_run,
-    run_cache_key,
-    shard_cache_keys,
-    store_boundary_snapshot,
-    store_run,
-    store_shard,
-)
-
-# -- scheduling layer --------------------------------------------------
-from repro.core.scheduler import (
-    Scheduler,
-    _merge_shard_results,
-    _open_chain_kernel,
-    _run_shard_chain,
-    _shard_failure_text,
-    _shard_status_map,
-    execute_spec_sharded,
-    run_specs,
-)
-
-# The live patch seam for fresh workload builds (see module docstring).
-from repro.core.experiment import prepare_workload
-
-# Historical private spellings, kept importable: the resilience and
-# fault-tolerance tests drive the engine through these names.
-_shard_cache_keys = shard_cache_keys
-_store_shard = store_shard
-_store_boundary_snapshot = store_boundary_snapshot
-_load_cached_snapshot = load_cached_snapshot
-
-__all__ = [
-    # execution
-    "EngineError",
-    "EngineRun",
-    "MachineConfig",
-    "ProgressCallback",
-    "ProgressEvent",
-    "RunSpec",
-    "ShardResult",
-    "execute_spec",
-    "parallel_map",
-    "shard_boundaries",
-    # cache resolution
-    "load_cached_shard",
-    "load_cached_snapshot",
-    "resolve_cached_run",
-    "run_cache_key",
-    "shard_cache_keys",
-    "store_boundary_snapshot",
-    "store_run",
-    "store_shard",
-    # scheduling
-    "Scheduler",
-    "execute_spec_sharded",
-    "run_specs",
-    # the live build seam
-    "prepare_workload",
-]
+__all__ = ["MachineConfig", "RunSpec", "run_specs"]

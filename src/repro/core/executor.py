@@ -15,10 +15,10 @@ Contents:
   (:class:`EngineRun`, :class:`ShardResult`);
 * :func:`execute_spec` — one monitored measurement run, manifest and
   metrics included (this is the pool-worker body);
-* :func:`_run_pool_tasks` — the resilient process-pool driver: retries
-  with backoff, wall-clock timeouts enforced by pool recycling,
-  ``BrokenProcessPool`` respawn and requeue, degradation to in-process
-  execution, interrupt handling;
+* :func:`_run_pool_tasks` — the one retry loop, for sequential and
+  pooled sweeps alike: retries with backoff, wall-clock timeouts
+  enforced by pool recycling, ``BrokenProcessPool`` respawn and requeue,
+  degradation to in-process execution, interrupt handling;
 * the shard measurement primitives (:func:`_measure_span`,
   :func:`_execute_shard_task`) used by the sharded orchestration in the
   scheduler.
@@ -371,11 +371,15 @@ def _run_pool_tasks(
 
     After ``policy.max_pool_respawns`` recycles the pool is abandoned
     and the remainder runs in-process (degraded mode: retries still
-    apply, timeouts cannot preempt).
+    apply, timeouts cannot preempt).  ``workers <= 1`` runs every task
+    through that same in-process loop from the start, with no pool at
+    all and without counting as degraded.
 
     On completion the pool's workers are joined before returning.  A
-    ``KeyboardInterrupt`` cancels outstanding futures, shuts the pool
-    down without waiting and re-raises as
+    pool abandoned with work in flight — recycled, interrupted, or left
+    by a raise-mode early exit — has its workers terminated
+    (:func:`_terminate_pool`), so none outlives the call.  A
+    ``KeyboardInterrupt`` re-raises as
     :class:`~repro.core.resilience.SweepInterrupted` carrying everything
     that already finished.
     """
@@ -422,7 +426,7 @@ def _run_pool_tasks(
         a failed attempt, requeue the innocents for free."""
         nonlocal pool
         stats["pool_respawns"] += 1
-        pool.shutdown(wait=False, cancel_futures=True)
+        _terminate_pool(pool)
         victims = list(inflight.items())
         inflight.clear()
         for future, (tid, arg, attempt, _) in victims:
@@ -436,15 +440,19 @@ def _run_pool_tasks(
         else:
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
 
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
+    pool = (
+        ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
+        if workers > 1
+        else None
+    )
     try:
         while pending or inflight:
             if stop_on_failure and failures:
                 break
             now = time.monotonic()
-            if stats["degraded"]:
-                # In-process fallback: no pool left to trust.  Retries
-                # still apply; timeouts cannot preempt in-process work.
+            if pool is None:
+                # In-process: a sequential sweep, or no pool left to
+                # trust.  Retries still apply; timeouts cannot preempt.
                 tid, arg, attempt, not_before = pending.popleft()
                 if not_before > now:
                     policy.sleep(not_before - now)
@@ -536,13 +544,31 @@ def _run_pool_tasks(
                     )
     except KeyboardInterrupt:
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            _terminate_pool(pool)
         raise SweepInterrupted(payloads=payloads, failures=failures, stats=stats)
     if pool is not None:
-        # Join the workers when nothing is left in flight, so none outlive
-        # the call; a raise-mode early exit abandons in-flight work.
-        pool.shutdown(wait=not inflight, cancel_futures=True)
+        if inflight:
+            _terminate_pool(pool)  # a raise-mode early exit
+        else:
+            pool.shutdown(wait=True)
     return payloads, failures, stats
+
+
+def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+    """Abandon ``pool``: cancel what is queued, then terminate and join
+    its worker processes.
+
+    ``shutdown(wait=False)`` alone leaves a stuck or still-busy worker
+    running after the sweep returns.  Spec workers write nothing to the
+    cache, so killing them loses only work the caller already gave up
+    on.  (Shard workers do write to the cache; the sharded fan-out
+    never calls this.)"""
+    processes = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.terminate()
+    for process in processes:
+        process.join()
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,11 @@ an EXPERIMENTS.md regeneration — and the merged output stays
 bit-identical.  The cache stores two kinds of objects today:
 
 * ``shard`` — one shard's measured delta (a pickled
-  :class:`~repro.core.engine.ShardResult`);
+  :class:`~repro.core.executor.ShardResult`);
 * ``snapshot`` — the machine state at a shard boundary (a
   :class:`~repro.core.snapshot.MachineSnapshot` blob), letting a later
   run resume mid-measurement instead of re-simulating from boot;
-* ``run`` — one whole completed :class:`~repro.core.engine.EngineRun`,
+* ``run`` — one whole completed :class:`~repro.core.executor.EngineRun`,
   letting the experiment service resolve a duplicate sweep without
   simulating at all (see :mod:`repro.core.cache_resolution`).
 

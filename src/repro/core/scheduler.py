@@ -3,15 +3,18 @@
 Top layer of the engine split (scheduler / executor / cache-resolution).
 The :mod:`~repro.core.executor` knows how to run one unit of work; the
 :mod:`~repro.core.cache_resolution` layer knows what is already banked;
-this module decides.  Two entry shapes share one orchestration path:
+this module decides, along one orchestration path:
 
-* the module functions :func:`run_specs` and
-  :func:`execute_spec_sharded` — the historical engine API, re-exported
-  by the :mod:`repro.core.engine` facade and bit-identical to it;
-* the :class:`Scheduler` — the multi-client front door used by the CLI
-  ``composite``/``sweep`` commands and the experiment service alike.
-  Every client's sweep funnels through ``Scheduler.run_specs``, so
-  there is one code path deciding execution, not one per client.
+* the :class:`Scheduler` is the front door.  Every CLI command that
+  runs a sweep (``composite``, ``sweep``, ``stats``) and the experiment
+  service call ``Scheduler.run_specs``, so one code path decides what
+  executes, whoever the client is;
+* what it executes goes through the module functions :func:`run_specs`
+  (a sweep of whole specs) or :func:`execute_spec_sharded` (one spec as
+  resumable shards);
+* both hand their tasks to the executor's one retry loop,
+  :func:`~repro.core.executor._run_pool_tasks`, which runs them
+  in-process for ``jobs <= 1`` and across a process pool otherwise.
 
 The Scheduler deduplicates three ways before spending simulation time.
 A spec's identity is its :func:`~repro.obs.provenance.config_hash`
@@ -49,7 +52,7 @@ import threading
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -71,6 +74,7 @@ from repro.core.executor import (
     RunSpec,
     ShardResult,
     _execute_shard_task_guarded,
+    _execute_spec_guarded,
     _ignore_progress,
     _pool_context,
     _run_pool_tasks,
@@ -89,8 +93,9 @@ def run_specs(
 ):
     """Execute ``specs``, ``jobs`` at a time; results keep spec order.
 
-    ``jobs <= 1`` runs sequentially in-process (no pool, no pickling
-    requirement) and is the reference behaviour: parallel execution
+    ``jobs <= 1`` runs in-process (no pool, no pickling requirement)
+    through the same retry loop as a pooled sweep
+    (:func:`~repro.core.executor._run_pool_tasks`); parallel execution
     produces bit-identical payloads, just faster.
 
     ``progress`` receives a :class:`ProgressEvent` when each spec is
@@ -98,22 +103,20 @@ def run_specs(
     live per-workload status lines.
 
     ``policy`` (a :class:`~repro.core.resilience.ResiliencePolicy`)
-    governs the failure behaviour; the default reproduces the
-    historical engine exactly — one attempt, no timeout, and a failing
-    spec raises :class:`EngineError` naming the spec and carrying the
-    worker-side traceback.  With ``policy.on_error == "collect"`` the
-    sweep is fail-soft: the return value is a
-    :class:`~repro.core.resilience.SweepResult` whose ``runs`` list has
-    ``None`` at failed indices and whose ``report`` tells the story.
-    A ``KeyboardInterrupt`` mid-sweep cancels outstanding work, persists
-    the partial report when the policy names a path, and re-raises as
+    governs the failure behaviour; the default is one attempt, no
+    timeout, and a failing spec raises :class:`EngineError` naming the
+    spec and carrying the worker-side traceback.  With
+    ``policy.on_error == "collect"`` the sweep is fail-soft: the return
+    value is a :class:`~repro.core.resilience.SweepResult` whose
+    ``runs`` list has ``None`` at failed indices and whose ``report``
+    tells the story.  A ``KeyboardInterrupt`` mid-sweep cancels
+    outstanding work, persists the partial report when the policy names
+    a path, and re-raises as
     :class:`~repro.core.resilience.SweepInterrupted`.
     """
-    from repro.core.executor import _execute_spec_guarded
     from repro.core.resilience import (
         FailureReport,
         ResiliencePolicy,
-        SpecFailure,
         SweepInterrupted,
         SweepResult,
     )
@@ -122,88 +125,8 @@ def run_specs(
     total = len(specs)
     notify = progress if progress is not None else _ignore_progress
     policy = policy if policy is not None else ResiliencePolicy()
-    max_attempts = policy.retry.max_attempts
-
     results: List[Optional[EngineRun]] = [None] * total
     report = FailureReport(total=total)
-
-    def interrupted(cause):
-        report.interrupted = True
-        report.completed = [
-            spec.name for spec, run in zip(specs, results) if run is not None
-        ]
-        if policy.interrupt_report_path:
-            report.save(policy.interrupt_report_path)
-        policy.record_report(report)
-        raise SweepInterrupted(report=report) from cause
-
-    def conclude():
-        report.completed = [
-            spec.name for spec, run in zip(specs, results) if run is not None
-        ]
-        policy.record_report(report)
-        if report.failures and policy.on_error == "raise":
-            first = min(report.failures, key=lambda failure: failure.index)
-            raise EngineError(first.name, first.worker_traceback or first.error)
-        if policy.on_error == "collect":
-            return SweepResult(runs=results, report=report)
-        return results
-
-    if jobs <= 1 or total <= 1:
-        try:
-            for index, spec in enumerate(specs):
-                notify(ProgressEvent("start", index, total, spec.name))
-                attempt = 1
-                while True:
-                    try:
-                        run = execute_spec(spec)
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:
-                        worker_tb = traceback.format_exc()
-                        if attempt < max_attempts:
-                            report.retries += 1
-                            notify(
-                                ProgressEvent(
-                                    "retry", index, total, spec.name, error=str(exc)
-                                )
-                            )
-                            policy.sleep(policy.retry.backoff(attempt))
-                            attempt += 1
-                            continue
-                        notify(
-                            ProgressEvent(
-                                "error", index, total, spec.name, error=str(exc)
-                            )
-                        )
-                        report.failures.append(
-                            SpecFailure(
-                                name=spec.name,
-                                index=index,
-                                attempts=attempt,
-                                kind="error",
-                                error=str(exc),
-                                worker_traceback=worker_tb,
-                            )
-                        )
-                        break
-                    if run.manifest is not None:
-                        run.manifest.attempts = attempt
-                    results[index] = run
-                    notify(
-                        ProgressEvent(
-                            "done", index, total, spec.name,
-                            wall_seconds=run.wall_seconds,
-                        )
-                    )
-                    break
-                if report.failures and policy.on_error == "raise":
-                    break
-        except KeyboardInterrupt as exc:
-            interrupted(exc)
-        return conclude()
-
-    workers = min(jobs, total)
 
     def describe(index):
         return specs[index].name
@@ -222,38 +145,48 @@ def run_specs(
     def on_retry(index, attempt, kind, error):
         notify(ProgressEvent("retry", index, total, specs[index].name, error=error))
 
-    def absorb(payloads):
+    def absorb(payloads, failures, stats):
         for index, (payload, attempts) in payloads.items():
             run = payload[1]
             if run.manifest is not None:
                 run.manifest.attempts = attempts
             results[index] = run
+        report.retries += stats["retries"]
+        report.timeouts += stats["timeouts"]
+        report.pool_respawns += stats["pool_respawns"]
+        report.degraded = stats["degraded"]
+        report.failures.extend(failures[index] for index in sorted(failures))
+        report.completed = [
+            spec.name for spec, run in zip(specs, results) if run is not None
+        ]
 
-    tasks = [(index, spec) for index, spec in enumerate(specs)]
+    tasks = list(enumerate(specs))
     try:
         payloads, failures, stats = _run_pool_tasks(
-            _execute_spec_guarded, tasks, workers, policy, describe,
+            _execute_spec_guarded, tasks, min(jobs, total), policy, describe,
             on_start=on_start, on_done=on_done, on_retry=on_retry,
         )
     except SweepInterrupted as stop:
-        absorb(stop.payloads)
-        report.retries += stop.stats.get("retries", 0)
-        report.timeouts += stop.stats.get("timeouts", 0)
-        report.pool_respawns += stop.stats.get("pool_respawns", 0)
-        report.failures.extend(
-            stop.failures[index] for index in sorted(stop.failures)
+        absorb(stop.payloads, stop.failures, stop.stats)
+        report.interrupted = True
+        if policy.interrupt_report_path:
+            report.save(policy.interrupt_report_path)
+        policy.record_report(report)
+        raise SweepInterrupted(report=report) from stop
+    absorb(payloads, failures, stats)
+    for failure in report.failures:
+        notify(
+            ProgressEvent(
+                "error", failure.index, total, failure.name, error=failure.error
+            )
         )
-        interrupted(stop)
-    absorb(payloads)
-    report.retries += stats["retries"]
-    report.timeouts += stats["timeouts"]
-    report.pool_respawns += stats["pool_respawns"]
-    report.degraded = stats["degraded"]
-    for index in sorted(failures):
-        failure = failures[index]
-        notify(ProgressEvent("error", index, total, failure.name, error=failure.error))
-        report.failures.append(failure)
-    return conclude()
+    policy.record_report(report)
+    if report.failures and policy.on_error == "raise":
+        first = report.failures[0]
+        raise EngineError(first.name, first.worker_traceback or first.error)
+    if policy.on_error == "collect":
+        return SweepResult(runs=results, report=report)
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +218,10 @@ def run_specs(
 # the lost worker would have returned.
 
 
+def _shard_name(spec: RunSpec, index: int, shards: int) -> str:
+    return "{}[shard {}/{}]".format(spec.name, index + 1, shards)
+
+
 def _open_chain_kernel(
     spec: RunSpec,
     boundaries: List[int],
@@ -304,9 +241,9 @@ def _open_chain_kernel(
     (which may be below ``start_index``, recomputing spans whose results
     are already known, because simulation state is only reachable by
     simulating)."""
-    # The fresh build goes through the engine facade so tests (and
-    # callers) can patch one well-known prepare_workload seam.
-    from repro.core import engine as _engine
+    # Resolved at call time so tests can patch the one well-known
+    # ``repro.core.experiment.prepare_workload`` seam.
+    from repro.core import experiment
 
     if cache is not None:
         for candidate in range(start_index, -1, -1):
@@ -316,7 +253,7 @@ def _open_chain_kernel(
             kernel, digest = load_cached_snapshot(cache, key)
             if kernel is not None:
                 return kernel, candidate, digest
-    kernel, _ = _engine.prepare_workload(
+    kernel, _ = experiment.prepare_workload(
         spec.workload,
         process_count=spec.process_count,
         seed_offset=spec.seed_offset,
@@ -357,7 +294,7 @@ def _run_shard_chain(
     )
     for index in range(anchor, end_index + 1):
         span = boundaries[index + 1] - boundaries[index]
-        name = "{}[shard {}/{}]".format(spec.name, index + 1, shards)
+        name = _shard_name(spec, index, shards)
         notify(ProgressEvent("start", index, shards, name))
         histogram, events, stats, wall = _measure_span(
             kernel, span, fault_key="{}@{}".format(spec.name, boundaries[index])
@@ -544,7 +481,7 @@ def execute_spec_sharded(
             if shard is None:
                 continue
             results[index] = shard
-            name = "{}[shard {}/{}]".format(spec.name, index + 1, shards)
+            name = _shard_name(spec, index, shards)
             notify(ProgressEvent("start", index, shards, name))
             notify(ProgressEvent("done", index, shards, name))
 
@@ -579,10 +516,7 @@ def execute_spec_sharded(
                     worker_cache_stats[name] += value
         notify(
             ProgressEvent(
-                "done",
-                index,
-                shards,
-                "{}[shard {}/{}]".format(spec.name, index + 1, shards),
+                "done", index, shards, _shard_name(spec, index, shards),
                 wall_seconds=payload[1].wall_seconds,
             )
         )
@@ -622,63 +556,27 @@ def execute_spec_sharded(
             for index in worker_indices
         ]
 
+        # One sequence for either shape: announce every fan-out shard,
+        # submit it to the pool (or run it inline with ``jobs <= 1``),
+        # run the chain meanwhile, then collect.
+        pool = None
         if worker_tasks and jobs > 1:
-            workers = min(jobs, len(worker_tasks))
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
-            futures = {}
-            joined = False
-            try:
-                for task in worker_tasks:
-                    notify(
-                        ProgressEvent(
-                            "start",
-                            task["index"],
-                            shards,
-                            "{}[shard {}/{}]".format(
-                                spec.name, task["index"] + 1, shards
-                            ),
-                        )
-                    )
-                    futures[pool.submit(_execute_shard_task_guarded, task)] = task[
-                        "index"
-                    ]
-                if chain_span is not None:
-                    try:
-                        run_chain(*chain_span)
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception:
-                        chain_failure = traceback.format_exc()
-                try:
-                    for future in as_completed(futures):
-                        collect(futures[future], future.result())
-                    joined = True
-                except BrokenProcessPool:
-                    # One dead worker poisons every outstanding future;
-                    # whatever did not finish falls to the repair chain.
-                    pool_respawns += 1
-                    for future, index in futures.items():
-                        if results[index] is None and index not in worker_failures:
-                            worker_failures[index] = (
-                                "process-pool worker died while the shard "
-                                "was in flight",
-                                "",
-                            )
-            finally:
-                # Join the workers once every shard has come back; a
-                # crash or an interrupt abandons whatever is in flight.
-                pool.shutdown(wait=joined, cancel_futures=True)
-        else:
+            pool = ProcessPoolExecutor(
+                max_workers=min(jobs, len(worker_tasks)), mp_context=_pool_context()
+            )
+        futures: Dict[Future, int] = {}
+        joined = False
+        try:
             for task in worker_tasks:
-                notify(
-                    ProgressEvent(
-                        "start",
-                        task["index"],
-                        shards,
-                        "{}[shard {}/{}]".format(spec.name, task["index"] + 1, shards),
-                    )
-                )
-                collect(task["index"], _execute_shard_task_guarded(task))
+                index = task["index"]
+                name = _shard_name(spec, index, shards)
+                notify(ProgressEvent("start", index, shards, name))
+                if pool is not None:
+                    future = pool.submit(_execute_shard_task_guarded, task)
+                else:
+                    future = Future()
+                    future.set_result(_execute_shard_task_guarded(task))
+                futures[future] = index
             if chain_span is not None:
                 try:
                     run_chain(*chain_span)
@@ -686,6 +584,26 @@ def execute_spec_sharded(
                     raise
                 except Exception:
                     chain_failure = traceback.format_exc()
+            try:
+                for future in futures if pool is None else as_completed(futures):
+                    collect(futures[future], future.result())
+                joined = True
+            except BrokenProcessPool:
+                # One dead worker poisons every outstanding future;
+                # whatever did not finish falls to the repair chain.
+                pool_respawns += 1
+                for index in futures.values():
+                    if results[index] is None and index not in worker_failures:
+                        worker_failures[index] = (
+                            "process-pool worker died while the shard "
+                            "was in flight",
+                            "",
+                        )
+        finally:
+            # Join the workers once every shard has come back; a crash
+            # or an interrupt abandons whatever is in flight.
+            if pool is not None:
+                pool.shutdown(wait=joined, cancel_futures=True)
 
     # Repair pass: anything still unfilled — a failed worker, a corrupt
     # snapshot, a faulted chain — is recomputed as one in-process chain
@@ -784,7 +702,7 @@ class _Ticket:
 
 
 class Scheduler:
-    """The multi-client front door over the executor and the cache.
+    """The front door over the executor and the cache.
 
     One instance serves every client — CLI commands construct a
     short-lived one per invocation; the experiment service keeps one
@@ -792,9 +710,10 @@ class Scheduler:
     call to :meth:`run_specs` partitions its sweep into specs that must
     execute and specs that resolve without executing (result index →
     in-flight attach → run cache, in that order), executes the
-    remainder through the one orchestration path shared with the
-    historical API, and publishes every completed run so concurrent and
-    future clients dedupe against it.
+    remainder through the module :func:`run_specs` (or
+    :func:`execute_spec_sharded` when ``shards > 1``), and publishes
+    every completed run so concurrent and future clients dedupe
+    against it.
 
     ``run_resolution`` additionally banks and resolves whole runs in
     the content-addressed cache (the service turns this on; shard-level
@@ -900,10 +819,9 @@ class Scheduler:
     def _execute_batch(self, specs: List[RunSpec], notify, policy):
         """The one orchestration path that actually executes work.
 
-        Unsharded sweeps go through :func:`run_specs` (pool or
-        sequential); ``shards > 1`` runs each spec through
-        :func:`execute_spec_sharded` with the composite's historical
-        collect/raise semantics.  Both shapes return the
+        Unsharded sweeps go through :func:`run_specs`; ``shards > 1``
+        runs each spec through :func:`execute_spec_sharded` with the
+        composite's collect/raise semantics.  Both shapes return the
         :func:`run_specs` contract: a runs list, or a
         :class:`~repro.core.resilience.SweepResult` in collect mode."""
         if self.shards <= 1:

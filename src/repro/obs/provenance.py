@@ -3,7 +3,7 @@
 The paper's experimenters could answer "which machine, which day, which
 workload, how long" for every histogram they banked; a simulator should
 do at least as well.  A :class:`RunManifest` pins down everything needed
-to reproduce (or distrust) one :class:`~repro.core.engine.EngineRun`:
+to reproduce (or distrust) one :class:`~repro.core.executor.EngineRun`:
 the spec's configuration hash, the seeds actually used, the code
 version (package version plus git commit when available), and the
 wall-clock timings.

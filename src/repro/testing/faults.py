@@ -29,7 +29,7 @@ Design constraints, in order:
 Sites currently instrumented (see the callers for exact keys):
 
 ========================  ====================================================
-``worker``                :func:`repro.core.engine._execute_spec_guarded`,
+``worker``                :func:`repro.core.executor._execute_spec_guarded`,
                           keyed by spec name — ``raise``/``crash``/``hang``
 ``shard.task``            sharded pool worker entry, keyed ``<spec>@<start>``
 ``shard.measure``         every measured shard span (chain *and* workers),
@@ -50,8 +50,9 @@ Sites currently instrumented (see the callers for exact keys):
                           error ``repro validate`` exists to refute)
 ========================  ====================================================
 
-Keep ``hang`` durations short (a couple of seconds): a timed-out pool
-worker finishes its sleep in the background before exiting.
+A hung spec worker is terminated when its pool is recycled, but a hung
+shard worker finishes its sleep before the sharded fan-out can join it:
+keep ``hang`` durations at the ``shard.*`` sites short.
 """
 
 from __future__ import annotations

@@ -118,6 +118,36 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Table 8" in out and "CPI" in out
 
+    def test_sweep_dedupes_repeated_values_through_the_scheduler(
+        self, capsys, monkeypatch
+    ):
+        # `sweep ... 4 4` names one configuration twice: the Scheduler
+        # executes it once and the attached copy still prints its row.
+        import repro.core.executor as executor_module
+        import repro.core.scheduler as scheduler_module
+
+        executed = []
+        real = executor_module.execute_spec
+
+        def spy(spec, *args, **kwargs):
+            executed.append(spec.name)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "execute_spec", spy)
+        monkeypatch.setattr(scheduler_module, "execute_spec", spy)
+        argv = ["sweep", "educational", "cache_kb", "4", "4",
+                "--instructions", "400", "--warmup", "100"]
+        assert main(argv) == 0
+        assert executed == ["educational", "educational[cache=4KB]"]
+        rows = [
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("educational")
+        ]
+        assert rows == [
+            "educational", "educational[cache=4KB]", "educational[cache=4KB]"
+        ]
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])

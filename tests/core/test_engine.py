@@ -5,18 +5,17 @@ import pickle
 
 import pytest
 
-from repro.core.engine import (
+from repro.core.executor import (
     EngineError,
     EngineRun,
     MachineConfig,
     ProgressEvent,
     RunSpec,
     execute_spec,
-    execute_spec_sharded,
     parallel_map,
-    run_specs,
     shard_boundaries,
 )
+from repro.core.scheduler import execute_spec_sharded, run_specs
 from repro.core.histogram_io import result_to_json
 from repro.core.monitor import UPCMonitor
 from repro.cpu import VAX780
@@ -314,7 +313,7 @@ class TestExecuteSpecSharded:
         # and the merge is still bit-identical.  Structural proof: with
         # every start snapshot cached, the engine must never build a
         # machine from scratch, so prepare_workload is poisoned.
-        import repro.core.engine as engine_module
+        import repro.core.experiment as experiment_module
         from repro.core.runcache import RunCache
 
         spec = RunSpec(workload="timesharing_light", **SMALL)
@@ -327,10 +326,14 @@ class TestExecuteSpecSharded:
                 "means the cache was bypassed"
             )
 
-        monkeypatch.setattr(engine_module, "prepare_workload", _must_not_rebuild)
+        monkeypatch.setattr(experiment_module, "prepare_workload", _must_not_rebuild)
         halved = execute_spec_sharded(spec, shards=2, cache=cache)
         _assert_bit_identical(halved, reference_run)
         assert halved.shard_count == 2
+        # The poison is live: a run with nothing cached must build from
+        # boot through the patched seam, and trips it.
+        with pytest.raises(EngineError, match="rebuilding from boot"):
+            execute_spec_sharded(spec, shards=2)
 
     def test_sharded_progress_events_name_the_shards(self):
         events = []

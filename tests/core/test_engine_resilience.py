@@ -7,16 +7,13 @@ sharded repair chain are all exercised against deterministically
 injected faults from :mod:`repro.testing.faults`.
 """
 
+import multiprocessing
 import os
 
 import pytest
 
-from repro.core.engine import (
-    EngineError,
-    RunSpec,
-    execute_spec_sharded,
-    run_specs,
-)
+from repro.core.executor import EngineError, RunSpec
+from repro.core.scheduler import execute_spec_sharded, run_specs
 from repro.core.resilience import (
     ResiliencePolicy,
     RetryPolicy,
@@ -26,7 +23,7 @@ from repro.core.resilience import (
 from repro.core.runcache import RunCache
 from repro.obs.metrics import MetricsRegistry, resilience_counters
 from repro.testing import faults
-from repro.testing.faults import FaultPlan, FaultRule
+from repro.testing.faults import FaultPlan, FaultRule, InjectedFault
 
 SMALL = dict(instructions=600, warmup_instructions=150)
 
@@ -117,6 +114,21 @@ class TestRetries:
         assert "faults.py" in excinfo.value.worker_traceback
 
 
+class TestSequentialPath:
+    def test_jobs_1_never_builds_a_pool(self, monkeypatch, golden):
+        # A sequential sweep runs the executor's retry loop in-process;
+        # it must not need (or pay for) a process pool.
+        import repro.core.executor as executor_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("jobs=1 constructed a process pool")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
+        sweep = run_specs(SPECS, jobs=1, policy=policy_with(on_error="collect"))
+        assert payloads_of(sweep.runs) == golden
+        assert not sweep.report.degraded
+
+
 class TestPoolCrashes:
     def test_crashed_worker_is_respawned_and_requeued(self, tmp_path, golden):
         plan = plan_with(
@@ -166,22 +178,62 @@ class TestTimeouts:
         assert counter(policy, "engine.spec_timeouts") >= 1
         assert counter(policy, "engine.pool_respawns") >= 1
 
+    def test_timed_out_worker_does_not_outlive_the_sweep(self, tmp_path):
+        # Recycling the pool abandons the stuck worker; it must be
+        # stopped, not left sleeping after run_specs returns.
+        plan = plan_with(
+            tmp_path,
+            FaultRule(
+                site="worker", action="hang", match="scientific", times=1,
+                seconds=8.0,
+            ),
+        )
+        with plan.active():
+            run_specs(SPECS, jobs=2, policy=policy_with(retries=1, spec_timeout=0.8))
+        assert multiprocessing.active_children() == []
+
+    def test_raise_mode_exit_does_not_leave_workers(self, tmp_path):
+        # One spec fails while the other hangs: the raise-mode early
+        # exit abandons the hung worker and must stop it.
+        plan = plan_with(
+            tmp_path,
+            FaultRule(site="worker", action="raise", match="scientific", times=-1),
+            FaultRule(
+                site="worker", action="hang", match="timesharing_light",
+                times=-1, seconds=8.0,
+            ),
+        )
+        with plan.active():
+            with pytest.raises(EngineError):
+                run_specs(SPECS, jobs=2, policy=policy_with(retries=0))
+        assert multiprocessing.active_children() == []
+
 
 class TestCollectMode:
-    def test_partial_results_plus_structured_report(self, tmp_path, golden):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_partial_results_plus_structured_report(self, tmp_path, golden, jobs):
         plan = plan_with(
             tmp_path,
             FaultRule(site="worker", action="raise", match="scientific", times=-1),
         )
         policy = policy_with(retries=1, on_error="collect")
         with plan.active():
-            sweep = run_specs(SPECS, jobs=1, policy=policy)
+            sweep = run_specs(SPECS, jobs=jobs, policy=policy)
         assert isinstance(sweep, SweepResult)
         assert sweep.runs[1] is None
         assert payloads_of([sweep.runs[0]]) == golden[:1]
         (failure,) = sweep.report.failures
-        assert failure.name == "scientific"
-        assert failure.attempts == 2
+        # Sequential and pooled sweeps share one retry loop, so they
+        # report the same failure: the error is the traceback's last line.
+        assert (
+            failure.name, failure.index, failure.attempts, failure.kind,
+            failure.error,
+        ) == (
+            "scientific", 1, 2, "error",
+            "{}.{}: injected fault at site 'worker' (key 'scientific')".format(
+                InjectedFault.__module__, InjectedFault.__qualname__
+            ),
+        )
         assert 'File "' in failure.worker_traceback
         assert sweep.report.completed == ["timesharing_light"]
         assert counter(policy, "engine.spec_failures") == 1
@@ -242,14 +294,15 @@ class TestShardedFailureDiagnostics:
         assert 'File "' in message and "faults.py" in message
 
     def test_worker_traceback_and_cached_status_in_error(self, tmp_path):
-        from repro.core.engine import _shard_cache_keys, shard_boundaries
+        from repro.core.cache_resolution import shard_cache_keys
+        from repro.core.executor import shard_boundaries
 
         spec = RunSpec(workload="timesharing_light", **SMALL)
         cache = RunCache(str(tmp_path / "cache"))
         execute_spec_sharded(spec, shards=3, jobs=1, cache=cache)
         # evict one finished shard so the warm run must recompute it
         boundaries = shard_boundaries(spec.instructions, 3)
-        _, shard_keys, _ = _shard_cache_keys(spec, boundaries)
+        _, shard_keys, _ = shard_cache_keys(spec, boundaries)
         os.unlink(cache._object_path(shard_keys[1]))
         plan = plan_with(
             tmp_path,

@@ -1,86 +1,56 @@
-"""The engine split: a thin facade over three real layers.
+"""The engine split: three real layers and one live build seam.
 
-``repro.core.engine`` used to be a 1300-line monolith; it is now a
-re-export facade over ``executor`` / ``cache_resolution`` /
-``scheduler``.  These tests pin the split's contract: the facade stays
-thin, every historical import keeps working, the layering is acyclic,
-and the live ``prepare_workload`` patch seam still intercepts fresh
-builds triggered anywhere in the layers.
+The engine is three layers — ``executor`` / ``cache_resolution`` /
+``scheduler``.  These tests pin the split's contract: the layering is
+acyclic and never loads the ``core/engine.py`` shim, and the live
+``repro.core.experiment.prepare_workload`` patch seam still intercepts
+fresh builds triggered anywhere in the layers.
 """
 
 import subprocess
 import sys
 
-import repro.core.engine as engine
-
-
-class TestFacadeShape:
-    def test_facade_stays_thin(self):
-        # The acceptance bar for the split: engine.py is a facade, not a
-        # place where orchestration logic quietly reaccumulates.
-        with open(engine.__file__) as handle:
-            assert len(handle.readlines()) <= 300
-
-    def test_all_exports_resolve(self):
-        for name in engine.__all__:
-            assert getattr(engine, name) is not None
-
-    def test_historical_surface(self):
-        # Every name the rest of the repo (and its tests) import from
-        # the engine, public and private spellings alike.
-        for name in (
-            "EngineError", "EngineRun", "MachineConfig", "ProgressCallback",
-            "ProgressEvent", "RunSpec", "ShardResult", "execute_spec",
-            "execute_spec_sharded", "parallel_map", "prepare_workload",
-            "run_specs", "shard_boundaries", "Scheduler",
-            "_execute_shard_task", "_execute_spec_guarded",
-            "_load_cached_snapshot", "_shard_cache_keys", "_store_shard",
-            "_store_boundary_snapshot",
-        ):
-            assert hasattr(engine, name), name
-
-    def test_layers_own_their_pieces(self):
-        assert engine.execute_spec.__module__ == "repro.core.executor"
-        assert engine.store_shard.__module__ == "repro.core.cache_resolution"
-        assert engine.run_specs.__module__ == "repro.core.scheduler"
-        assert engine.Scheduler.__module__ == "repro.core.scheduler"
+import repro.core.experiment as experiment
+from repro.core.executor import RunSpec
+from repro.core.scheduler import execute_spec_sharded
 
 
 class TestLayering:
     def test_layers_import_without_the_facade(self):
-        # The layers must not need the facade: importing any one of them
-        # in a fresh interpreter must not pull repro.core.engine in
-        # (only the facade depends on the layers, never the reverse).
+        # The layers must not need the shim: importing any one of them
+        # in a fresh interpreter must not load core/engine.py.
         for module in (
             "repro.core.executor",
             "repro.core.cache_resolution",
             "repro.core.scheduler",
         ):
             probe = (
-                "import sys\n"
+                "import os, sys\n"
                 "import {}\n"
-                "assert 'repro.core.engine' not in sys.modules, 'cycle'\n"
+                "shim = os.path.join('core', 'engine.py')\n"
+                "files = [getattr(m, '__file__', None) or ''"
+                " for m in list(sys.modules.values())]\n"
+                "assert not [f for f in files if f.endswith(shim)], 'cycle'\n"
             ).format(module)
             subprocess.run(
                 [sys.executable, "-c", probe], check=True, timeout=120
             )
 
     def test_prepare_workload_seam_is_live(self, monkeypatch):
-        # The sharded chain opener resolves prepare_workload through the
-        # facade at call time; patching the facade must intercept it.
+        # The sharded chain opener resolves prepare_workload through
+        # repro.core.experiment at call time; patching it there must
+        # intercept the fresh build.
         calls = []
-        real = engine.prepare_workload
+        real = experiment.prepare_workload
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "prepare_workload", spy)
-        run = engine.execute_spec_sharded(
-            engine.RunSpec(
-                workload="educational", instructions=600, warmup_instructions=100
-            ),
+        monkeypatch.setattr(experiment, "prepare_workload", spy)
+        run = execute_spec_sharded(
+            RunSpec(workload="educational", instructions=600, warmup_instructions=100),
             shards=2,
         )
-        assert calls, "the facade seam was bypassed"
+        assert calls, "the prepare_workload seam was bypassed"
         assert run.result.instructions > 0

@@ -182,7 +182,7 @@ class TestConcurrencySafety:
     def test_parallel_puts_of_same_object(self, cache):
         # Simulate the pool-worker race: many writers, one key. Every
         # writer must exit cleanly and the object must be whole.
-        from repro.core.engine import parallel_map
+        from repro.core.executor import parallel_map
 
         key = cache_key("test", payload="race")
         root = cache.root

@@ -16,8 +16,9 @@ import threading
 
 import pytest
 
-import repro.core.scheduler as scheduler_module
-from repro.core.engine import RunSpec, Scheduler, execute_spec
+import repro.core.executor as executor_module
+from repro.core.executor import RunSpec, execute_spec
+from repro.core.scheduler import Scheduler
 from repro.core.runcache import RunCache
 from repro.obs.metrics import MetricsRegistry
 
@@ -40,13 +41,13 @@ def metrics():
 class TestBatchDedupe:
     def test_duplicate_specs_execute_once(self, metrics, monkeypatch):
         executions = []
-        real = scheduler_module.execute_spec
+        real = executor_module.execute_spec
 
         def counting(spec):
             executions.append(spec.name)
             return real(spec)
 
-        monkeypatch.setattr(scheduler_module, "execute_spec", counting)
+        monkeypatch.setattr(executor_module, "execute_spec", counting)
         scheduler = Scheduler(metrics=metrics)
         runs = scheduler.run_specs([_spec(), _spec(), _spec(seed_offset=1)])
         assert executions == ["educational", "educational"]  # dup collapsed
@@ -98,7 +99,7 @@ class TestResultIndex:
             run.spec = spec
             return run
 
-        monkeypatch.setattr(scheduler_module, "execute_spec", fake)
+        monkeypatch.setattr(executor_module, "execute_spec", fake)
         scheduler = Scheduler(metrics=metrics, result_index_size=2)
         for offset in (1, 2, 3):
             scheduler.run_specs([_spec(seed_offset=offset)])
@@ -130,7 +131,7 @@ class TestInflightAttach:
             assert release.wait(30)
             return copy.deepcopy(golden)
 
-        monkeypatch.setattr(scheduler_module, "execute_spec", gated)
+        monkeypatch.setattr(executor_module, "execute_spec", gated)
         scheduler = Scheduler(metrics=metrics)
         results = {}
 
@@ -165,7 +166,7 @@ class TestInflightAttach:
         assert scheduler.stats_snapshot()["inflight"] == 0
 
     def test_owner_failure_releases_waiters_with_error(self, metrics, monkeypatch):
-        from repro.core.engine import EngineError
+        from repro.core.executor import EngineError
 
         entered = threading.Event()
         release = threading.Event()
@@ -175,7 +176,7 @@ class TestInflightAttach:
             assert release.wait(30)
             raise RuntimeError("injected execution failure")
 
-        monkeypatch.setattr(scheduler_module, "execute_spec", failing)
+        monkeypatch.setattr(executor_module, "execute_spec", failing)
         scheduler = Scheduler(metrics=metrics)
         failures = {}
 
@@ -206,7 +207,7 @@ class TestInflightAttach:
         # A non-EngineError escaping the owner's batch leaves its tickets
         # to the cleanup path; the attached client's error must still
         # name the spec it was waiting on.
-        from repro.core.engine import EngineError
+        from repro.core.executor import EngineError
 
         entered = threading.Event()
         release = threading.Event()

@@ -12,13 +12,9 @@ import os
 
 import pytest
 
-from repro.core.engine import (
-    RunSpec,
-    _shard_cache_keys,
-    execute_spec_sharded,
-    run_specs,
-    shard_boundaries,
-)
+from repro.core.cache_resolution import shard_cache_keys
+from repro.core.executor import RunSpec, shard_boundaries
+from repro.core.scheduler import execute_spec_sharded, run_specs
 from repro.core.resilience import ResiliencePolicy, RetryPolicy
 from repro.core.runcache import RunCache
 from repro.obs.metrics import MetricsRegistry, resilience_counters
@@ -94,7 +90,7 @@ class TestShardedSelfHealing:
         cache = RunCache(str(tmp_path / "cache"))
         golden = execute_spec_sharded(SPEC, shards=SHARDS, jobs=1, cache=cache)
         boundaries = shard_boundaries(SPEC.instructions, SHARDS)
-        _, shard_keys, snapshot_keys = _shard_cache_keys(SPEC, boundaries)
+        _, shard_keys, snapshot_keys = shard_cache_keys(SPEC, boundaries)
         return cache, golden, boundaries, shard_keys, snapshot_keys
 
     def test_corrupt_shard_and_snapshot_are_quarantined_and_recomputed(

@@ -11,7 +11,8 @@ import os
 
 import pytest
 
-from repro.core.engine import RunSpec, run_specs
+from repro.core.executor import RunSpec
+from repro.core.scheduler import run_specs
 from repro.core.experiment import run_composite_experiment
 from repro.core.histogram_io import result_to_json
 from repro.core import tables
@@ -96,7 +97,7 @@ class TestParallelFanOut:
     """
 
     def test_specs_execute_outside_the_coordinator(self):
-        from repro.core.engine import parallel_map
+        from repro.core.executor import parallel_map
 
         pids = parallel_map(_worker_pid, range(4), jobs=4)
         assert len(pids) == 4
@@ -108,7 +109,7 @@ class TestShardedRerunSpeedup:
     def test_warm_cache_rerun_is_faster(self, tmp_path):
         import time
 
-        from repro.core.engine import execute_spec_sharded
+        from repro.core.scheduler import execute_spec_sharded
         from repro.core.runcache import RunCache
 
         spec = RunSpec(

@@ -1,6 +1,6 @@
 """Run manifests and config hashing."""
 
-from repro.core.engine import MachineConfig, RunSpec
+from repro.core.executor import MachineConfig, RunSpec
 from repro.obs.provenance import RunManifest, code_version, config_hash
 
 

@@ -22,7 +22,8 @@ import threading
 
 import pytest
 
-from repro.core.engine import RunSpec, execute_spec_sharded
+from repro.core.executor import RunSpec
+from repro.core.scheduler import execute_spec_sharded
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import config_hash
 from repro.service import api

@@ -10,7 +10,7 @@ import socket
 
 import pytest
 
-from repro.core.engine import EngineError, MachineConfig, RunSpec, execute_spec
+from repro.core.executor import EngineError, MachineConfig, RunSpec, execute_spec
 from repro.service import api
 from repro.service.client import ClientError, ServiceClient
 from repro.service.server import ExperimentService
