@@ -1,4 +1,4 @@
-"""Compiled micro-routine hot path: replay programs for the EBOX.
+"""Compiled micro-routine hot path: replay records for the EBOX.
 
 The interpreted EBOX charges every microcycle one ``_tick`` at a time:
 each simulated cycle is a Python call chain (slot lookup, monitor
@@ -19,42 +19,40 @@ Three layers:
   sequences its compute charges produce, patched-entry abort detour
   included.
 * :func:`compile_record` — the trace-JIT.  Given the raw bytes of one
-  instruction it merges the routine programs along the decode →
-  specifier → execute path into an :class:`InstructionRecord`: an op
-  list of CONSUME / ADVANCE / SPEC / BRANCH steps that preserves the
-  interpreted path's exact interleaving of I-stream consumption, cycle
-  charging, event counting and memory references (so the cache, TB,
-  write buffer and prefetcher see byte-identical traffic, and
-  ``Counter`` key insertion order is preserved) while batching
-  everything else.  Records are keyed by raw instruction bytes — the
-  uops.info keying: one record per opcode × specifier-mode
-  (× displacement) variant — and shared by every machine on the same
-  layout.
+  instruction it builds an :class:`InstructionRecord`: an op list of
+  CONSUME / ADVANCE / SPEC / BRANCH steps in the interpreter's exact
+  order of I-stream consumption, cycle charging, event counting and
+  memory references, with adjacent charges batched.  What a specifier
+  means and costs comes from the interpreter's own
+  :func:`~repro.cpu.operands.plan_specifier`: the plan's charges become
+  ADVANCE ops, and its SPEC op calls the shared
+  :func:`~repro.cpu.operands.resolve_operand`.  Records are keyed by
+  raw instruction bytes — the uops.info keying: one record per opcode
+  × specifier-mode (× displacement) variant — and shared by every
+  machine on the same layout.
 * :func:`execute_record` — the replay engine ``EBox.step`` dispatches
   to.  It bails out *before mutating anything* unless the
   instruction's full byte image is either already in the IB or
-  provably on its way: a side-effect-free lookahead (:func:`peek_image`
-  / ``_image_ready``) checks that no fill or TB miss is in flight and
-  that the TB-resident pages ahead of the prefetcher hold exactly the
-  record's remaining bytes.  Mid-replay IB under-runs (the buffer was
-  flushed by a taken branch and refills during the instruction) ride
-  the interpreter's own ``_take_bytes`` stall loop, one consume per
-  interpreted ``take``, so stall cycles land on the same wait routine
-  at the same instant.  The other dynamic events (read/write stalls,
-  TB misses, page faults, unaligned detours) are handled by the same
-  ``EBox.data_read`` / ``data_write`` code the interpreter uses, so
-  they are equivalent by construction.
+  provably on its way (:func:`peek_image` / ``_image_ready``: no fill
+  or TB miss in flight, and the TB-resident pages ahead of the
+  prefetcher hold exactly the record's remaining bytes).  Everything
+  dynamic then runs through the interpreter's own code: IB under-runs
+  through ``EBox._take_bytes`` (one consume per interpreted ``take``,
+  so stall cycles land on the same wait routine at the same instant),
+  and read/write stalls, TB misses, page faults and unaligned detours
+  through ``EBox.data_read`` / ``data_write``.  Interrupts are
+  delivered before dispatch, so a record never sees one.
 
-Anything the replay cannot prove static falls back to the interpreted
-path: I-stream bytes neither buffered nor verifiable ahead of the
-prefetcher, instructions longer than the 16-byte image cap,
-unknown opcodes or missing execute semantics, illegal specifier
-combinations (the interpreter raises the architectural exception),
-attached tracers, nonstandard monitor boards, and the
-``REPRO_NO_COMPILE=1`` environment switch (the differential harness
-runs every workload both ways).  Machine snapshots never contain replay
-state, so a snapshot is byte-identical whether the run that produced it
-was compiled or interpreted.
+An execution falls back to the interpreted path when the record's bytes
+are neither buffered nor verifiable ahead of the prefetcher, or when the
+instruction can never compile: longer than the 16-byte image cap, an
+unknown opcode or one without execute semantics, or an illegal
+specifier (the interpreter raises the architectural exception).  The
+whole path is off under an attached tracer, a nonstandard monitor
+board, an armed cost-skew fault, or ``REPRO_NO_COMPILE=1`` (the
+differential harness runs every workload both ways).  Machine snapshots
+never contain replay state, so a snapshot is byte-identical whether the
+run that produced it was compiled or interpreted.
 """
 
 from __future__ import annotations
@@ -64,21 +62,18 @@ from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 from repro.cpu.operands import (
+    IllegalInstruction,
     IllegalSpecifier,
-    OperandRef,
+    decode_branch_displacement,
     decode_specifier,
-    expand_float_literal,
+    merges_execute,
+    plan_specifier,
+    resolve_operand,
 )
-from repro.isa.datatypes import DataType, f_floating_encode
-from repro.isa.opcodes import OPCODES, OpcodeGroup
-from repro.isa.specifiers import (
-    AccessType,
-    AddressingMode,
-    TABLE4_ROW_FOR_MODE,
-)
+from repro.isa.opcodes import OPCODES
+from repro.isa.specifiers import AccessType
 from repro.memory.pagetable import PAGE_SIZE
 from repro.ucode.control_store import CONTROL_STORE_SIZE
-from repro.ucode.costs import INDEX_EXTRA_CYCLES, SPEC_COSTS
 from repro.ucode.microword import MicroSlot
 
 #: Environment switch: set to 1/true/yes/on to force the interpreted path.
@@ -94,63 +89,15 @@ _MAX_IMAGE = 16
 #: records still execute but are not retained.
 _RECORD_CACHE_CAP = 65_536
 
-_MASK32 = 0xFFFFFFFF
-
 _COMPUTE_A = MicroSlot.COMPUTE_A.value
 _COMPUTE_B = MicroSlot.COMPUTE_B.value
 
 # Replay op kinds (tuple tag ints, matched in execute_record).
 OP_CONSUME = 0  # (OP_CONSUME, byte_count, wait_routine)
 OP_ADVANCE = 1  # (OP_ADVANCE, cycles, ((bucket, count), ...))
-OP_SPEC = 2  # (OP_SPEC, SpecTemplate)
+OP_SPEC = 2  # (OP_SPEC, SpecPlan)
 OP_BRANCH = 3  # (OP_BRANCH, width, displacement)
 OP_DECODE_TICK = 4  # (OP_DECODE_TICK, cycles, incs) — decode_overlap only
-
-# Specifier template kinds.
-K_VALUE = 0  # short literal / immediate: value precomputed
-K_REGISTER = 1
-K_MEMORY = 2
-
-# Effective-address kinds for K_MEMORY templates.
-EA_REG_DEFERRED = 0
-EA_AUTOINCREMENT = 1
-EA_AUTODECREMENT = 2
-EA_AUTOINCREMENT_DEFERRED = 3
-EA_DISPLACEMENT = 4
-EA_DISPLACEMENT_DEFERRED = 5
-EA_ABSOLUTE = 6
-EA_RELATIVE = 7
-EA_RELATIVE_DEFERRED = 8
-
-_EA_KIND = {
-    AddressingMode.REGISTER_DEFERRED: EA_REG_DEFERRED,
-    AddressingMode.AUTOINCREMENT: EA_AUTOINCREMENT,
-    AddressingMode.AUTODECREMENT: EA_AUTODECREMENT,
-    AddressingMode.AUTOINCREMENT_DEFERRED: EA_AUTOINCREMENT_DEFERRED,
-    AddressingMode.BYTE_DISPLACEMENT: EA_DISPLACEMENT,
-    AddressingMode.WORD_DISPLACEMENT: EA_DISPLACEMENT,
-    AddressingMode.LONG_DISPLACEMENT: EA_DISPLACEMENT,
-    AddressingMode.BYTE_DISPLACEMENT_DEFERRED: EA_DISPLACEMENT_DEFERRED,
-    AddressingMode.WORD_DISPLACEMENT_DEFERRED: EA_DISPLACEMENT_DEFERRED,
-    AddressingMode.LONG_DISPLACEMENT_DEFERRED: EA_DISPLACEMENT_DEFERRED,
-    AddressingMode.ABSOLUTE: EA_ABSOLUTE,
-    AddressingMode.BYTE_RELATIVE: EA_RELATIVE,
-    AddressingMode.WORD_RELATIVE: EA_RELATIVE,
-    AddressingMode.LONG_RELATIVE: EA_RELATIVE,
-    AddressingMode.BYTE_RELATIVE_DEFERRED: EA_RELATIVE_DEFERRED,
-    AddressingMode.WORD_RELATIVE_DEFERRED: EA_RELATIVE_DEFERRED,
-    AddressingMode.LONG_RELATIVE_DEFERRED: EA_RELATIVE_DEFERRED,
-}
-
-_DTYPE_SIZE = {
-    DataType.BYTE: 1,
-    DataType.WORD: 2,
-    DataType.LONG: 4,
-    DataType.QUAD: 8,
-    DataType.F_FLOAT: 4,
-    DataType.PACKED: 1,
-    DataType.VARIABLE_FIELD: 4,
-}
 
 
 def compile_disabled_by_env() -> bool:
@@ -438,38 +385,6 @@ def specialize_layout(layout) -> LayoutReplay:
 # ---------------------------------------------------------------------------
 
 
-class SpecTemplate:
-    """One operand specifier, fully resolved at compile time.
-
-    Everything ``EBox._process_specifier_impl`` derives per execution —
-    addressing mode, registers, extension, sizes, routine, event keys —
-    is precomputed; only register contents and memory traffic remain
-    dynamic.
-    """
-
-    __slots__ = (
-        "kind",
-        "ea_kind",
-        "spec",
-        "mode",
-        "register",
-        "extension",
-        "size",
-        "routine",
-        "row",
-        "position_class",
-        "is_indexed",
-        "index_register",
-        "value",
-        "rel_partial",
-        "read_value",
-        "reg_quad",
-        "reg_mask",
-        "count_key",
-        "length",
-    )
-
-
 class InstructionRecord:
     """A compiled instruction: the merged replay program.
 
@@ -579,8 +494,8 @@ class _OpBuilder:
         else:
             ops.append((OP_ADVANCE, cycles, tuple(incs)))
 
-    def spec(self, template):
-        self.ops.append((OP_SPEC, template))
+    def spec(self, plan):
+        self.ops.append((OP_SPEC, plan))
 
     def branch(self, width, displacement):
         self.ops.append((OP_BRANCH, width, displacement))
@@ -597,10 +512,10 @@ def compile_record(layout, raw, decode_overlap: bool):
 
     Returns an :class:`InstructionRecord`, or a :class:`NeverRecord`
     when the prefix proves the instruction permanently uncompilable
-    (unknown opcode, no execute semantics, illegal specifier
-    combination, longer than the IB); raises :class:`_NeedMoreBytes`
-    when ``raw`` is a prefix of a longer instruction and more bytes
-    could change the answer.
+    (unknown opcode, no execute semantics, illegal specifier, longer
+    than the 16-byte image cap); raises :class:`_NeedMoreBytes` when
+    ``raw`` is a prefix of a longer instruction and more bytes could
+    change the answer.
     """
     from repro.cpu.semantics import HANDLERS
 
@@ -630,27 +545,20 @@ def compile_record(layout, raw, decode_overlap: bool):
 
     last_source_routine = None
     last_operand_mode = None
-    operand_count = 0
 
     try:
         for position, spec in enumerate(opcode.operands):
             if spec.access is AccessType.BRANCH:
-                width = _DTYPE_SIZE[spec.dtype]
-                value = int.from_bytes(cursor.take(width), "little")
-                if value & (1 << (8 * width - 1)):
-                    value -= 1 << (8 * width)
+                width, value = decode_branch_displacement(cursor.take, spec.dtype)
                 builder.consume(width, layout.bdisp)
                 builder.branch(width, value)
                 continue
 
-            template = _compile_specifier(
-                replay, layout, position, spec, cursor, builder
-            )
-            builder.spec(template)
-            operand_count += 1
-            last_operand_mode = template.mode
+            plan = _compile_specifier(replay, layout, position, spec, cursor, builder)
+            builder.spec(plan)
+            last_operand_mode = plan.mode
             if spec.access is AccessType.READ:
-                last_source_routine = template.routine
+                last_source_routine = plan.routine
     except _Uncompilable:
         return NeverRecord(bytes(raw[: min(cursor.pos, _MAX_IMAGE)]))
 
@@ -662,121 +570,35 @@ def compile_record(layout, raw, decode_overlap: bool):
     record.mnemonic = opcode.mnemonic
     record.handler = handler
     record.exec_routine = layout.execute[opcode.mnemonic]
-    record.merge_pending = (
-        opcode.group in (OpcodeGroup.SIMPLE, OpcodeGroup.FIELD)
-        and last_source_routine is not None
-        and operand_count > 0
-        and last_operand_mode
-        in (AddressingMode.REGISTER, AddressingMode.SHORT_LITERAL)
+    record.merge_pending = merges_execute(
+        opcode, last_source_routine, last_operand_mode
     )
     record.last_source_routine = last_source_routine
     return record
 
 
 def _compile_specifier(replay, layout, position, spec, cursor, builder):
-    """Compile one operand specifier into charge ops + a SpecTemplate.
+    """Compile one operand specifier into charge ops; returns its plan.
 
-    Event increments ride on the template and are applied inside the
-    SPEC step, at the same point relative to possible fault sites as
-    the interpreter's, and in the same per-specifier order (Counter
-    key insertion order is part of the bit-identity contract).
+    One CONSUME per interpreted take (spec byte, index base byte,
+    extension ...), all waiting on this position's wait routine, then
+    one ADVANCE per compute charge.  The specifier's event counts and
+    memory traffic happen when the SPEC op resolves the plan.
     """
-    is_first = position == 0
-    wait_routine = layout.spec1_wait if is_first else layout.spec26_wait
     first_take = len(cursor.takes)
     try:
-        decoded = decode_specifier(cursor.take, spec.dtype)
-    except IllegalSpecifier:
+        plan = plan_specifier(
+            layout, position, spec, decode_specifier(cursor.take, spec.dtype)
+        )
+    except (IllegalSpecifier, IllegalInstruction):
+        # The interpreter raises the architectural exception.
         raise _Uncompilable()
-
-    position_class = "spec1" if is_first else "spec26"
-    mode = decoded.mode
-
-    # Microcode sharing: indexed specifiers run the shared index
-    # microcode in the SPEC2-6 region, even for first specifiers.
-    if decoded.is_indexed:
-        routine_bank = layout.spec26
-    else:
-        routine_bank = layout.spec1 if is_first else layout.spec26
-    routine = routine_bank[mode]
-
-    # One CONSUME per interpreted take (spec byte, index base byte,
-    # extension ...), all waiting on this position's wait routine.
+    wait_routine = layout.spec1_wait if position == 0 else layout.spec26_wait
     for count in cursor.takes[first_take:]:
         builder.consume(count, wait_routine)
-    if decoded.is_indexed:
-        cycles, incs = replay.program_for(layout.index_shared).compute_incs(
-            INDEX_EXTRA_CYCLES
-        )
-        builder.advance(cycles, incs)
-    cost = SPEC_COSTS[mode]
-    cycles, incs = replay.program_for(routine).compute_incs(cost.address_cycles)
-    builder.advance(cycles, incs)
-
-    template = SpecTemplate()
-    template.spec = spec
-    template.mode = mode
-    template.register = decoded.register
-    template.extension = decoded.extension
-    template.size = _DTYPE_SIZE[spec.dtype]
-    template.routine = routine
-    template.row = "spec1" if is_first else "spec2_6"
-    template.position_class = position_class
-    template.is_indexed = decoded.is_indexed
-    template.index_register = decoded.index_register
-    template.value = None
-    template.rel_partial = 0
-    template.read_value = False
-    template.reg_quad = False
-    template.reg_mask = 0
-    template.count_key = (position_class, TABLE4_ROW_FOR_MODE[mode])
-    template.length = decoded.length
-    template.ea_kind = -1
-
-    access = spec.access
-    if mode is AddressingMode.SHORT_LITERAL:
-        if access not in (AccessType.READ, AccessType.VFIELD):
-            raise _Uncompilable()  # interpreter raises IllegalInstruction
-        template.kind = K_VALUE
-        if spec.dtype is DataType.F_FLOAT:
-            template.value = f_floating_encode(
-                expand_float_literal(decoded.extension)
-            )
-        else:
-            template.value = decoded.extension
-        return template
-
-    if mode is AddressingMode.IMMEDIATE:
-        if access not in (AccessType.READ, AccessType.VFIELD):
-            raise _Uncompilable()
-        template.kind = K_VALUE
-        template.value = decoded.extension
-        return template
-
-    if mode is AddressingMode.REGISTER:
-        if access is AccessType.ADDRESS:
-            raise _Uncompilable()
-        template.kind = K_REGISTER
-        if access in (AccessType.READ, AccessType.MODIFY, AccessType.VFIELD):
-            template.read_value = True
-            # A field base in a register means the field lives in the
-            # register itself: whole longword regardless of dtype.
-            dtype = DataType.LONG if access is AccessType.VFIELD else spec.dtype
-            if dtype is DataType.QUAD:
-                template.reg_quad = True
-            else:
-                template.reg_mask = (1 << (8 * _DTYPE_SIZE[dtype])) - 1
-        return template
-
-    # Memory modes.
-    template.kind = K_MEMORY
-    template.ea_kind = _EA_KIND[mode]
-    if template.ea_kind in (EA_RELATIVE, EA_RELATIVE_DEFERRED):
-        # decode_va at EA time = instruction start VA + bytes consumed
-        # through this specifier; the extension folds in statically.
-        template.rel_partial = cursor.pos + decoded.extension
-    template.read_value = access in (AccessType.READ, AccessType.MODIFY)
-    return template
+    for routine, cycles in plan.charges:
+        builder.advance(*replay.program_for(routine).compute_incs(cycles))
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -866,10 +688,10 @@ def resolve(layout, buf, decode_overlap: bool, stats=None):
 def clear_record_caches() -> None:
     """Drop every layout's record cache.
 
-    Benchmarks call this between arms so each run re-resolves and
-    re-compiles from cold under the current environment knobs (machines
-    built afterwards start with empty per-machine caches; the
-    layout-wide byte-keyed caches are what persists across machines).
+    Benchmarks and tests call this between arms so each arm compiles
+    its records from cold (machines built afterwards start with empty
+    per-machine caches; the layout-wide byte-keyed caches are what
+    persists across machines).
     """
     _LAYOUT_RECORDS.clear()
 
@@ -1005,7 +827,7 @@ def peek_image(ebox):
 # ---------------------------------------------------------------------------
 
 
-def execute_record(record, ebox, start_va) -> bool:
+def execute_record(record, ebox) -> bool:
     """Replay one compiled instruction on ``ebox``.
 
     Returns False — with **no state mutated** — when the record's byte
@@ -1026,8 +848,6 @@ def execute_record(record, ebox, start_va) -> bool:
     collecting = board is not None and board._collecting
     counts = board._counts if collecting else None
     ib_run = ebox._ib_run
-    regs = ebox.regs
-    data_read = ebox.data_read
     redirects_before = ib.stats.redirects
 
     ebox._instruction_start_cycle = ebox.cycle_count
@@ -1060,71 +880,7 @@ def execute_record(record, ebox, start_va) -> bool:
                 # consumes when the bytes land.
                 ebox._take_bytes(count, op[2])
         elif kind == OP_SPEC:
-            template = op[1]
-            # Event accounting sits here — before this specifier's
-            # memory traffic, after the previous one's — exactly where
-            # the interpreter puts it relative to fault sites.
-            if template.is_indexed:
-                events.indexed_specifiers[template.position_class] += 1
-            events.specifier_counts[template.count_key] += 1
-            events.specifier_bytes += template.length
-            tkind = template.kind
-            if tkind == K_MEMORY:
-                ea_kind = template.ea_kind
-                register = template.register
-                if ea_kind == EA_DISPLACEMENT:
-                    address = (regs.read(register) + template.extension) & _MASK32
-                elif ea_kind == EA_REG_DEFERRED:
-                    address = regs.read(register)
-                elif ea_kind == EA_AUTOINCREMENT:
-                    address = regs.read(register)
-                    regs.write(register, address + template.size)
-                elif ea_kind == EA_AUTODECREMENT:
-                    address = (regs.read(register) - template.size) & _MASK32
-                    regs.write(register, address)
-                elif ea_kind == EA_AUTOINCREMENT_DEFERRED:
-                    pointer = regs.read(register)
-                    regs.write(register, pointer + 4)
-                    address = data_read(pointer, 4, template.routine, template.row)
-                elif ea_kind == EA_DISPLACEMENT_DEFERRED:
-                    pointer = (regs.read(register) + template.extension) & _MASK32
-                    address = data_read(pointer, 4, template.routine, template.row)
-                elif ea_kind == EA_RELATIVE:
-                    address = (start_va + template.rel_partial) & _MASK32
-                elif ea_kind == EA_ABSOLUTE:
-                    address = template.extension & _MASK32
-                else:  # EA_RELATIVE_DEFERRED
-                    pointer = (start_va + template.rel_partial) & _MASK32
-                    address = data_read(pointer, 4, template.routine, template.row)
-                if template.is_indexed:
-                    address = (
-                        address + regs.read(template.index_register) * template.size
-                    ) & _MASK32
-                value = None
-                if template.read_value:
-                    value = data_read(
-                        address, template.size, template.routine, template.row
-                    )
-            else:
-                address = None
-                value = template.value
-                if template.read_value:  # K_REGISTER with READ/MODIFY/VFIELD
-                    if template.reg_quad:
-                        low = regs.read(template.register)
-                        high = regs.read((template.register + 1) & 0xF)
-                        value = low | (high << 32)
-                    else:
-                        value = regs.read(template.register) & template.reg_mask
-            operand = _NEW(OperandRef)
-            operand.spec = template.spec
-            operand.mode = template.mode
-            operand.register = template.register
-            operand.address = address
-            operand.value = value
-            operand.routine = template.routine
-            operand.position_class = template.position_class
-            operand.is_indexed = template.is_indexed
-            append(operand)
+            append(resolve_operand(ebox, op[1]))
         elif kind == OP_BRANCH:
             ebox.branch_displacement = op[2]
             events.branch_displacements += 1
@@ -1148,10 +904,8 @@ def execute_record(record, ebox, start_va) -> bool:
     # The handler may have swapped ebox.events (LDPCTX measurement
     # gating), exactly like the interpreter's live attribute read.
     ebox.events.instructions += 1
-    regs.pc = ib._decode_va
+    ebox.regs.pc = ib._decode_va
     ebox._merge_pending = False
     ebox._last_instruction_redirected = ib.stats.redirects != redirects_before
     return True
 
-
-_NEW = object.__new__

@@ -24,28 +24,29 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.isa.datatypes import DataType, f_floating_encode
+from repro.isa.datatypes import DataType
 from repro.isa.opcodes import OPCODES, Opcode, OpcodeGroup
 from repro.isa.psl import AccessMode, ProcessorStatus
-from repro.isa.registers import Reg, RegisterFile
-from repro.isa.specifiers import (
-    AccessType,
-    AddressingMode,
-    OperandSpec,
-    TABLE4_ROW_FOR_MODE,
-)
+from repro.isa.registers import RegisterFile
+from repro.isa.specifiers import AccessType, OperandSpec
 from repro.memory.subsystem import MemorySubsystem, PageFault
 from repro.memory.tb import TBMiss
 from repro.cpu.events import EventCounters
 from repro.cpu.ibuffer import InstructionBuffer
-from repro.cpu.operands import OperandRef, decode_specifier, expand_float_literal
+from repro.cpu.operands import (
+    OPERAND_SIZE,
+    IllegalInstruction,
+    OperandRef,
+    decode_branch_displacement,
+    decode_specifier,
+    merges_execute,
+    plan_specifier,
+    resolve_operand,
+)
 from repro.ucode.costs import (
     EXCEPTION_ENTRY_COMPUTE_CYCLES,
     EXCEPTION_ENTRY_WRITES,
-    INDEX_EXTRA_CYCLES,
     INTERRUPT_ENTRY_COMPUTE_CYCLES,
-    INTERRUPT_ENTRY_WRITES,
-    SPEC_COSTS,
     TB_MISS_COMPUTE_CYCLES,
     UNALIGNED_EXTRA_CYCLES,
     exec_profile,
@@ -69,20 +70,6 @@ _IB_WAIT = MicroSlot.IB_WAIT.value
 class HaltExecution(Exception):
     """Raised when the processor halts (HALT opcode or fatal fault)."""
 
-
-class IllegalInstruction(Exception):
-    """An opcode byte with no table entry reached the decoder."""
-
-
-_DTYPE_SIZE = {
-    DataType.BYTE: 1,
-    DataType.WORD: 2,
-    DataType.LONG: 4,
-    DataType.QUAD: 8,
-    DataType.F_FLOAT: 4,
-    DataType.PACKED: 1,
-    DataType.VARIABLE_FIELD: 4,
-}
 
 _TABLE5_GROUP_ROW = {
     OpcodeGroup.SIMPLE: "simple",
@@ -583,148 +570,20 @@ class EBox:
         return operand
 
     def _process_specifier_impl(self, position: int, spec: OperandSpec) -> OperandRef:
-        is_first = position == 0
-        wait_routine = self.layout.spec1_wait if is_first else self.layout.spec26_wait
+        layout = self.layout
+        wait_routine = layout.spec1_wait if position == 0 else layout.spec26_wait
         decoded = decode_specifier(
             lambda n: self._take_bytes(n, wait_routine), spec.dtype
         )
-        position_class = "spec1" if is_first else "spec26"
-
-        # Microcode sharing: indexed specifiers run the shared index
-        # microcode in the SPEC2-6 region, even for first specifiers.
-        if decoded.is_indexed:
-            routine_bank = self.layout.spec26
-            self._charge_compute(self.layout.index_shared, INDEX_EXTRA_CYCLES)
-            self.events.indexed_specifiers[position_class] += 1
-        else:
-            routine_bank = self.layout.spec1 if is_first else self.layout.spec26
-        routine = routine_bank[decoded.mode]
-
-        self.events.specifier_counts[
-            (position_class, TABLE4_ROW_FOR_MODE[decoded.mode])
-        ] += 1
-        self.events.specifier_bytes += decoded.length
-        table5_row = "spec1" if is_first else "spec2_6"
-
-        cost = SPEC_COSTS[decoded.mode]
-        self._charge_compute(routine, cost.address_cycles)
-
-        size = _DTYPE_SIZE[spec.dtype]
-        mode = decoded.mode
-        operand = OperandRef(
-            spec=spec,
-            mode=mode,
-            register=decoded.register,
-            address=None,
-            value=None,
-            routine=routine,
-            position_class=position_class,
-        )
-        operand.is_indexed = decoded.is_indexed
-
-        if mode is AddressingMode.SHORT_LITERAL:
-            if spec.access not in (AccessType.READ, AccessType.VFIELD):
-                raise IllegalInstruction("short literal used for non-read access")
-            if spec.dtype is DataType.F_FLOAT:
-                operand.value = f_floating_encode(expand_float_literal(decoded.extension))
-            else:
-                operand.value = decoded.extension
-            self._note_source(routine, spec)
-            return operand
-
-        if mode is AddressingMode.IMMEDIATE:
-            if spec.access not in (AccessType.READ, AccessType.VFIELD):
-                raise IllegalInstruction("immediate used for non-read access")
-            operand.value = decoded.extension
-            self._note_source(routine, spec)
-            return operand
-
-        if mode is AddressingMode.REGISTER:
-            if spec.access in (AccessType.READ, AccessType.MODIFY, AccessType.VFIELD):
-                # A field base in a register means the field lives in the
-                # register itself: read the whole longword regardless of
-                # the nominal (byte) data type.
-                dtype = (
-                    DataType.LONG if spec.access is AccessType.VFIELD else spec.dtype
-                )
-                operand.value = self._read_register_operand(decoded.register, dtype)
-            if spec.access is AccessType.ADDRESS:
-                raise IllegalInstruction("address access to a register operand")
-            self._note_source(routine, spec)
-            return operand
-
-        # Memory modes: compute the effective address.
-        address = self._effective_address(decoded, size, routine, table5_row)
-        if decoded.is_indexed:
-            index_value = self.regs.read(decoded.index_register)
-            address = (address + index_value * size) & 0xFFFFFFFF
-        operand.address = address
-
-        if spec.access in (AccessType.READ, AccessType.MODIFY):
-            operand.value = self.data_read(address, size, routine, table5_row)
-        self._note_source(routine, spec)
-        return operand
-
-    def _note_source(self, routine, spec: OperandSpec) -> None:
-        """Track the last *source* specifier for the literal/register
-        execute-merge optimization (Section 5's first remark)."""
+        plan = plan_specifier(layout, position, spec, decoded)
+        for routine, cycles in plan.charges:
+            self._charge_compute(routine, cycles)
+        operand = resolve_operand(self, plan)
         if spec.access is AccessType.READ:
-            self._last_source_routine = routine
-
-    def _read_register_operand(self, register: int, dtype: DataType) -> int:
-        if dtype is DataType.QUAD:
-            low = self.regs.read(register)
-            high = self.regs.read((register + 1) & 0xF)
-            return low | (high << 32)
-        size = _DTYPE_SIZE[dtype]
-        return self.regs.read(register) & ((1 << (8 * size)) - 1)
-
-    def _effective_address(self, decoded, size: int, routine, table5_row: str) -> int:
-        mode = decoded.mode
-        regs = self.regs
-        if mode is AddressingMode.REGISTER_DEFERRED:
-            return regs.read(decoded.register)
-        if mode is AddressingMode.AUTOINCREMENT:
-            address = regs.read(decoded.register)
-            regs.write(decoded.register, address + size)
-            return address
-        if mode is AddressingMode.AUTODECREMENT:
-            address = (regs.read(decoded.register) - size) & 0xFFFFFFFF
-            regs.write(decoded.register, address)
-            return address
-        if mode is AddressingMode.AUTOINCREMENT_DEFERRED:
-            pointer = regs.read(decoded.register)
-            regs.write(decoded.register, pointer + 4)
-            return self.data_read(pointer, 4, routine, table5_row)
-        if mode in (
-            AddressingMode.BYTE_DISPLACEMENT,
-            AddressingMode.WORD_DISPLACEMENT,
-            AddressingMode.LONG_DISPLACEMENT,
-        ):
-            return (regs.read(decoded.register) + decoded.extension) & 0xFFFFFFFF
-        if mode in (
-            AddressingMode.BYTE_DISPLACEMENT_DEFERRED,
-            AddressingMode.WORD_DISPLACEMENT_DEFERRED,
-            AddressingMode.LONG_DISPLACEMENT_DEFERRED,
-        ):
-            pointer = (regs.read(decoded.register) + decoded.extension) & 0xFFFFFFFF
-            return self.data_read(pointer, 4, routine, table5_row)
-        if mode is AddressingMode.ABSOLUTE:
-            return decoded.extension & 0xFFFFFFFF
-        if mode in (
-            AddressingMode.BYTE_RELATIVE,
-            AddressingMode.WORD_RELATIVE,
-            AddressingMode.LONG_RELATIVE,
-        ):
-            return (self.ib.decode_va + decoded.extension) & 0xFFFFFFFF
-        if mode in (
-            AddressingMode.BYTE_RELATIVE_DEFERRED,
-            AddressingMode.WORD_RELATIVE_DEFERRED,
-            AddressingMode.LONG_RELATIVE_DEFERRED,
-        ):
-            pointer = (self.ib.decode_va + decoded.extension) & 0xFFFFFFFF
-            return self.data_read(pointer, 4, routine, table5_row)
-        raise IllegalInstruction("unhandled addressing mode {}".format(mode))
+            # The last source specifier, for the literal/register
+            # execute merge (see merges_execute).
+            self._last_source_routine = plan.routine
+        return operand
 
     # ------------------------------------------------------------------
     # execute-phase services for semantics handlers
@@ -826,7 +685,7 @@ class EBox:
                 self.regs.write(operand.register, value & 0xFFFFFFFF)
                 self.regs.write((operand.register + 1) & 0xF, (value >> 32) & 0xFFFFFFFF)
             else:
-                size = _DTYPE_SIZE[dtype]
+                size = OPERAND_SIZE[dtype]
                 if size < 4:
                     # Sub-longword register writes merge into the low bits.
                     old = self.regs.read(operand.register)
@@ -836,7 +695,7 @@ class EBox:
             return
         if operand.address is None:
             raise IllegalInstruction("store to a valueless operand")
-        size = _DTYPE_SIZE[dtype]
+        size = OPERAND_SIZE[dtype]
         table5_row = "spec1" if operand.position_class == "spec1" else "spec2_6"
         self.data_write(operand.address, size, value, operand.routine, table5_row)
 
@@ -961,7 +820,7 @@ class EBox:
                     return result
                 stats.byte_fallbacks += 1
                 cause = "byte_mismatch"
-            elif self._execute_record(record, self, va):
+            elif self._execute_record(record, self):
                 stats.jit_hits += 1
                 stats.fast_cycles += (
                     self.cycle_count - self._instruction_start_cycle
@@ -1005,7 +864,7 @@ class EBox:
                     record.mnemonic,
                     len(record.raw),
                 )
-            if not record.never and self._execute_record(record, self, va):
+            if not record.never and self._execute_record(record, self):
                 stats.jit_hits += 1
                 stats.fast_cycles += (
                     self.cycle_count - self._instruction_start_cycle
@@ -1062,23 +921,18 @@ class EBox:
         operands: List[OperandRef] = []
         for position, spec in enumerate(opcode.operands):
             if spec.access is AccessType.BRANCH:
-                width = _DTYPE_SIZE[spec.dtype]
-                raw = self._take_bytes(width, self.layout.bdisp)
-                value = int.from_bytes(raw, "little")
-                if value & (1 << (8 * width - 1)):
-                    value -= 1 << (8 * width)
-                self.branch_displacement = value
+                width, self.branch_displacement = decode_branch_displacement(
+                    lambda n: self._take_bytes(n, self.layout.bdisp), spec.dtype
+                )
                 self.events.branch_displacements += 1
                 self.events.displacement_bytes += width
             else:
                 operands.append(self._process_specifier(position, spec))
 
-        self._merge_pending = (
-            opcode.group in (OpcodeGroup.SIMPLE, OpcodeGroup.FIELD)
-            and self._last_source_routine is not None
-            and operands
-            and operands[-1].mode
-            in (AddressingMode.REGISTER, AddressingMode.SHORT_LITERAL)
+        self._merge_pending = merges_execute(
+            opcode,
+            self._last_source_routine,
+            operands[-1].mode if operands else None,
         )
 
         self.events.instruction_bytes += self.ib.decode_va - start_va

@@ -7,7 +7,20 @@ accounting (which Table 4 is reduced from).
 
 import pytest
 
-from repro.isa.specifiers import AddressingMode
+from repro.asm import Assembler
+from repro.core import compile as replay
+from repro.cpu.ebox import IllegalInstruction
+from repro.isa.opcodes import opcode_by_mnemonic
+from repro.ucode.routines import build_layout
+
+
+@pytest.fixture
+def harness(harness):
+    # A leading NOP takes the cold first execution, which never replays,
+    # so on the replayed arm every instruction under test must.
+    harness.asm.instr("NOP")
+    harness.max_interpreted = 1
+    return harness
 
 
 class TestLiteralAndRegister:
@@ -148,6 +161,71 @@ class TestPCModes:
         assert harness.reg(2) == 0xCAFE
 
 
+#: PC-relative deferred mode bytes (``@B^``/``@W^``/``@L^label``) by
+#: displacement width; the assembler has no syntax for these modes.
+_RELATIVE_DEFERRED = {1: 0xBF, 2: 0xDF, 4: 0xFF}
+
+
+def _pointer_cell(asm, value):
+    """Jump over a pointer to a longword ``value``; the pointer sits
+    before the code so a hand-encoded displacement can reach back to it."""
+    asm.instr("BRB", "code")
+    asm.align(4)
+    asm.label("pointer")
+    asm.long_ref("target")
+    asm.label("target")
+    asm.long(value)
+    asm.label("code")
+
+
+def _relative_deferred(asm, width):
+    """Hand-encode ``@B^pointer`` (``@W^``, ``@L^``): the displacement
+    is relative to the PC just past itself."""
+    asm.byte(_RELATIVE_DEFERRED[width])
+    end = asm.label("displacement") + width
+    emit = {1: asm.byte, 2: asm.word, 4: asm.long}[width]
+    emit(asm.symbols["pointer"] - end)
+
+
+class TestPCRelativeDeferred:
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_read(self, harness, width):
+        _pointer_cell(harness.asm, 0x600DF00D)
+        harness.asm.byte(opcode_by_mnemonic("MOVL").code)
+        _relative_deferred(harness.asm, width)
+        harness.asm.byte(0x50)  # R0
+        harness.asm.instr("HALT")
+        harness.run()
+        assert harness.reg(0) == 0x600DF00D
+        counts = harness.machine.events.specifier_counts
+        assert counts[("spec1", "displacement_deferred")] == 1
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_write(self, harness, width):
+        _pointer_cell(harness.asm, 0)
+        harness.asm.byte(opcode_by_mnemonic("MOVL").code, 0x37)  # S^#55
+        _relative_deferred(harness.asm, width)
+        harness.asm.instr("HALT")
+        harness.run()
+        assert harness.mem(harness.asm.symbols["target"]) == 55
+        counts = harness.machine.events.specifier_counts
+        assert counts[("spec26", "displacement_deferred")] == 1
+
+    def test_long_displacement_deferred_write(self, harness):
+        harness.asm.instr("MOVAL", "base", "R1")
+        harness.asm.instr("MOVL", "S^#55", "@L^4(R1)")
+        harness.asm.instr("HALT")
+        harness.asm.align(4)
+        harness.asm.label("base")
+        harness.asm.long(0)
+        harness.asm.long_ref("target")
+        harness.asm.label("target")
+        harness.asm.long(0)
+        harness.run()
+        assert harness.mem(harness.asm.symbols["target"]) == 55
+        assert harness.reg(1) == harness.asm.symbols["base"]
+
+
 class TestIndexedModes:
     def test_indexed_scales_by_datatype(self, harness):
         harness.asm.instr("MOVAL", "table", "R1")
@@ -223,3 +301,38 @@ class TestSideEffectAccounting:
         harness.asm.instr("HALT")
         harness.run()
         assert harness.machine.events.specifier_bytes >= 6
+
+
+#: Access types an addressing mode cannot serve: (instruction, how many
+#: specifiers are counted before the illegal one raises).
+_ILLEGAL = {
+    "literal written": (("CLRL", "S^#5"), 0),
+    "literal modified": (("INCL", "S^#1"), 0),
+    "immediate written": (("MOVL", "R0", "I^#1"), 1),
+    "register as address": (("MOVAL", "R1", "R2"), 0),
+}
+
+
+class TestIllegalAccess:
+    @pytest.mark.parametrize("case", sorted(_ILLEGAL))
+    def test_raises_before_counting(self, harness, case):
+        instruction, counted = _ILLEGAL[case]
+        harness.asm.instr(*instruction)
+        harness.asm.instr("HALT")
+        with pytest.raises(IllegalInstruction):
+            harness.run()
+        events = harness.machine.events
+        assert sum(events.specifier_counts.values()) == counted
+
+
+class TestIllegalAccessNeverCompiles:
+    @pytest.mark.parametrize("case", sorted(_ILLEGAL))
+    def test_compile_record_declines(self, case):
+        instruction, _ = _ILLEGAL[case]
+        asm = Assembler(origin=0x200)
+        asm.instr(*instruction)
+        raw = asm.assemble()
+        record = replay.compile_record(build_layout(), raw + b"\x00", False)
+        assert record.never
+        # The witness runs through the illegal specifier, no further.
+        assert raw.startswith(record.raw) and len(record.raw) > 1
