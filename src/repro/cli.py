@@ -231,6 +231,7 @@ def cmd_composite(args) -> int:
         jobs=args.jobs,
         shards=args.shards,
     )
+    ledger_before = cache.persistent_totals() if cache is not None else None
     try:
         outcome = run_composite_experiment(
             instructions_per_workload=args.instructions,
@@ -267,12 +268,15 @@ def cmd_composite(args) -> int:
     if result is not None:
         _print_all_tables(result)
     if cache is not None:
-        stats = cache.stats()
+        # The ledger, not this process's counters: with --jobs > 1 the
+        # cache traffic happens in pool workers, which flush it there.
+        cache.flush_stats()
+        totals = cache.persistent_totals()
         log.info(
             "run cache {}".format(cache.root),
-            hits=stats["hits"],
-            misses=stats["misses"],
-            puts=stats["puts"],
+            hits=totals["hits"] - ledger_before["hits"],
+            misses=totals["misses"] - ledger_before["misses"],
+            puts=totals["puts"] - ledger_before["puts"],
             quarantined=cache.quarantined_objects(),
         )
     return 0 if report is None or report.ok else 1

@@ -11,7 +11,7 @@ before it spends any simulation time:
 * *Which shards of this run are already banked?* —
   :func:`shard_cache_keys` / :func:`load_cached_shard` resolve the
   resumable shard results and :func:`load_cached_snapshot` the boundary
-  snapshots that let the remaining shards fan out across the pool.
+  snapshots a chain over the remaining shards resumes from.
 * *Where do new results go?* — the ``store_*`` writers bank shard
   deltas, boundary snapshots and whole runs with provenance-bearing
   metadata, relying on the cache's atomic first-write-wins puts so

@@ -16,12 +16,12 @@ Contents:
 * :func:`execute_spec` — one monitored measurement run, manifest and
   metrics included (this is the pool-worker body);
 * :func:`_run_pool_tasks` — the one retry loop, for sequential and
-  pooled sweeps alike: retries with backoff, wall-clock timeouts
-  enforced by pool recycling, ``BrokenProcessPool`` respawn and requeue,
-  degradation to in-process execution, interrupt handling;
-* the shard measurement primitives (:func:`_measure_span`,
-  :func:`_execute_shard_task`) used by the sharded orchestration in the
-  scheduler.
+  pooled sweeps of whole and sharded specs alike: retries with backoff,
+  wall-clock timeouts enforced by pool recycling, ``BrokenProcessPool``
+  respawn and requeue, degradation to in-process execution, interrupt
+  handling;
+* the shard measurement primitive (:func:`_measure_span`) used by the
+  scheduler's in-process shard chains.
 
 Every payload crosses the process boundary by value, so everything in
 this module must pickle — including :class:`EngineError`, whose
@@ -56,7 +56,7 @@ class EngineError(RuntimeError):
     Carries *which* spec died and the worker-side traceback — a bare
     ``BrokenProcessPool`` or a re-raised exception with a coordinator
     stack tells you neither.  Sharded failures additionally carry the
-    per-shard status map (``shard_status``), so a partial cache/pool
+    per-shard status map (``shard_status``), so a partial sharded
     failure is diagnosable from the error alone.
 
     The extras are constructor arguments, which breaks the default
@@ -350,7 +350,8 @@ def _run_pool_tasks(
     """Run guarded tasks through a process pool under a resilience policy.
 
     ``tasks`` is ``[(task_id, arg), ...]`` and ``fn(arg)`` must return a
-    guarded payload (``("ok", ...)`` or ``("error", name, traceback)``).
+    guarded payload (``("ok", ...)`` or ``("error", name, traceback)``,
+    optionally followed by a sharded spec's per-shard status map).
     Returns ``(payloads, failures, stats)``: ``payloads[task_id]`` is
     ``(payload, attempts)``, ``failures[task_id]`` a
     :class:`~repro.core.resilience.SpecFailure`, and ``stats`` the
@@ -402,7 +403,9 @@ def _run_pool_tasks(
         if on_done is not None:
             on_done(tid, payload)
 
-    def fail_or_retry(tid, arg, attempt, kind, error, tb="") -> bool:
+    def fail_or_retry(
+        tid, arg, attempt, kind, error, tb="", shard_status=None
+    ) -> bool:
         """Requeue with backoff, or record the final failure (-> True)."""
         if attempt < max_attempts:
             stats["retries"] += 1
@@ -418,8 +421,19 @@ def _run_pool_tasks(
             kind=kind,
             error=error,
             worker_traceback=tb,
+            shard_status=shard_status or {},
         )
         return True
+
+    def settle(tid, arg, attempt, payload):
+        """Record a guarded payload: a success, or a failed attempt."""
+        if payload[0] == "ok":
+            record_success(tid, payload, attempt)
+        else:
+            tb = payload[2]
+            fail_or_retry(
+                tid, arg, attempt, "error", _tb_summary(tb), tb, *payload[3:]
+            )
 
     def recycle(reason_futures, kind, error):
         """The pool is unusable: shut it down, charge ``reason_futures``
@@ -457,14 +471,7 @@ def _run_pool_tasks(
                 if not_before > now:
                     policy.sleep(not_before - now)
                 notify_start(tid, attempt)
-                payload = fn(arg)
-                if payload[0] == "ok":
-                    record_success(tid, payload, attempt)
-                else:
-                    fail_or_retry(
-                        tid, arg, attempt, "error",
-                        _tb_summary(payload[-1]), payload[-1],
-                    )
+                settle(tid, arg, attempt, fn(arg))
                 continue
             # Dispatch one task per idle worker; a task whose backoff
             # stamp is still in the future stays queued.
@@ -512,13 +519,7 @@ def _run_pool_tasks(
                         tid, arg, attempt, "error", str(exc), traceback.format_exc()
                     )
                     continue
-                if payload[0] == "ok":
-                    record_success(tid, payload, attempt)
-                else:
-                    fail_or_retry(
-                        tid, arg, attempt, "error",
-                        _tb_summary(payload[-1]), payload[-1],
-                    )
+                settle(tid, arg, attempt, payload)
             if broken:
                 recycle(
                     set(inflight),
@@ -559,10 +560,10 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     its worker processes.
 
     ``shutdown(wait=False)`` alone leaves a stuck or still-busy worker
-    running after the sweep returns.  Spec workers write nothing to the
-    cache, so killing them loses only work the caller already gave up
-    on.  (Shard workers do write to the cache; the sharded fan-out
-    never calls this.)"""
+    running after the sweep returns.  Killing one loses only work the
+    caller already gave up on: a sharded spec's worker does write to
+    the cache, but every cache write is an atomic rename, so a killed
+    writer leaves no torn object behind."""
     processes = list((pool._processes or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
     for process in processes:
@@ -643,69 +644,6 @@ def _measure_span(kernel, instructions: int, fault_key: Optional[str] = None):
         MachineStats.from_machine(machine).minus(stats_before),
         wall,
     )
-
-
-def _execute_shard_task(task: Dict) -> Tuple[ShardResult, Dict[str, int]]:
-    """Measure one shard from its cached start-boundary snapshot.
-
-    Runs in a pool worker (or inline with ``jobs=1``): restore the
-    snapshot, measure the span, bank the shard result — and the next
-    boundary's snapshot, if nobody has stored it yet — in the cache.
-    Returns ``(shard, cache_stats)``; the worker's per-instance cache
-    hit/miss counters ride back to the coordinator (and are flushed to
-    the cache's persistent ledger) because they would otherwise die
-    with the worker process — see ``RunCache.flush_stats``."""
-    from repro.core.cache_resolution import (
-        load_cached_snapshot,
-        store_boundary_snapshot,
-        store_shard,
-    )
-    from repro.core.runcache import RunCache
-
-    fault_key = "{}@{}".format(task["spec_name"], task["start"])
-    faults.fire("shard.task", key=fault_key)
-    cache = RunCache(task["cache_root"])
-    kernel, _ = load_cached_snapshot(cache, task["snapshot_key"])
-    if kernel is None:
-        raise RuntimeError(
-            "boundary snapshot at instruction {} is missing or quarantined "
-            "in cache {}".format(task["start"], task["cache_root"])
-        )
-    histogram, events, stats, wall = _measure_span(
-        kernel, task["instructions"], fault_key=fault_key
-    )
-    shard = ShardResult(
-        index=task["index"],
-        shard_count=task["shard_count"],
-        start_instruction=task["start"],
-        instructions=task["instructions"],
-        histogram=histogram,
-        events=events,
-        stats=stats,
-        wall_seconds=wall,
-    )
-    end_key = task.get("end_snapshot_key")
-    if end_key is not None and not cache.has(end_key):
-        store_boundary_snapshot(
-            cache,
-            end_key,
-            kernel,
-            task["spec_name"],
-            task["config_hash"],
-            task["start"] + task["instructions"],
-        )
-    store_shard(cache, task["shard_key"], shard, task["spec_name"], task["config_hash"])
-    cache.flush_stats()
-    return shard, cache.stats()
-
-
-def _execute_shard_task_guarded(task: Dict) -> Tuple:
-    """Pool wrapper: ship worker failures back as data (cf. specs)."""
-    try:
-        shard, cache_stats = _execute_shard_task(task)
-        return ("ok", shard, cache_stats)
-    except Exception:
-        return ("error", task.get("spec_name", "?"), traceback.format_exc())
 
 
 def parallel_map(func: Callable, items: Sequence, jobs: int = 1) -> List:

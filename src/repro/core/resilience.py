@@ -3,14 +3,18 @@
 The paper's monitor survived a week of live timesharing because losing
 one histogram readout did not abort the experiment; this module gives
 the simulator's engine the same property.  A
-:class:`ResiliencePolicy` tells :func:`~repro.core.scheduler.run_specs`
-and :func:`~repro.core.scheduler.execute_spec_sharded` how hard to fight
-for a result — retry budgets with exponential backoff, per-spec
-wall-clock timeouts, how many process-pool deaths to tolerate before
-degrading to in-process execution — and whether a spec that still fails
-should abort the sweep (``on_error="raise"``, the historical behaviour)
-or be collected into a structured :class:`FailureReport` alongside the
-partial results (``on_error="collect"``).
+:class:`ResiliencePolicy` tells the executor's retry loop (behind
+:func:`~repro.core.scheduler.run_specs` and every
+:class:`~repro.core.scheduler.Scheduler` sweep, sharded or not) how
+hard to fight for a result — retry budgets with exponential backoff,
+per-spec wall-clock timeouts, how many process-pool deaths to tolerate
+before degrading to in-process execution — and whether a spec that
+still fails should abort the sweep (``on_error="raise"``, the
+historical behaviour) or be collected into a structured
+:class:`FailureReport` alongside the partial results
+(``on_error="collect"``).  A sharded spec is one task of that loop: its
+shard-level self-healing (quarantine and the repair pass) happens
+inside the attempt, and the policy's retries wrap the whole spec.
 
 Everything here is plain data: reports serialize to JSON so an
 interrupted or partially-failed sweep leaves a machine-readable account
@@ -58,11 +62,12 @@ class RetryPolicy:
 
 @dataclass
 class SpecFailure:
-    """One spec (or shard task) that failed after its whole retry budget.
+    """One spec that failed after its whole retry budget.
 
     ``kind`` is ``"error"`` (the spec raised), ``"timeout"`` (exceeded
     the per-spec wall-clock budget), ``"pool-crash"`` (a pool worker
     died abruptly while the spec was in flight) or ``"interrupted"``.
+    A sharded spec's failure also carries its per-shard status map.
     """
 
     name: str
@@ -71,9 +76,19 @@ class SpecFailure:
     kind: str
     error: str
     worker_traceback: str = ""
+    shard_status: Dict[int, str] = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
         return asdict(self)
+
+    def engine_error(self):
+        """The :class:`~repro.core.executor.EngineError` a raise-mode
+        sweep surfaces for this failure."""
+        from repro.core.executor import EngineError
+
+        return EngineError(
+            self.name, self.worker_traceback or self.error, self.shard_status
+        )
 
 
 @dataclass
@@ -110,6 +125,10 @@ class FailureReport:
         with open(path) as handle:
             payload = json.load(handle)
         failures = [SpecFailure(**failure) for failure in payload.pop("failures", [])]
+        for failure in failures:  # JSON object keys are strings
+            failure.shard_status = {
+                int(index): status for index, status in failure.shard_status.items()
+            }
         report = cls(**payload)
         report.failures = failures
         return report

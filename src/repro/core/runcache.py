@@ -32,8 +32,9 @@ count; the quarantined files stick around for post-mortems until
 ``clear`` removes them.
 
 Hit/miss counters are per-``RunCache``-instance and therefore
-per-process: a pool worker opens its own instance on the shared root,
-and its counts die with the worker unless persisted.  The cache keeps a
+per-process: a pool worker gets its own instance on the shared root (a
+pickled cache arrives with zeroed counters), and its counts die with
+the worker unless persisted.  The cache keeps a
 persistent ledger for exactly this — ``flush_stats`` appends each
 instance's unflushed deltas as one line of ``<root>/stats.jsonl`` (an
 O_APPEND single-write, safe under concurrent workers) and
@@ -129,6 +130,11 @@ class RunCache:
         self._stats_path = os.path.join(self.root, self.STATS_LEDGER)
         #: what this instance has already flushed to the ledger
         self._flushed = {name: 0 for name in self.STAT_FIELDS}
+
+    def __reduce__(self):
+        # Counters are per-process: a copy shipped to a pool worker
+        # starts at zero, so its ledger flush holds only its own traffic.
+        return (self.__class__, (self.root,))
 
     @classmethod
     def default(cls, path: Optional[str] = None) -> "RunCache":
@@ -374,7 +380,7 @@ class RunCache:
         hit/miss/put/quarantine totals across all processes that ever
         flushed against this root.  Unflushed activity of live
         instances (this one included) is not visible here — the engine
-        flushes at the end of every sharded run and every worker task.
+        flushes at the end of every sharded run.
         A torn or foreign line is skipped, not fatal."""
         totals = {name: 0 for name in self.STAT_FIELDS}
         totals["flushes"] = 0

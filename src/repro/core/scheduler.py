@@ -9,12 +9,15 @@ this module decides, along one orchestration path:
   runs a sweep (``composite``, ``sweep``, ``stats``) and the experiment
   service call ``Scheduler.run_specs``, so one code path decides what
   executes, whoever the client is;
-* what it executes goes through the module functions :func:`run_specs`
-  (a sweep of whole specs) or :func:`execute_spec_sharded` (one spec as
-  resumable shards);
-* both hand their tasks to the executor's one retry loop,
+* what it executes is a sweep of specs, each one task of the
+  executor's one retry loop,
   :func:`~repro.core.executor._run_pool_tasks`, which runs them
-  in-process for ``jobs <= 1`` and across a process pool otherwise.
+  in-process for ``jobs <= 1`` and ``jobs`` at a time across a process
+  pool otherwise.  A task is a whole spec (:func:`run_specs`) or, with
+  ``shards > 1``, one spec executed in-process as resumable shards
+  (:func:`execute_spec_sharded`) — so retries, timeouts, crash respawn
+  and interrupt reports apply to sharded specs exactly as to whole
+  ones.
 
 The Scheduler deduplicates three ways before spending simulation time.
 A spec's identity is its :func:`~repro.obs.provenance.config_hash`
@@ -48,12 +51,11 @@ on a ticket event, not on the execution lock, so waiting is free.
 from __future__ import annotations
 
 import copy
+import functools
 import threading
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,16 +75,14 @@ from repro.core.executor import (
     ProgressEvent,
     RunSpec,
     ShardResult,
-    _execute_shard_task_guarded,
     _execute_spec_guarded,
     _ignore_progress,
-    _pool_context,
     _run_pool_tasks,
     _spec_configure,
-    _tb_summary,
     execute_spec,
     shard_boundaries,
 )
+from repro.testing import faults
 
 
 def run_specs(
@@ -114,6 +114,13 @@ def run_specs(
     a path, and re-raises as
     :class:`~repro.core.resilience.SweepInterrupted`.
     """
+    return _sweep(_execute_spec_guarded, specs, jobs, progress, policy)
+
+
+def _sweep(task, specs: Sequence[RunSpec], jobs: int, progress, policy):
+    """:func:`run_specs` with the guarded pool task ``task(spec)`` as a
+    parameter: whole specs (:func:`_execute_spec_guarded`) or sharded
+    ones (:func:`_execute_sharded_guarded`) share one retry loop."""
     from repro.core.resilience import (
         FailureReport,
         ResiliencePolicy,
@@ -150,6 +157,7 @@ def run_specs(
             run = payload[1]
             if run.manifest is not None:
                 run.manifest.attempts = attempts
+                _record_healing(policy, run.manifest)
             results[index] = run
         report.retries += stats["retries"]
         report.timeouts += stats["timeouts"]
@@ -163,7 +171,7 @@ def run_specs(
     tasks = list(enumerate(specs))
     try:
         payloads, failures, stats = _run_pool_tasks(
-            _execute_spec_guarded, tasks, min(jobs, total), policy, describe,
+            task, tasks, min(jobs, total), policy, describe,
             on_start=on_start, on_done=on_done, on_retry=on_retry,
         )
     except SweepInterrupted as stop:
@@ -182,8 +190,7 @@ def run_specs(
         )
     policy.record_report(report)
     if report.failures and policy.on_error == "raise":
-        first = report.failures[0]
-        raise EngineError(first.name, first.worker_traceback or first.error)
+        raise report.failures[0].engine_error()
     if policy.on_error == "collect":
         return SweepResult(runs=results, report=report)
     return results
@@ -201,21 +208,25 @@ def run_specs(
 # tests, like the composite case).
 #
 # Simulation is inherently serial (shard i+1 starts from shard i's end
-# state), so a cold sharded run executes as one in-process chain that
-# banks a machine snapshot at every boundary.  The parallelism and the
-# speedup come from the content-addressed cache: finished shards replay
-# instantly on re-runs, and shards whose start-boundary snapshot is
-# already cached fan out across the process pool.  Boundary offsets are
+# state), so a sharded run executes in-process: each maximal run of
+# missing shards is one chain from the deepest cached boundary snapshot
+# at or below its first shard, banking a machine snapshot at every
+# boundary it passes.  The speedup comes from the content-addressed
+# cache — finished shards replay instantly on re-runs and a chain starts
+# as deep as the cache allows — while parallelism is across specs: the
+# Scheduler hands each sharded spec to the executor's retry loop as one
+# task, so ``jobs`` sharded specs run at once with the same retries,
+# timeouts and crash recovery as whole specs.  Boundary offsets are
 # absolute instruction counts, so different shard counts share the
 # snapshots they have in common (a 2-way split reuses a 4-way split's
 # midpoint).
 #
 # Fault tolerance rides the same structure: a corrupt cached shard or
 # snapshot is quarantined (RunCache.quarantine) and treated as a miss,
-# and any shard a pool worker failed to produce is recomputed by an
-# in-process repair chain from the deepest healthy snapshot — the
-# determinism guarantee makes the repaired shards bit-identical to what
-# the lost worker would have returned.
+# and whatever a failed chain left unfilled is recomputed by one repair
+# pass from the deepest healthy snapshot — the determinism guarantee
+# makes the repaired shards bit-identical to what the failed chain
+# would have produced.
 
 
 def _shard_name(spec: RunSpec, index: int, shards: int) -> str:
@@ -361,45 +372,27 @@ def _merge_shard_results(
     return result, board.dump_sparse()
 
 
-def _shard_status_map(
-    results: List[Optional[ShardResult]],
-    worker_failures: Dict[int, Tuple[str, str]],
-    shards: int,
-) -> Dict[int, str]:
+def _shard_status_map(results: List[Optional[ShardResult]]) -> Dict[int, str]:
     """Per-shard outcome: the diagnosable face of a partial failure."""
-    status = {}
-    for index in range(shards):
-        shard = results[index]
-        if shard is not None:
-            status[index] = "from-cache" if shard.from_cache else "computed"
-        elif index in worker_failures:
-            status[index] = "worker failed: {}".format(worker_failures[index][0])
-        else:
-            status[index] = "unfilled"
-    return status
+    return {
+        index: "unfilled"
+        if shard is None
+        else ("from-cache" if shard.from_cache else "computed")
+        for index, shard in enumerate(results)
+    }
 
 
 def _shard_failure_text(
     results: List[Optional[ShardResult]],
-    worker_failures: Dict[int, Tuple[str, str]],
     chain_failure: Optional[str],
     repair_failure: Optional[str],
-    shards: int,
 ) -> str:
     """Compose the EngineError body for a sharded failure: the
     per-shard status map first, then every traceback we hold."""
-    status = _shard_status_map(results, worker_failures, shards)
+    shards = len(results)
     lines = ["sharded execution left shards unfilled; per-shard status:"]
-    for index in sorted(status):
-        lines.append("  shard {}/{}: {}".format(index + 1, shards, status[index]))
-    for index in sorted(worker_failures):
-        _, worker_tb = worker_failures[index]
-        if worker_tb:
-            lines.append(
-                "worker traceback (shard {}/{}):\n{}".format(
-                    index + 1, shards, worker_tb
-                )
-            )
+    for index, status in _shard_status_map(results).items():
+        lines.append("  shard {}/{}: {}".format(index + 1, shards, status))
     if chain_failure:
         lines.append("chain traceback:\n{}".format(chain_failure))
     if repair_failure:
@@ -407,46 +400,60 @@ def _shard_failure_text(
     return "\n".join(lines)
 
 
-def _empty_cache_stats() -> Dict[str, int]:
-    from repro.core.runcache import RunCache
+def _missing_runs(results: List[Optional[ShardResult]]) -> List[Tuple[int, int]]:
+    """Maximal runs ``(first, last)`` of consecutive unfilled shards."""
+    runs: List[Tuple[int, int]] = []
+    for index, shard in enumerate(results):
+        if shard is not None:
+            continue
+        if runs and runs[-1][1] == index - 1:
+            runs[-1] = (runs[-1][0], index)
+        else:
+            runs.append((index, index))
+    return runs
 
-    return {name: 0 for name in RunCache.STAT_FIELDS}
+
+def _record_healing(policy, manifest) -> None:
+    """Fold a sharded run's self-healing into the policy's metrics."""
+    if policy.metrics is None or manifest.shards <= 1:
+        return
+    policy.metrics.counter(
+        "engine.quarantined_objects", "corrupt cache objects quarantined"
+    ).inc(manifest.quarantined_objects)
+    policy.metrics.counter(
+        "engine.repaired_shards", "shards recomputed by the repair pass"
+    ).inc(manifest.repaired_shards)
 
 
 def execute_spec_sharded(
     spec: RunSpec,
     shards: int,
-    jobs: int = 1,
     cache=None,
     progress: Optional[ProgressCallback] = None,
     policy=None,
 ) -> EngineRun:
-    """Execute one spec as ``shards`` resumable shards.
+    """Execute one spec as ``shards`` resumable shards, in-process.
 
     With a ``cache`` (a :class:`~repro.core.runcache.RunCache`):
-    finished shards replay instantly, shards whose start-boundary
-    snapshot is cached run from it — in parallel across the process pool
-    when ``jobs > 1`` — and only the rest execute as an in-process chain
-    from the deepest cached snapshot.  Without a cache the whole
+    finished shards replay instantly, and each maximal run of missing
+    shards executes as one chain from the deepest cached boundary
+    snapshot at or below its first shard.  Without a cache the whole
     measurement runs as one chain.  Either way the merged result is
     bit-identical to :func:`~repro.core.executor.execute_spec` (the
     equivalence tests assert it), and the returned :class:`EngineRun`
-    carries shard provenance in its manifest.
+    carries shard provenance in its manifest.  Parallelism, retries and
+    timeouts are the caller's: the :class:`Scheduler` runs each sharded
+    spec as one task of the executor's retry loop.
 
     The path is self-healing: corrupt or unpicklable cached objects are
-    quarantined and recomputed, a dead pool worker's shards fall to an
-    in-process repair chain, and the manifest records how much healing
-    happened (``quarantined_objects``, ``repaired_shards``).  Only when
-    even the repair chain fails does :class:`EngineError` surface — its
-    message carries the per-shard status map and every collected
-    traceback, so a partial cache/pool failure is diagnosable from the
-    error alone.
-
-    Cache traffic is accounted fleet-wide: every pool worker ships its
-    per-process hit/miss counters back with its shard and flushes them
-    to the cache's persistent ledger, and the manifest's ``cache_stats``
-    aggregates workers + coordinator — the per-process counters alone
-    silently undercount under the worker fleet.
+    quarantined and recomputed, whatever a failed chain left unfilled
+    falls to one repair pass, and the manifest records how much healing
+    happened (``quarantined_objects``, ``repaired_shards``; with a
+    ``policy`` carrying metrics, the matching ``engine.*`` counters).
+    Only when the repair pass fails too does :class:`EngineError`
+    surface — its message carries the per-shard status map and both
+    chain tracebacks, so a partial cache failure is diagnosable from the
+    error alone.  ``progress`` names the individual shards.
 
     Timing note: this function is the *execution site* for a sharded
     run, so wall-clock is recorded here exactly once.  A spec that
@@ -455,24 +462,19 @@ def execute_spec_sharded(
     wall seconds and ``attached_to``/``resumed_from`` provenance, never
     a copy of this timing.
     """
-    from repro.core.resilience import ResiliencePolicy
     from repro.obs.provenance import RunManifest
     from repro.workloads import profile_by_name
 
     shards = max(1, min(shards, spec.instructions or 1))
     if shards <= 1:
         return execute_spec(spec)
-    policy = policy if policy is not None else ResiliencePolicy()
     notify = progress if progress is not None else _ignore_progress
     started = time.perf_counter()
     profile = profile_by_name(spec.workload)
     manifest = RunManifest.for_spec(spec, profile_seed=profile.seed)
     boundaries = shard_boundaries(spec.instructions, shards)
     chash, shard_keys, snapshot_keys = shard_cache_keys(spec, boundaries)
-    quarantined_before = cache.quarantined_objects() if cache is not None else 0
-    coordinator_before = cache.stats() if cache is not None else None
-    worker_cache_stats = _empty_cache_stats()
-    worker_flushes = 0
+    stats_before = cache.stats() if cache is not None else None
 
     results: List[Optional[ShardResult]] = [None] * shards
     if cache is not None:
@@ -485,192 +487,61 @@ def execute_spec_sharded(
             notify(ProgressEvent("start", index, shards, name))
             notify(ProgressEvent("done", index, shards, name))
 
-    #: index -> (summary, worker traceback) for shards lost to workers
-    worker_failures: Dict[int, Tuple[str, str]] = {}
-    chain_failure: Optional[str] = None
     resumed_digest: Optional[str] = None
-    pool_respawns = 0
 
-    def run_chain(start_index: int, end_index: int) -> None:
+    def fill() -> Optional[str]:
+        """One pass: a chain per run of unfilled shards.  Returns the
+        first failed chain's traceback, if any."""
         nonlocal resumed_digest
-        digest = _run_shard_chain(
-            spec, boundaries, start_index, end_index, results, cache,
-            shard_keys, snapshot_keys, chash, notify, shards,
-        )
-        if resumed_digest is None:
-            resumed_digest = digest
-
-    def collect(index: int, payload: Tuple) -> None:
-        nonlocal worker_flushes
-        if payload[0] == "error":
-            _, name, worker_tb = payload
-            summary = _tb_summary(worker_tb)
-            notify(ProgressEvent("error", index, shards, name, error=summary))
-            worker_failures[index] = (summary, worker_tb)
-            return
-        results[index] = payload[1]
-        if len(payload) > 2 and payload[2]:
-            worker_flushes += 1
-            for name, value in payload[2].items():
-                if name in worker_cache_stats:
-                    worker_cache_stats[name] += value
-        notify(
-            ProgressEvent(
-                "done", index, shards, _shard_name(spec, index, shards),
-                wall_seconds=payload[1].wall_seconds,
-            )
-        )
-
-    missing = [index for index in range(shards) if results[index] is None]
-    if missing:
-        can_restore = set()
-        if cache is not None:
-            can_restore = {
-                index
-                for index in missing
-                if cache.has(snapshot_keys[boundaries[index]])
-            }
-        chain_needed = [index for index in missing if index not in can_restore]
-        chain_span: Optional[Tuple[int, int]] = None
-        if chain_needed:
-            chain_span = (chain_needed[0], chain_needed[-1])
-        # Shards inside the chain interval fall out of the chain's pass
-        # for free; only snapshot-backed shards outside it fan out.
-        chain_cover = set(range(chain_span[0], chain_span[1] + 1)) if chain_span else set()
-        worker_indices = sorted(can_restore - chain_cover)
-        worker_tasks = [
-            {
-                "cache_root": cache.root,
-                "index": index,
-                "shard_count": shards,
-                "start": boundaries[index],
-                "instructions": boundaries[index + 1] - boundaries[index],
-                "snapshot_key": snapshot_keys[boundaries[index]],
-                "shard_key": shard_keys[index],
-                "end_snapshot_key": snapshot_keys.get(boundaries[index + 1])
-                if index + 1 < shards
-                else None,
-                "spec_name": spec.name,
-                "config_hash": chash,
-            }
-            for index in worker_indices
-        ]
-
-        # One sequence for either shape: announce every fan-out shard,
-        # submit it to the pool (or run it inline with ``jobs <= 1``),
-        # run the chain meanwhile, then collect.
-        pool = None
-        if worker_tasks and jobs > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(worker_tasks)), mp_context=_pool_context()
-            )
-        futures: Dict[Future, int] = {}
-        joined = False
-        try:
-            for task in worker_tasks:
-                index = task["index"]
-                name = _shard_name(spec, index, shards)
-                notify(ProgressEvent("start", index, shards, name))
-                if pool is not None:
-                    future = pool.submit(_execute_shard_task_guarded, task)
-                else:
-                    future = Future()
-                    future.set_result(_execute_shard_task_guarded(task))
-                futures[future] = index
-            if chain_span is not None:
-                try:
-                    run_chain(*chain_span)
-                except KeyboardInterrupt:
-                    raise
-                except Exception:
-                    chain_failure = traceback.format_exc()
+        failure = None
+        for first, last in _missing_runs(results):
             try:
-                for future in futures if pool is None else as_completed(futures):
-                    collect(futures[future], future.result())
-                joined = True
-            except BrokenProcessPool:
-                # One dead worker poisons every outstanding future;
-                # whatever did not finish falls to the repair chain.
-                pool_respawns += 1
-                for index in futures.values():
-                    if results[index] is None and index not in worker_failures:
-                        worker_failures[index] = (
-                            "process-pool worker died while the shard "
-                            "was in flight",
-                            "",
-                        )
-        finally:
-            # Join the workers once every shard has come back; a crash
-            # or an interrupt abandons whatever is in flight.
-            if pool is not None:
-                pool.shutdown(wait=joined, cancel_futures=True)
+                digest = _run_shard_chain(
+                    spec, boundaries, first, last, results, cache,
+                    shard_keys, snapshot_keys, chash, notify, shards,
+                )
+            except Exception:
+                failure = failure or traceback.format_exc()
+                continue
+            if resumed_digest is None:
+                resumed_digest = digest
+        return failure
 
-    # Repair pass: anything still unfilled — a failed worker, a corrupt
-    # snapshot, a faulted chain — is recomputed as one in-process chain
-    # from the deepest healthy snapshot.  Determinism makes the repaired
-    # shards bit-identical to what the lost workers would have produced.
+    chain_failure = fill()
+    repair_failure = None
     repaired = 0
-    unfilled = [index for index in range(shards) if results[index] is None]
+    unfilled = results.count(None)
     if unfilled:
-        try:
-            run_chain(min(unfilled), max(unfilled))
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            raise EngineError(
-                spec.name,
-                _shard_failure_text(
-                    results, worker_failures, chain_failure,
-                    traceback.format_exc(), shards,
-                ),
-                shard_status=_shard_status_map(results, worker_failures, shards),
-            )
-        repaired = sum(1 for index in unfilled if results[index] is not None)
-
-    still_unfilled = [index for index in range(shards) if results[index] is None]
-    if still_unfilled:
+        # Repair pass: what a chain that faulted midway left unfilled
+        # gets one more chain per run, from the snapshots it banked.
+        repair_failure = fill()
+        repaired = unfilled - results.count(None)
+    if None in results:
         raise EngineError(
             spec.name,
-            _shard_failure_text(results, worker_failures, chain_failure, None, shards),
-            shard_status=_shard_status_map(results, worker_failures, shards),
+            _shard_failure_text(results, chain_failure, repair_failure),
+            shard_status=_shard_status_map(results),
         )
 
     result, histogram = _merge_shard_results(spec, results)
     wall = time.perf_counter() - started
     cached_count = sum(1 for shard in results if shard.from_cache)
-    quarantined = (
-        cache.quarantined_objects() - quarantined_before if cache is not None else 0
-    )
     manifest.wall_seconds = wall
     manifest.instructions_measured = result.instructions
     manifest.cycles_measured = result.stats.cycles
     manifest.shards = shards
     manifest.shards_from_cache = cached_count
     manifest.resumed_from = resumed_digest
-    manifest.quarantined_objects = quarantined
     manifest.repaired_shards = repaired
     if cache is not None:
-        coordinator_after = cache.stats()
-        combined = {
-            name: coordinator_after[name] - coordinator_before[name]
-            for name in coordinator_before
+        stats_after = cache.stats()
+        manifest.cache_stats = {
+            name: stats_after[name] - stats_before[name] for name in stats_before
         }
-        for name, value in worker_cache_stats.items():
-            combined[name] = combined.get(name, 0) + value
-        combined["workers"] = worker_flushes
-        manifest.cache_stats = combined
+        manifest.quarantined_objects = manifest.cache_stats["quarantined"]
         cache.flush_stats()
-    if policy.metrics is not None:
-        policy.metrics.counter(
-            "engine.quarantined_objects", "corrupt cache objects quarantined"
-        ).inc(quarantined)
-        policy.metrics.counter(
-            "engine.repaired_shards", "shards recomputed by the repair chain"
-        ).inc(repaired)
-        policy.metrics.counter(
-            "engine.pool_respawns",
-            "process pools respawned after a death or timeout",
-        ).inc(pool_respawns)
+    if policy is not None:
+        _record_healing(policy, manifest)
     return EngineRun(
         spec=spec,
         result=result,
@@ -681,6 +552,20 @@ def execute_spec_sharded(
         shard_count=shards,
         shards_from_cache=cached_count,
     )
+
+
+def _execute_sharded_guarded(spec: RunSpec, shards: int, cache) -> Tuple:
+    """Pool task for one sharded spec (cf.
+    :func:`~repro.core.executor._execute_spec_guarded`): fires the
+    ``worker`` fault site and ships a failure back as data, per-shard
+    status map included."""
+    try:
+        faults.fire("worker", key=spec.name)
+        return ("ok", execute_spec_sharded(spec, shards, cache=cache))
+    except EngineError as error:
+        return ("error", spec.name, error.worker_traceback, error.shard_status)
+    except Exception:
+        return ("error", spec.name, traceback.format_exc())
 
 
 # ----------------------------------------------------------------------
@@ -710,10 +595,10 @@ class Scheduler:
     call to :meth:`run_specs` partitions its sweep into specs that must
     execute and specs that resolve without executing (result index →
     in-flight attach → run cache, in that order), executes the
-    remainder through the module :func:`run_specs` (or
-    :func:`execute_spec_sharded` when ``shards > 1``), and publishes
-    every completed run so concurrent and future clients dedupe
-    against it.
+    remainder through the executor's retry loop (each spec whole, or
+    through :func:`execute_spec_sharded` when ``shards > 1``; progress
+    events are per spec either way), and publishes every completed run
+    so concurrent and future clients dedupe against it.
 
     ``run_resolution`` additionally banks and resolves whole runs in
     the content-addressed cache (the service turns this on; shard-level
@@ -817,47 +702,19 @@ class Scheduler:
     # -- execution ---------------------------------------------------------
 
     def _execute_batch(self, specs: List[RunSpec], notify, policy):
-        """The one orchestration path that actually executes work.
-
-        Unsharded sweeps go through :func:`run_specs`; ``shards > 1``
-        runs each spec through :func:`execute_spec_sharded` with the
-        composite's collect/raise semantics.  Both shapes return the
-        :func:`run_specs` contract: a runs list, or a
-        :class:`~repro.core.resilience.SweepResult` in collect mode."""
-        if self.shards <= 1:
-            return run_specs(specs, jobs=self.jobs, progress=notify, policy=policy)
-
-        from repro.core.resilience import FailureReport, SpecFailure, SweepResult
-
-        total = len(specs)
-        runs: List[Optional[EngineRun]] = [None] * total
-        report = FailureReport(total=total)
-        for index, spec in enumerate(specs):
-            try:
-                runs[index] = execute_spec_sharded(
-                    spec, shards=self.shards, jobs=self.jobs, cache=self.cache,
-                    progress=notify, policy=policy,
-                )
-            except KeyboardInterrupt:
-                raise
-            except EngineError as error:
-                if policy.on_error != "collect":
-                    raise
-                report.failures.append(
-                    SpecFailure(
-                        name=spec.name,
-                        index=index,
-                        attempts=1,
-                        kind="error",
-                        error=str(error).splitlines()[0],
-                        worker_traceback=error.worker_traceback,
-                    )
-                )
-        report.completed = [run.spec.name for run in runs if run is not None]
-        if policy.on_error == "collect":
-            policy.record_report(report)
-            return SweepResult(runs=runs, report=report)
-        return runs
+        """The one orchestration path that actually executes work: the
+        executor's retry loop over whole specs, or over sharded specs
+        when ``shards > 1`` — either way the :func:`run_specs` contract
+        (a runs list, or a :class:`~repro.core.resilience.SweepResult`
+        in collect mode)."""
+        task = (
+            _execute_spec_guarded
+            if self.shards <= 1
+            else functools.partial(
+                _execute_sharded_guarded, shards=self.shards, cache=self.cache
+            )
+        )
+        return _sweep(task, specs, self.jobs, notify, policy)
 
     @staticmethod
     def _failure_error(spec: RunSpec, report) -> EngineError:
@@ -866,9 +723,7 @@ class Scheduler:
         if report is not None:
             for failure in report.failures:
                 if failure.name == spec.name:
-                    return EngineError(
-                        failure.name, failure.worker_traceback or failure.error
-                    )
+                    return failure.engine_error()
         return EngineError(spec.name, "spec failed (no report available)")
 
     def run_specs(
@@ -958,9 +813,8 @@ class Scheduler:
                 owners.append(index)
 
         # Progress remap: owner-batch events carry batch-local indices;
-        # clients expect sweep-local ones.  Shard-level events (total ==
-        # shard count, names carry the spec) pass through untouched.
-        if self.shards > 1 or (len(owners) == total and not batch_attach):
+        # clients expect sweep-local ones.
+        if len(owners) == total and not batch_attach:
             batch_notify = notify
         else:
             def batch_notify(event: ProgressEvent) -> None:

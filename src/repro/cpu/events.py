@@ -65,10 +65,6 @@ class EventCounters:
         if taken:
             self.branch_taken[class_name] += 1
 
-    def taken_fraction(self, class_name: str) -> float:
-        executed = self.branch_executed[class_name]
-        return self.branch_taken[class_name] / executed if executed else 0.0
-
     def minus(self, baseline: "EventCounters") -> "EventCounters":
         """Counters accumulated since ``baseline`` was copied off.
 

@@ -90,10 +90,6 @@ class InstructionBuffer:
         """Virtual address the prefetcher needs next (TB-miss service target)."""
         return self._fetch_va
 
-    @property
-    def valid_bytes(self) -> int:
-        return len(self._bytes)
-
     # -- background fetching -------------------------------------------------
 
     def run(self, cycles: int = 1) -> None:

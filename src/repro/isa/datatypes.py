@@ -100,9 +100,6 @@ class ConditionCodes:
         self.z = truncate(value, bits) == 0
         self.v = False
 
-    def as_tuple(self) -> tuple:
-        return (self.n, self.z, self.v, self.c)
-
     def __repr__(self) -> str:
         return "ConditionCodes(n={}, z={}, v={}, c={})".format(self.n, self.z, self.v, self.c)
 

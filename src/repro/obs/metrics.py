@@ -231,7 +231,7 @@ RESILIENCE_COUNTERS = (
     ("engine.pool_respawns", "process pools respawned after a death or timeout"),
     ("engine.spec_failures", "specs that failed after their whole retry budget"),
     ("engine.quarantined_objects", "corrupt cache objects quarantined"),
-    ("engine.repaired_shards", "shards recomputed by the repair chain"),
+    ("engine.repaired_shards", "shards recomputed by the repair pass"),
 )
 
 

@@ -118,18 +118,17 @@ class RunManifest:
     #: which is also why its ``wall_seconds`` is zero rather than a copy
     #: of the executing job's timing
     attached_to: Optional[str] = None
-    #: true cache traffic for this run, aggregated across the
-    #: coordinator *and* every pool worker that touched the cache on its
-    #: behalf (per-process ``RunCache`` counters alone undercount under
-    #: the worker fleet) — ``None`` when the run used no cache
+    #: this run's cache traffic (hit/miss/put/quarantine deltas of the
+    #: cache instance that executed it, which runs every shard of the
+    #: spec in one process) — ``None`` when the run used no cache
     cache_stats: Optional[Dict] = None
     #: engine executions this run needed (1 = succeeded first try; >1
     #: means the resilience layer retried it)
     attempts: int = 1
     #: corrupt cache objects quarantined while this run executed
     quarantined_objects: int = 0
-    #: shards recomputed by the in-process repair chain after a pool
-    #: worker failed or its cached inputs turned out corrupt
+    #: shards a failed chain left unfilled that the repair pass
+    #: recomputed
     repaired_shards: int = 0
     #: replay-compiler diagnostics (``sim.compile.*``: JIT hits/misses,
     #: fast-path fractions, routines specialized) — ``None`` when the

@@ -29,11 +29,11 @@ Design constraints, in order:
 Sites currently instrumented (see the callers for exact keys):
 
 ========================  ====================================================
-``worker``                :func:`repro.core.executor._execute_spec_guarded`,
-                          keyed by spec name — ``raise``/``crash``/``hang``
-``shard.task``            sharded pool worker entry, keyed ``<spec>@<start>``
-``shard.measure``         every measured shard span (chain *and* workers),
-                          keyed ``<spec>@<start>``
+``worker``                every spec task of the executor's retry loop,
+                          whole or sharded, keyed by spec name —
+                          ``raise``/``crash``/``hang``
+``shard.measure``         every measured shard span, keyed
+                          ``<spec>@<start>``
 ``cache.get``             :meth:`repro.core.runcache.RunCache.get` — corrupt
                           the bytes read back (``truncate``/``bitflip``)
 ``cache.write``           mid-write inside ``RunCache._write_atomic``, keyed
@@ -50,9 +50,8 @@ Sites currently instrumented (see the callers for exact keys):
                           error ``repro validate`` exists to refute)
 ========================  ====================================================
 
-A hung spec worker is terminated when its pool is recycled, but a hung
-shard worker finishes its sleep before the sharded fan-out can join it:
-keep ``hang`` durations at the ``shard.*`` sites short.
+A hung worker — whole spec or sharded — is terminated when its pool is
+recycled.
 """
 
 from __future__ import annotations

@@ -148,6 +148,28 @@ class TestCLI:
             "educational", "educational[cache=4KB]", "educational[cache=4KB]"
         ]
 
+    def test_composite_logs_pool_workers_cache_traffic(self, capsys, tmp_path):
+        # With --jobs 2 every sharded spec's cache traffic happens in a
+        # pool worker; the log line must report it from the ledger.
+        argv = ["composite", "--shards", "2", "--jobs", "2",
+                "--instructions", "400", "--warmup", "100",
+                "--cache-dir", str(tmp_path / "cache")]
+
+        def cache_line():
+            assert main(argv) == 0
+            (line,) = [
+                line for line in capsys.readouterr().err.splitlines()
+                if "run cache" in line
+            ]
+            return dict(
+                field.split("=", 1) for field in line.split() if "=" in field
+            )
+
+        cold = cache_line()
+        assert int(cold["misses"]) > 0 and int(cold["puts"]) > 0
+        warm = cache_line()
+        assert warm["misses"] == "0" and int(warm["hits"]) > 0
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])

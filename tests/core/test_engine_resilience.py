@@ -3,8 +3,9 @@
 Every recovery scenario ends with the same assertion: the recovered
 sweep's payloads are bit-identical to an undisturbed run's.  Retries,
 pool respawns, timeouts, degradation to in-process execution and the
-sharded repair chain are all exercised against deterministically
-injected faults from :mod:`repro.testing.faults`.
+sharded repair pass are all exercised against deterministically
+injected faults from :mod:`repro.testing.faults` — for whole specs and,
+through the same retry loop, for sharded ones.
 """
 
 import multiprocessing
@@ -13,7 +14,7 @@ import os
 import pytest
 
 from repro.core.executor import EngineError, RunSpec
-from repro.core.scheduler import execute_spec_sharded, run_specs
+from repro.core.scheduler import Scheduler, execute_spec_sharded, run_specs
 from repro.core.resilience import (
     ResiliencePolicy,
     RetryPolicy,
@@ -285,7 +286,7 @@ class TestShardedFailureDiagnostics:
         )
         with plan.active():
             with pytest.raises(EngineError) as excinfo:
-                execute_spec_sharded(spec, shards=3, jobs=1, cache=cache)
+                execute_spec_sharded(spec, shards=3, cache=cache)
         message = str(excinfo.value)
         assert "per-shard status" in message
         assert "shard 1/3" in message and "shard 3/3" in message
@@ -299,23 +300,94 @@ class TestShardedFailureDiagnostics:
 
         spec = RunSpec(workload="timesharing_light", **SMALL)
         cache = RunCache(str(tmp_path / "cache"))
-        execute_spec_sharded(spec, shards=3, jobs=1, cache=cache)
+        execute_spec_sharded(spec, shards=3, cache=cache)
         # evict one finished shard so the warm run must recompute it
         boundaries = shard_boundaries(spec.instructions, 3)
         _, shard_keys, _ = shard_cache_keys(spec, boundaries)
         os.unlink(cache._object_path(shard_keys[1]))
         plan = plan_with(
-            tmp_path,
-            FaultRule(site="shard.task", action="raise", times=-1),
-            FaultRule(site="shard.measure", action="raise", times=-1),
+            tmp_path, FaultRule(site="shard.measure", action="raise", times=-1)
         )
         with plan.active():
             with pytest.raises(EngineError) as excinfo:
                 execute_spec_sharded(
-                    spec, shards=3, jobs=2, cache=RunCache(str(tmp_path / "cache"))
+                    spec, shards=3, cache=RunCache(str(tmp_path / "cache"))
                 )
         message = str(excinfo.value)
         assert "from-cache" in message
-        assert "worker failed" in message
-        assert "worker traceback (shard 2/3)" in message
+        assert "chain traceback" in message
         assert "faults.py" in message
+        assert excinfo.value.shard_status == {
+            0: "from-cache", 1: "unfilled", 2: "from-cache"
+        }
+
+    def test_scheduler_error_carries_full_shard_status(self, tmp_path):
+        # shard 2/3 faults on every chain: the scheduler's EngineError
+        # must still name what each shard came to
+        plan = plan_with(
+            tmp_path,
+            FaultRule(site="shard.measure", action="raise", match="@200", times=-1),
+        )
+        scheduler = Scheduler(shards=3, cache=RunCache(str(tmp_path / "cache")))
+        with plan.active():
+            with pytest.raises(EngineError) as excinfo:
+                scheduler.run_specs(SPECS[:1], policy=policy_with(retries=0))
+        assert excinfo.value.spec_name == "timesharing_light"
+        assert excinfo.value.shard_status == {
+            0: "computed", 1: "unfilled", 2: "unfilled"
+        }
+        assert "repair-chain traceback" in excinfo.value.worker_traceback
+
+
+class TestShardedSpecsInTheRetryLoop:
+    """A sharded spec is one task of the executor's retry loop, so the
+    policy's retries, timeouts and interrupt reports apply to it."""
+
+    def _scheduler(self, tmp_path, jobs=1):
+        return Scheduler(jobs=jobs, shards=3, cache=RunCache(str(tmp_path / "cache")))
+
+    def test_faulted_first_attempt_is_retried(self, tmp_path, golden):
+        # times=1 per (site, key): the first attempt's chain and repair
+        # pass each lose a span; the second attempt resumes from the
+        # cache and completes
+        plan = plan_with(
+            tmp_path, FaultRule(site="shard.measure", action="raise", times=1)
+        )
+        policy = policy_with(retries=1)
+        with plan.active():
+            runs = self._scheduler(tmp_path).run_specs(SPECS[:1], policy=policy)
+        assert payloads_of(runs) == golden[:1]
+        assert runs[0].manifest.attempts == 2
+        assert counter(policy, "engine.retries") == 1
+
+    def test_hung_sharded_spec_is_recycled_and_retried(self, tmp_path, golden):
+        plan = plan_with(
+            tmp_path,
+            FaultRule(
+                site="shard.measure", action="hang", match="scientific@200",
+                times=1, seconds=8.0,
+            ),
+        )
+        policy = policy_with(retries=1, spec_timeout=2.0)
+        with plan.active():
+            runs = self._scheduler(tmp_path, jobs=2).run_specs(SPECS, policy=policy)
+        assert payloads_of(runs) == golden
+        assert counter(policy, "engine.spec_timeouts") >= 1
+        assert counter(policy, "engine.pool_respawns") >= 1
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_sharded_sweep_persists_report(self, tmp_path):
+        report_path = str(tmp_path / "interrupted.json")
+        policy = policy_with(retries=0, interrupt_report_path=report_path)
+        with pytest.raises(SweepInterrupted) as excinfo:
+            self._scheduler(tmp_path).run_specs(
+                SPECS,
+                progress=TestInterrupts()._interrupt_after_first_done(),
+                policy=policy,
+            )
+        assert excinfo.value.report.completed == ["timesharing_light"]
+        from repro.core.resilience import FailureReport
+
+        persisted = FailureReport.load(report_path)
+        assert persisted.interrupted
+        assert persisted.completed == ["timesharing_light"]

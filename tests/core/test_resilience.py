@@ -89,6 +89,7 @@ class TestFailureReport:
                     kind="timeout",
                     error="too slow",
                     worker_traceback="Traceback ...",
+                    shard_status={0: "computed", 1: "unfilled"},
                 )
             ],
             retries=1,

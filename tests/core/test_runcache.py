@@ -346,6 +346,20 @@ class TestPersistentStats:
             "hits": 1, "misses": 1, "puts": 1, "quarantined": 0, "flushes": 2
         }
 
+    def test_pickled_copy_flushes_only_its_own_traffic(self, cache):
+        # A cache shipped to a pool worker must not re-flush the
+        # coordinator's unflushed counts into the ledger.
+        import pickle
+
+        cache.get(cache_key("test", payload="coordinator"))  # unflushed miss
+        worker = pickle.loads(pickle.dumps(cache))
+        assert worker.root == cache.root
+        worker.put(cache_key("test", payload="worker"), b"x")
+        worker.flush_stats()
+        cache.flush_stats()
+        totals = cache.persistent_totals()
+        assert (totals["misses"], totals["puts"], totals["flushes"]) == (1, 1, 2)
+
     def test_torn_ledger_line_is_skipped(self, cache):
         cache.put(cache_key("test", payload="torn"), b"x")
         cache.flush_stats()

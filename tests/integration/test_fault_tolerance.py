@@ -2,10 +2,10 @@
 
 The engine's whole fault-tolerance story rests on determinism — a
 recomputed spec or shard produces exactly the bytes the lost one would
-have.  These tests disturb real runs three ways (worker death, on-disk
-cache corruption, snapshot-restore failure) and assert the recovered
-output equals the undisturbed golden run bit for bit, with the healing
-visible in the manifest and metrics.
+have.  These tests disturb real runs four ways (worker death, on-disk
+cache corruption, snapshot-restore failure, a fault mid-chain) and
+assert the recovered output equals the undisturbed golden run bit for
+bit, with the healing visible in the manifest and metrics.
 """
 
 import os
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.cache_resolution import shard_cache_keys
 from repro.core.executor import RunSpec, shard_boundaries
-from repro.core.scheduler import execute_spec_sharded, run_specs
+from repro.core.scheduler import Scheduler, execute_spec_sharded, run_specs
 from repro.core.resilience import ResiliencePolicy, RetryPolicy
 from repro.core.runcache import RunCache
 from repro.obs.metrics import MetricsRegistry, resilience_counters
@@ -88,7 +88,7 @@ class TestSweepRecovery:
 class TestShardedSelfHealing:
     def _cold_golden(self, tmp_path):
         cache = RunCache(str(tmp_path / "cache"))
-        golden = execute_spec_sharded(SPEC, shards=SHARDS, jobs=1, cache=cache)
+        golden = execute_spec_sharded(SPEC, shards=SHARDS, cache=cache)
         boundaries = shard_boundaries(SPEC.instructions, SHARDS)
         _, shard_keys, snapshot_keys = shard_cache_keys(SPEC, boundaries)
         return cache, golden, boundaries, shard_keys, snapshot_keys
@@ -99,26 +99,28 @@ class TestShardedSelfHealing:
         cache, golden, boundaries, shard_keys, snapshot_keys = self._cold_golden(
             tmp_path
         )
-        # rot both the middle shard's result and the snapshot the worker
-        # path would resume it from
+        # rot both the middle shard's result and the snapshot a chain
+        # would resume it from
         damage_object(cache, shard_keys[1], "bitflip")
         damage_object(cache, snapshot_keys[boundaries[1]], "truncate")
 
         warm_cache = RunCache(cache.root)
         policy = metered_policy()
         recovered = execute_spec_sharded(
-            SPEC, shards=SHARDS, jobs=1, cache=warm_cache, policy=policy
+            SPEC, shards=SHARDS, cache=warm_cache, policy=policy
         )
         assert payload_of(recovered) == payload_of(golden)
+        # the first chain already resumes from the deepest healthy
+        # snapshot, so healing needs no repair pass
         assert recovered.manifest.quarantined_objects >= 2
-        assert recovered.manifest.repaired_shards >= 1
+        assert recovered.manifest.repaired_shards == 0
         assert warm_cache.quarantined_objects() >= 2
         counters = policy.metrics.snapshot()["counters"]
         assert counters["engine.quarantined_objects"] >= 2
-        assert counters["engine.repaired_shards"] >= 1
+        assert counters["engine.repaired_shards"] == 0
         # the recompute healed the store: a third run replays clean
         healed = execute_spec_sharded(
-            SPEC, shards=SHARDS, jobs=1, cache=RunCache(cache.root)
+            SPEC, shards=SHARDS, cache=RunCache(cache.root)
         )
         assert payload_of(healed) == payload_of(golden)
         assert healed.manifest.quarantined_objects == 0
@@ -142,31 +144,46 @@ class TestShardedSelfHealing:
         policy = metered_policy()
         with plan.active():
             recovered = execute_spec_sharded(
-                SPEC, shards=SHARDS, jobs=1, cache=RunCache(cache.root), policy=policy
+                SPEC, shards=SHARDS, cache=RunCache(cache.root), policy=policy
             )
         assert payload_of(recovered) == payload_of(golden)
-        assert recovered.manifest.repaired_shards >= 1
+        assert recovered.manifest.quarantined_objects >= 1
+        assert recovered.manifest.repaired_shards == 0
 
-    def test_parallel_shard_workers_survive_injected_crash(self, tmp_path):
-        cache, golden, boundaries, shard_keys, snapshot_keys = self._cold_golden(
-            tmp_path
-        )
-        # evict two shard results; their snapshots are cached, so they
-        # fan out to pool workers — where one task is shot dead
-        for index in (1, 2):
-            for suffix in ("", ".sum", ".json"):
-                try:
-                    os.unlink(cache._object_path(shard_keys[index]) + suffix)
-                except FileNotFoundError:
-                    pass
+    def test_mid_chain_fault_is_filled_by_the_repair_pass(self, tmp_path):
+        _, golden, _, _, _ = self._cold_golden(tmp_path)
+        # shard 2/3 faults once: the first chain banks shard 1/3 and the
+        # boundary snapshot, and the repair pass resumes from it
         plan = FaultPlan(
-            rules=[FaultRule(site="shard.task", action="crash", times=1)],
+            rules=[
+                FaultRule(site="shard.measure", action="raise", match="@200", times=1)
+            ],
             state_dir=str(tmp_path / "faults"),
         )
         policy = metered_policy()
         with plan.active():
             recovered = execute_spec_sharded(
-                SPEC, shards=SHARDS, jobs=2, cache=RunCache(cache.root), policy=policy
+                SPEC, shards=SHARDS, cache=RunCache(str(tmp_path / "cold")),
+                policy=policy,
             )
         assert payload_of(recovered) == payload_of(golden)
-        assert recovered.manifest.repaired_shards >= 1
+        assert recovered.manifest.repaired_shards == 2
+        assert policy.metrics.snapshot()["counters"]["engine.repaired_shards"] == 2
+
+    def test_parallel_shard_workers_survive_injected_crash(self, tmp_path):
+        # sharded specs are tasks of the executor's retry loop: a dead
+        # worker respawns the pool and its spec is retried
+        golden = [payload_of(run) for run in run_specs(SPECS)]
+        plan = FaultPlan(
+            rules=[FaultRule(site="worker", action="crash", match="scientific", times=1)],
+            state_dir=str(tmp_path / "faults"),
+        )
+        policy = metered_policy()
+        scheduler = Scheduler(
+            jobs=2, shards=SHARDS, cache=RunCache(str(tmp_path / "cache"))
+        )
+        with plan.active():
+            recovered = scheduler.run_specs(SPECS, policy=policy)
+        assert [payload_of(run) for run in recovered] == golden
+        assert all(run.shard_count == SHARDS for run in recovered)
+        assert policy.metrics.snapshot()["counters"]["engine.pool_respawns"] >= 1
