@@ -1,8 +1,8 @@
 """Compiled micro-routine hot path: replay records for the EBOX.
 
-The interpreted EBOX charges every microcycle one ``_tick`` at a time:
-each simulated cycle is a Python call chain (slot lookup, monitor
-strobe, IB background cycle) even though the vast majority of
+The interpreted EBOX charges every microcycle through
+``EBox._tick_slot``: each charge is a Python call chain (slot lookup,
+monitor strobe, IB background cycle) even though the vast majority of
 instructions take the exact same non-stalled path through the exact
 same microroutines every time they execute.  This module removes that
 per-cycle interpretation the way nanoBench/uops.info remove measurement
@@ -15,33 +15,38 @@ Three layers:
 * :class:`RoutineProgram` / :class:`LayoutReplay` — the
   ``build_layout``-time specializer.  Each microroutine in the control
   store is flattened into a dense replay program: its per-slot
-  histogram buckets plus the precomputed (bucket, count) increment
-  sequences its compute charges produce, patched-entry abort detour
-  included.
+  histogram buckets (the monitor's own fold) plus the precomputed
+  (bucket, count) increment sequences its compute charges produce,
+  patched-entry abort detour included.
 * :func:`compile_record` — the trace-JIT.  Given the raw bytes of one
   instruction it builds an :class:`InstructionRecord`: an op list of
-  CONSUME / ADVANCE / SPEC / BRANCH steps in the interpreter's exact
-  order of I-stream consumption, cycle charging, event counting and
-  memory references, with adjacent charges batched.  What a specifier
-  means and costs comes from the interpreter's own
+  CONSUME / DECODE_TICK / ADVANCE / SPEC / BRANCH steps in the
+  interpreter's exact order of I-stream consumption, cycle charging,
+  event counting and memory references, with adjacent charges batched.
+  What a specifier means and costs comes from the interpreter's own
   :func:`~repro.cpu.operands.plan_specifier`: the plan's charges become
   ADVANCE ops, and its SPEC op calls the shared
-  :func:`~repro.cpu.operands.resolve_operand`.  Records are keyed by
-  raw instruction bytes — the uops.info keying: one record per opcode
-  × specifier-mode (× displacement) variant — and shared by every
-  machine on the same layout.
+  :func:`~repro.cpu.operands.resolve_operand`.  A record holds only
+  what is static about an instruction; whether its decode cycle is
+  spent (the ``decode_overlap`` ablation) is decided when it replays.
+  Records are keyed by raw instruction bytes alone — the uops.info
+  keying: one record per opcode × specifier-mode (× displacement)
+  variant — and shared by every machine on the same layout.
 * :func:`execute_record` — the replay engine ``EBox.step`` dispatches
   to.  It bails out *before mutating anything* unless the
   instruction's full byte image is either already in the IB or
   provably on its way (:func:`peek_image` / ``_image_ready``: no fill
   or TB miss in flight, and the TB-resident pages ahead of the
-  prefetcher hold exactly the record's remaining bytes).  Everything
-  dynamic then runs through the interpreter's own code: IB under-runs
-  through ``EBox._take_bytes`` (one consume per interpreted ``take``,
-  so stall cycles land on the same wait routine at the same instant),
-  and read/write stalls, TB misses, page faults and unaligned detours
-  through ``EBox.data_read`` / ``data_write``.  Interrupts are
-  delivered before dispatch, so a record never sees one.
+  prefetcher hold exactly the record's remaining bytes).  It then runs
+  only its op loop: the instruction frame around it — per-instruction
+  setup, the execute handler, retirement — is the interpreter's own
+  (``EBox._begin_instruction`` / ``EBox._retire``), and so is
+  everything dynamic: IB under-runs through ``EBox._take_bytes`` (one
+  consume per interpreted ``take``, so stall cycles land on the same
+  wait routine at the same instant), and read/write stalls, TB misses,
+  page faults and unaligned detours through ``EBox.data_read`` /
+  ``data_write``.  Interrupts are delivered before dispatch, so a
+  record never sees one.
 
 An execution falls back to the interpreted path when the record's bytes
 are neither buffered nor verifiable ahead of the prefetcher, or when the
@@ -61,6 +66,7 @@ import os
 from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
+from repro.core.monitor import bucket_fold
 from repro.cpu.operands import (
     IllegalInstruction,
     IllegalSpecifier,
@@ -73,7 +79,6 @@ from repro.cpu.operands import (
 from repro.isa.opcodes import OPCODES
 from repro.isa.specifiers import AccessType
 from repro.memory.pagetable import PAGE_SIZE
-from repro.ucode.control_store import CONTROL_STORE_SIZE
 from repro.ucode.microword import MicroSlot
 
 #: Environment switch: set to 1/true/yes/on to force the interpreted path.
@@ -97,7 +102,7 @@ OP_CONSUME = 0  # (OP_CONSUME, byte_count, wait_routine)
 OP_ADVANCE = 1  # (OP_ADVANCE, cycles, ((bucket, count), ...))
 OP_SPEC = 2  # (OP_SPEC, SpecPlan)
 OP_BRANCH = 3  # (OP_BRANCH, width, displacement)
-OP_DECODE_TICK = 4  # (OP_DECODE_TICK, cycles, incs) — decode_overlap only
+OP_DECODE_TICK = 4  # (OP_DECODE_TICK, cycles, incs) — the decode cycle
 
 
 def compile_disabled_by_env() -> bool:
@@ -330,18 +335,13 @@ class LayoutReplay:
     Built once per :class:`~repro.ucode.routines.MicrocodeLayout`
     (``build_layout`` triggers it for the shared layout) and consulted
     by the instruction compiler.  The micro-PC → bucket fold is the
-    monitor interface board's: identity below the top bucket,
-    everything else folded onto it.
+    monitor interface board's (:func:`~repro.core.monitor.bucket_fold`)
+    for the standard 16,000-bucket board, the only board the compiled
+    path runs on.
     """
 
-    #: must match the histogram board the replay's bucket numbers hit
-    BUCKETS = 16_000
-
     def __init__(self, layout):
-        top = self.BUCKETS - 1
-        bucket_map = [
-            upc if upc < top else top for upc in range(CONTROL_STORE_SIZE)
-        ]
+        bucket_map = bucket_fold()
         abort_bucket = bucket_map[layout.abort.address(MicroSlot.COMPUTE_A)]
         self._by_id = {
             id(routine): RoutineProgram(routine, bucket_map, abort_bucket)
@@ -394,7 +394,6 @@ class InstructionRecord:
 
     __slots__ = (
         "raw",
-        "length",
         "ops",
         "opcode",
         "mnemonic",
@@ -501,13 +500,13 @@ class _OpBuilder:
         self.ops.append((OP_BRANCH, width, displacement))
 
     def decode_tick(self, cycles, incs):
-        self.ops.append((OP_DECODE_TICK, cycles, tuple(incs)))
+        self.ops.append((OP_DECODE_TICK, cycles, incs))
 
     def build(self):
         return tuple(self.ops)
 
 
-def compile_record(layout, raw, decode_overlap: bool):
+def compile_record(layout, raw):
     """Compile the instruction whose byte image starts ``raw``.
 
     Returns an :class:`InstructionRecord`, or a :class:`NeverRecord`
@@ -533,15 +532,9 @@ def compile_record(layout, raw, decode_overlap: bool):
     cursor = _Cursor(raw, 1)
 
     builder.consume(1, layout.decode)
-    decode_cycles, decode_incs = replay.program_for(layout.decode).slot_incs(
-        _COMPUTE_A
-    )
-    if decode_overlap:
-        # The decode cycle is hidden except after a taken branch; the
-        # condition is only known at replay time.
-        builder.decode_tick(decode_cycles, decode_incs)
-    else:
-        builder.advance(decode_cycles, decode_incs)
+    # Whether the decode cycle is spent (always on the 780; after a
+    # taken branch only under decode_overlap) is known at replay time.
+    builder.decode_tick(*replay.program_for(layout.decode).slot_incs(_COMPUTE_A))
 
     last_source_routine = None
     last_operand_mode = None
@@ -564,7 +557,6 @@ def compile_record(layout, raw, decode_overlap: bool):
 
     record = InstructionRecord()
     record.raw = bytes(raw[: cursor.pos])
-    record.length = cursor.pos
     record.ops = builder.build()
     record.opcode = opcode
     record.mnemonic = opcode.mnemonic
@@ -605,7 +597,7 @@ def _compile_specifier(replay, layout, position, spec, cursor, builder):
 # record caches
 # ---------------------------------------------------------------------------
 
-#: control store -> ({(raw, overlap): record}, {first_byte: set(lengths)},
+#: control store -> ({raw: record}, {first_byte: set(lengths)},
 #: {image: sightings})
 _LAYOUT_RECORDS: "WeakKeyDictionary" = WeakKeyDictionary()
 
@@ -637,7 +629,7 @@ def _layout_cache(layout):
     return entry
 
 
-def resolve(layout, buf, decode_overlap: bool, stats=None):
+def resolve(layout, buf, stats=None):
     """Find (or compile) the record for the instruction starting ``buf``.
 
     ``buf`` is the IB's current byte run (a bytearray), or a
@@ -658,7 +650,7 @@ def resolve(layout, buf, decode_overlap: bool, stats=None):
         n = len(buf)
         for length in lens:
             if length <= n:
-                record = records.get((bytes(buf[:length]), decode_overlap))
+                record = records.get(bytes(buf[:length]))
                 if record is not None:
                     return record
     key = bytes(buf[:_MAX_IMAGE])
@@ -669,7 +661,7 @@ def resolve(layout, buf, decode_overlap: bool, stats=None):
         sightings[key] = count
         return None
     try:
-        record = compile_record(layout, bytes(buf), decode_overlap)
+        record = compile_record(layout, bytes(buf))
     except _NeedMoreBytes:
         sightings[key] = _COMPILE_MIN_SIGHTINGS - 1 - _RETRY_BACKOFF
         return None
@@ -680,7 +672,7 @@ def resolve(layout, buf, decode_overlap: bool, stats=None):
         else:
             stats.records_compiled += 1
     if len(records) < _RECORD_CACHE_CAP:
-        records[(record.raw, decode_overlap)] = record
+        records[record.raw] = record
         lengths.setdefault(record.raw[0], set()).add(len(record.raw))
     return record
 
@@ -832,9 +824,10 @@ def execute_record(record, ebox) -> bool:
 
     Returns False — with **no state mutated** — when the record's byte
     image is neither in the IB nor provably on its way (see the
-    I-stream lookahead section).  Mirrors the interpreted ``EBox.step``
-    body exactly; see the module docstring for the equivalence
-    argument.
+    I-stream lookahead section).  Otherwise runs the record's op loop
+    inside the EBOX's own instruction frame
+    (``EBox._begin_instruction`` / ``EBox._retire``, shared with the
+    interpreter) and returns True.
     """
     ib = ebox.ib
     buf = ib._bytes
@@ -843,20 +836,16 @@ def execute_record(record, ebox) -> bool:
     ):
         return False
 
+    start_va = ib._decode_va
+    redirects_before = ib.stats.redirects
+    ebox._instruction_start_cycle = ebox.cycle_count
+    ebox._begin_instruction(record.opcode, record.exec_routine)
+
     events = ebox.events
     board = ebox._board
     collecting = board is not None and board._collecting
     counts = board._counts if collecting else None
-    ib_run = ebox._ib_run
-    redirects_before = ib.stats.redirects
-
-    ebox._instruction_start_cycle = ebox.cycle_count
-    ebox.current_opcode = record.opcode
-    ebox._exec_routine = record.exec_routine
-    ebox._exec_a_used = False
-    ebox._last_source_routine = None
-    ebox.branch_displacement = None
-
+    ib_run = ib.run
     operands = []
     append = operands.append
 
@@ -881,31 +870,22 @@ def execute_record(record, ebox) -> bool:
                 ebox._take_bytes(count, op[2])
         elif kind == OP_SPEC:
             append(resolve_operand(ebox, op[1]))
-        elif kind == OP_BRANCH:
-            ebox.branch_displacement = op[2]
-            events.branch_displacements += 1
-            events.displacement_bytes += op[1]
-        else:  # OP_DECODE_TICK (decode_overlap machines only)
-            if ebox._last_instruction_redirected:
+        elif kind == OP_DECODE_TICK:
+            # The interpreter's decode-cycle rule, verbatim.
+            if not ebox.decode_overlap or ebox._last_instruction_redirected:
                 if collecting:
                     for bucket, count in op[2]:
                         counts[bucket] += count
                 cycles = op[1]
                 ebox.cycle_count += cycles
                 ib_run(cycles)
+        else:  # OP_BRANCH
+            ebox.branch_displacement = op[2]
+            events.branch_displacements += 1
+            events.displacement_bytes += op[1]
 
-    ebox._merge_pending = record.merge_pending
     ebox._last_source_routine = record.last_source_routine
-    events.instruction_bytes += record.length
-    events.opcode_counts[record.mnemonic] += 1
-
-    record.handler(ebox, record.opcode, operands)
-
-    # The handler may have swapped ebox.events (LDPCTX measurement
-    # gating), exactly like the interpreter's live attribute read.
-    ebox.events.instructions += 1
-    ebox.regs.pc = ib._decode_va
-    ebox._merge_pending = False
-    ebox._last_instruction_redirected = ib.stats.redirects != redirects_before
+    ebox._retire(
+        record.handler, operands, record.merge_pending, start_va, redirects_before
+    )
     return True
-

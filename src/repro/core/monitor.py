@@ -18,17 +18,18 @@ the machine at all.
 
 Because the strobe path runs once per simulated microcycle it is the
 hottest code in the repository.  The banks are ``array('Q')`` (machine
-words, like the real board's count RAM), the interface precomputes its
-micro-PC → bucket map once, and :meth:`UPCMonitor.observe` performs the
-whole interface-plus-board path in a single flattened function.  The
-Unibus command surface (``start`` / ``stop`` / ``clear`` /
+words, like the real board's count RAM), and the interface precomputes
+its micro-PC → bucket map once (:func:`bucket_fold`).  The EBOX's cycle
+charge (``EBox._tick_slot``) and the replay's batched increments index
+that map and the banks directly instead of calling through the boards.
+The Unibus command surface (``start`` / ``stop`` / ``clear`` /
 ``read_bucket``) is unchanged.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 from typing import Optional
 
@@ -45,6 +46,14 @@ class MonitorCommandError(Exception):
     """An ill-formed Unibus command (bad bucket address, etc.)."""
 
 
+def bucket_fold(buckets: int = HISTOGRAM_BUCKETS) -> array:
+    """The interface board's micro-PC → bucket map for a ``buckets``-wide
+    count board: identity below the top bucket, everything above folded
+    onto it."""
+    top = buckets - 1
+    return array("l", (upc if upc < top else top for upc in range(CONTROL_STORE_SIZE)))
+
+
 def _zero_bank(buckets: int) -> array:
     return array("Q", bytes(8 * buckets))
 
@@ -53,8 +62,9 @@ class HistogramBoard:
     """The general-purpose dual-bank count board.
 
     Unibus commands: :meth:`start`, :meth:`stop`, :meth:`clear`,
-    :meth:`read_bucket`.  Counting happens through :meth:`strobe`, which
-    the interface board drives once per microcycle.
+    :meth:`read_bucket`.  :meth:`strobe` is the checked counting entry
+    (histogram loading uses it); the simulator's per-cycle charge
+    increments the banks directly.
     """
 
     def __init__(self, buckets: int = HISTOGRAM_BUCKETS):
@@ -217,8 +227,7 @@ class HistogramBoard:
 class MonitorInterface:
     """The processor-specific interface board.
 
-    Maps micro-PC values onto histogram buckets and relays the per-cycle
-    strobes.  The 780 control store (16K locations) does not quite fit the
+    Maps micro-PC values onto histogram buckets.  The 780 control store (16K locations) does not quite fit the
     16,000-bucket board one-to-one; the interface folds the few overflow
     addresses onto the top bucket, which the layout never allocates, so
     in practice the mapping is injective for every used address.
@@ -230,19 +239,12 @@ class MonitorInterface:
 
     def __init__(self, board: HistogramBoard):
         self.board = board
-        top = board.buckets - 1
-        self.bucket_map = array(
-            "l", (upc if upc < top else top for upc in range(CONTROL_STORE_SIZE))
-        )
+        self.bucket_map = bucket_fold(board.buckets)
 
     def bucket_for(self, upc: int) -> int:
         if not 0 <= upc < CONTROL_STORE_SIZE:
             raise MonitorCommandError("micro-PC {:#x} out of range".format(upc))
         return self.bucket_map[upc]
-
-    def microcycle(self, upc: int, stalled: bool = False, repeat: int = 1) -> None:
-        """One (or ``repeat``) microcycles observed at ``upc``."""
-        self.board.strobe(self.bucket_for(upc), stalled=stalled, repeat=repeat)
 
 
 @dataclass
@@ -275,20 +277,3 @@ class UPCMonitor:
     @property
     def collecting(self) -> bool:
         return self.board.collecting
-
-    def observe(self, upc: int, stalled: bool = False, repeat: int = 1) -> None:
-        """One (or ``repeat``) microcycles observed at ``upc``.
-
-        The interface-board and count-board steps, flattened into one
-        call: this runs once per simulated EBOX cycle.
-        """
-        if not 0 <= upc < CONTROL_STORE_SIZE:
-            raise MonitorCommandError("micro-PC {:#x} out of range".format(upc))
-        board = self.board
-        if not board._collecting:
-            return
-        bucket = self._bucket_map[upc]
-        if stalled:
-            board._stalled_counts[bucket] += repeat
-        else:
-            board._counts[bucket] += repeat

@@ -289,6 +289,7 @@ def _run_shard_chain(
     chash: str,
     notify: ProgressCallback,
     shards: int,
+    chain_compile: list,
 ) -> Optional[str]:
     """Execute a contiguous run of shards in-process.
 
@@ -297,12 +298,17 @@ def _run_shard_chain(
     result and boundary snapshot into the cache as it passes, and
     returns the digest of the snapshot it resumed from, if any.  Spans
     whose results are already filled are simulated through without
-    re-storing — the chain needs their end state, not their numbers."""
+    re-storing — the chain needs their end state, not their numbers.
+    The chain machine's ``(compile_stats, compile_active)`` is appended
+    to ``chain_compile`` before any shard runs, so a failed chain's
+    replay work is counted too."""
     from repro.core.executor import _measure_span
 
     kernel, anchor, resumed_digest = _open_chain_kernel(
         spec, boundaries, start_index, cache, snapshot_keys, chash
     )
+    ebox = kernel.machine.ebox
+    chain_compile.append((ebox.compile_stats, ebox._compile_active))
     for index in range(anchor, end_index + 1):
         span = boundaries[index + 1] - boundaries[index]
         name = _shard_name(spec, index, shards)
@@ -425,6 +431,25 @@ def _record_healing(policy, manifest) -> None:
     ).inc(manifest.repaired_shards)
 
 
+def _chain_compile_metrics(chain_compile) -> Optional[Dict]:
+    """The chain machines' compile diagnostics, summed, as the same
+    ``sim.compile.*`` metrics snapshot an unsharded run reports (``None``
+    when every shard came from the cache and no machine ran)."""
+    from repro.core.compile import CompileStats, record_metrics
+    from repro.obs.metrics import MetricsRegistry
+
+    if not chain_compile:
+        return None
+    totals = CompileStats()
+    for stats, _active in chain_compile:
+        totals.merge_from(stats)
+    registry = MetricsRegistry()
+    record_metrics(
+        registry, totals, active=any(active for _stats, active in chain_compile)
+    )
+    return registry.snapshot()
+
+
 def execute_spec_sharded(
     spec: RunSpec,
     shards: int,
@@ -488,6 +513,7 @@ def execute_spec_sharded(
             notify(ProgressEvent("done", index, shards, name))
 
     resumed_digest: Optional[str] = None
+    chain_compile: list = []
 
     def fill() -> Optional[str]:
         """One pass: a chain per run of unfilled shards.  Returns the
@@ -499,6 +525,7 @@ def execute_spec_sharded(
                 digest = _run_shard_chain(
                     spec, boundaries, first, last, results, cache,
                     shard_keys, snapshot_keys, chash, notify, shards,
+                    chain_compile,
                 )
             except Exception:
                 failure = failure or traceback.format_exc()
@@ -542,13 +569,18 @@ def execute_spec_sharded(
         cache.flush_stats()
     if policy is not None:
         _record_healing(policy, manifest)
+    metrics = _chain_compile_metrics(chain_compile)
+    if metrics is not None:
+        from repro.core.compile import stats_from_snapshot
+
+        manifest.compile = stats_from_snapshot(metrics)
     return EngineRun(
         spec=spec,
         result=result,
         histogram=histogram,
         wall_seconds=wall,
         manifest=manifest,
-        metrics=None,
+        metrics=metrics,
         shard_count=shards,
         shards_from_cache=cached_count,
     )

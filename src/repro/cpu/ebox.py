@@ -18,6 +18,16 @@ reads operands, execute handlers (:mod:`repro.cpu.semantics`) do the
 work, and result stores charge the destination specifier's write slot —
 "a simple integer Move ... is accomplished entirely by specifier
 microcode: first a read, then a write" (Section 3.2).
+
+An instruction runs on one of two paths that must count bit-identically:
+the per-microcycle interpreter (:meth:`EBox._step_interpreted`) or the
+replay of a compiled record (:func:`repro.core.compile.execute_record`).
+Both run inside one instruction frame owned here —
+:meth:`EBox._begin_instruction` before the specifiers, :meth:`EBox._retire`
+around the execute handler — and share one clock (cycles, monitor and
+prefetcher advance together), one decode-cycle rule, and one
+memory-reference charge (:meth:`EBox._reference`).  The replay differs
+only in batching a record's static charges.
 """
 
 from __future__ import annotations
@@ -132,34 +142,23 @@ class EBox:
     def _bind_transients(self) -> None:
         """(Re)create everything pickling drops.
 
-        Hot-path bindings (the monitor strobe, IB background cycle and
-        dispatch entry points are bound once instead of re-resolved
-        every cycle), the replay compiler's per-machine state, and the
-        tracer wiring.  Runs from ``__init__``, ``__setstate__`` and
-        ``set_tracer`` so fresh, restored and re-traced machines are
-        indistinguishable.
+        Hot-path bindings (the monitor's board and bucket fold, the
+        dispatch entry point and the replay compiler's entry points are
+        bound once instead of re-resolved every cycle), the replay
+        compiler's per-machine state, and the tracer wiring.  Runs from
+        ``__init__``, ``__setstate__`` and ``set_tracer`` so fresh,
+        restored and re-traced machines are indistinguishable.
         """
         monitor = self.monitor
         tracer = self._tracer
-        self._observe = monitor.observe if monitor is not None else None
         self._board = monitor.board if monitor is not None else None
         self._bucket_map = monitor._bucket_map if monitor is not None else None
-        self._ib_run = self.ib.run
-        self._abort_entry = self.layout.abort.address(MicroSlot.COMPUTE_A)
-        from repro.cpu.semantics import dispatch  # deferred import breaks the cycle
-        from repro.core import compile as replay  # likewise
+        from repro.core import compile as replay  # deferred imports break the cycle
+        from repro.core.monitor import HISTOGRAM_BUCKETS
+        from repro.cpu.semantics import dispatch
 
         self._dispatch = dispatch
         self.ib.tracer = tracer
-        if tracer is None:
-            # Tracing off: bind the hottest traced site (one call per
-            # specifier) straight to the implementation so it pays no
-            # wrapper call.
-            self._process_specifier = self._process_specifier_impl
-        else:
-            # Drop the instance binding so the traced class-level wrapper
-            # (which opens spec spans) is reachable again.
-            self.__dict__.pop("_process_specifier", None)
         # The compiled hot path (repro.core.compile).  Active only when
         # nothing needs the per-cycle interpreted path: no tracer (the
         # tracer's spans narrate individual specifiers and stalls), the
@@ -180,7 +179,6 @@ class EBox:
             self._record_cache = {}
             self._space_caches = {None: self._record_cache}
             self._cache_space = None
-            self._records_overlap = self.decode_overlap
         if "compile_stats" not in self.__dict__:
             self.compile_stats = replay.CompileStats()
         # The costs.skew fault site (repro.testing.faults): when armed,
@@ -197,10 +195,7 @@ class EBox:
         would_compile = (
             self._cost_skew is None
             and not replay.compile_disabled_by_env()
-            and (
-                self._board is None
-                or self._board.buckets == replay.LayoutReplay.BUCKETS
-            )
+            and (self._board is None or self._board.buckets == HISTOGRAM_BUCKETS)
         )
         self._compile_active = tracer is None and would_compile
         #: True when an attached tracer — and nothing else — is what
@@ -236,13 +231,9 @@ class EBox:
     #: and diagnostics never bloat the snapshot).
     _TRANSIENTS = (
         "_cost_skew",
-        "_observe",
         "_board",
         "_bucket_map",
-        "_ib_run",
-        "_abort_entry",
         "_dispatch",
-        "_process_specifier",
         "_tracer",
         "_resolve_record",
         "_execute_record",
@@ -250,7 +241,6 @@ class EBox:
         "_record_cache",
         "_space_caches",
         "_cache_space",
-        "_records_overlap",
         "compile_stats",
         "_compile_active",
         "_compile_disabled_by_tracer",
@@ -283,9 +273,9 @@ class EBox:
         """(Re)bind the passive tracer, keeping the fast paths honest.
 
         Snapshot capture detaches the tracer before pickling and restore
-        attaches the caller's (or none); the specifier fast-path binding
-        and the compiled-path gate must track the tracer, so all tracer
-        swaps go through here."""
+        attaches the caller's (or none); the IB's tracer and the
+        compiled-path gate must track the tracer, so all tracer swaps go
+        through here."""
         self._tracer = tracer
         self._bind_transients()
 
@@ -293,53 +283,24 @@ class EBox:
     # cycle accounting
     # ------------------------------------------------------------------
 
-    def _tick(self, address: int, count: int = 1, stalled: bool = False) -> None:
-        """Spend ``count`` cycles at micro-PC ``address``.
-
-        Every EBOX cycle also gives the I-Fetch hardware a background
-        cycle — prefetch proceeds underneath computation and stalls
-        alike.  The monitor's count-board step and the prefetcher's
-        nothing-can-happen exits (fill outstanding, TB-miss paused,
-        buffer full) are inlined here: this and :meth:`_tick_slot` run
-        once per simulated EBOX cycle burst.
-        """
-        if count <= 0:
-            return
-        board = self._board
-        if board is not None and board._collecting:
-            bucket = self._bucket_map[address]
-            if stalled:
-                board._stalled_counts[bucket] += count
-            else:
-                board._counts[bucket] += count
-        self.cycle_count += count
-        ib = self.ib
-        wait = ib._fill_wait
-        if wait == 0:
-            if ib.tb_miss_pending or len(ib._bytes) >= 8:
-                ib._now += count
-            else:
-                self._ib_run(count)
-        elif wait > count:
-            # Waiting out a fill that outlasts this burst: pure countdown.
-            ib._fill_wait = wait - count
-            ib._now += count
-        else:
-            self._ib_run(count)
-
     def _tick_slot(self, routine, slot: int, count: int = 1, stalled: bool = False) -> None:
         """Spend ``count`` cycles at slot index ``slot`` of ``routine``.
 
-        This is :meth:`_tick` inlined over ``routine.slot_addrs`` — the
-        per-microcycle fast path.
+        The one clock: the monitor's count-board step, then the EBOX
+        cycle count, then the same number of background cycles for the
+        I-Fetch hardware — prefetch proceeds underneath computation and
+        stalls alike.  The replay's batched ADVANCE ops do the same
+        three steps over a whole burst.
         """
         if count <= 0:
             return
         if routine.patched and slot == _COMPUTE_A:
             # A patched entry microinstruction costs one abort cycle per
             # execution (the microsequencer detours through the patch
-            # area), in addition to its normal cycle.
-            self._tick(self._abort_entry)
+            # area), in addition to its normal cycle.  The abort routine
+            # is allocated after the patch markers, so it is never
+            # patched itself.
+            self._tick_slot(self.layout.abort, _COMPUTE_A)
         board = self._board
         if board is not None and board._collecting:
             bucket = self._bucket_map[routine.slot_addrs[slot]]
@@ -348,18 +309,7 @@ class EBox:
             else:
                 board._counts[bucket] += count
         self.cycle_count += count
-        ib = self.ib
-        wait = ib._fill_wait
-        if wait == 0:
-            if ib.tb_miss_pending or len(ib._bytes) >= 8:
-                ib._now += count
-            else:
-                self._ib_run(count)
-        elif wait > count:
-            ib._fill_wait = wait - count
-            ib._now += count
-        else:
-            self._ib_run(count)
+        self.ib.run(count)
 
     def _charge_compute(self, routine, cycles: int) -> None:
         """Spend compute cycles: first at COMPUTE_A, the rest at COMPUTE_B."""
@@ -394,19 +344,7 @@ class EBox:
                 self._service_tb_miss(miss.va, write=False)
             except PageFault as fault:
                 self._deliver_page_fault(fault)
-        self._tick_slot(routine, _READ)
-        if outcome.stall_cycles:
-            stall_start = self.cycle_count
-            self._tick_slot(routine, _READ, count=outcome.stall_cycles, stalled=True)
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.complete(
-                    "MEM",
-                    stall_start,
-                    "read stall",
-                    outcome.stall_cycles,
-                    {"va": va, "routine": routine.name},
-                )
+        self._reference(routine, _READ, outcome.stall_cycles, "va", va)
         if outcome.unaligned:
             self._charge_unaligned(read=True)
         self.events.reads_by_source[source] += 1
@@ -419,19 +357,7 @@ class EBox:
         # trace hook falls through to the general loop.
         stall = self.memory.write_fast(va, size, value, self.cycle_count)
         if stall is not None:
-            self._tick_slot(routine, _WRITE)
-            if stall:
-                stall_start = self.cycle_count
-                self._tick_slot(routine, _WRITE, count=stall, stalled=True)
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.complete(
-                        "MEM",
-                        stall_start,
-                        "write stall",
-                        stall,
-                        {"va": va, "routine": routine.name},
-                    )
+            self._reference(routine, _WRITE, stall, "va", va)
             self.events.writes_by_source[source] += 1
             return
         while True:
@@ -442,22 +368,32 @@ class EBox:
                 self._service_tb_miss(miss.va, write=True)
             except PageFault as fault:
                 self._deliver_page_fault(fault)
-        self._tick_slot(routine, _WRITE)
-        if outcome.stall_cycles:
+        self._reference(routine, _WRITE, outcome.stall_cycles, "va", va)
+        if outcome.unaligned:
+            self._charge_unaligned(read=False)
+        self.events.writes_by_source[source] += 1
+
+    def _reference(self, routine, slot: int, stall: int, key: str, address: int) -> None:
+        """Charge one memory reference at ``routine``'s read or write slot.
+
+        The reference's own cycle, then its ``stall`` cycles in the
+        stalled bank at the same microinstruction (Section 4.3), then —
+        when traced — a MEM stall span naming the address (``key`` is
+        ``"va"`` or ``"pa"``) and the routine.
+        """
+        self._tick_slot(routine, slot)
+        if stall:
             stall_start = self.cycle_count
-            self._tick_slot(routine, _WRITE, count=outcome.stall_cycles, stalled=True)
+            self._tick_slot(routine, slot, count=stall, stalled=True)
             tracer = self._tracer
             if tracer is not None:
                 tracer.complete(
                     "MEM",
                     stall_start,
-                    "write stall",
-                    outcome.stall_cycles,
-                    {"va": va, "routine": routine.name},
+                    "read stall" if slot == _READ else "write stall",
+                    stall,
+                    {key: address, "routine": routine.name},
                 )
-        if outcome.unaligned:
-            self._charge_unaligned(read=False)
-        self.events.writes_by_source[source] += 1
 
     def _charge_unaligned(self, read: bool) -> None:
         """The alignment microcode's extra work for a straddling reference."""
@@ -558,18 +494,14 @@ class EBox:
     # ------------------------------------------------------------------
 
     def _process_specifier(self, position: int, spec: OperandSpec) -> OperandRef:
+        """Decode, plan, charge and resolve one operand specifier."""
         tracer = self._tracer
-        if tracer is None:
-            return self._process_specifier_impl(position, spec)
-        # The span opens before any bytes are consumed (nested IB-stall /
-        # TB-miss events must fall inside it); the addressing mode is
-        # only known at the close, so it rides on the end event's args.
-        tracer.begin("UCODE", self.cycle_count, "spec1" if position == 0 else "spec26")
-        operand = self._process_specifier_impl(position, spec)
-        tracer.end("UCODE", self.cycle_count, {"mode": operand.mode.name})
-        return operand
-
-    def _process_specifier_impl(self, position: int, spec: OperandSpec) -> OperandRef:
+        if tracer is not None:
+            # The span opens before any bytes are consumed (nested
+            # IB-stall / TB-miss events must fall inside it); the
+            # addressing mode is only known at the close, so it rides on
+            # the end event's args.
+            tracer.begin("UCODE", self.cycle_count, "spec1" if position == 0 else "spec26")
         layout = self.layout
         wait_routine = layout.spec1_wait if position == 0 else layout.spec26_wait
         decoded = decode_specifier(
@@ -583,6 +515,8 @@ class EBox:
             # The last source specifier, for the literal/register
             # execute merge (see merges_execute).
             self._last_source_routine = plan.routine
+        if tracer is not None:
+            tracer.end("UCODE", self.cycle_count, {"mode": operand.mode.name})
         return operand
 
     # ------------------------------------------------------------------
@@ -630,16 +564,7 @@ class EBox:
     def exec_read_physical(self, pa: int, size: int) -> int:
         """A physically-addressed execute-phase read (PCB traffic)."""
         outcome = self.memory.read_physical(pa, size, now=self.cycle_count)
-        self._tick_slot(self._exec_routine, _READ)
-        if outcome.stall_cycles:
-            stall_start = self.cycle_count
-            self._tick_slot(
-                self._exec_routine, _READ, count=outcome.stall_cycles, stalled=True
-            )
-            if self._tracer is not None:
-                self._tracer.complete(
-                    "MEM", stall_start, "read stall", outcome.stall_cycles, {"pa": pa}
-                )
+        self._reference(self._exec_routine, _READ, outcome.stall_cycles, "pa", pa)
         source = _TABLE5_GROUP_ROW[self.current_opcode.group]
         self.events.reads_by_source[source] += 1
         return outcome.value
@@ -647,16 +572,7 @@ class EBox:
     def exec_write_physical(self, pa: int, size: int, value: int) -> None:
         """A physically-addressed execute-phase write (PCB traffic)."""
         outcome = self.memory.write_physical(pa, size, value, now=self.cycle_count)
-        self._tick_slot(self._exec_routine, _WRITE)
-        if outcome.stall_cycles:
-            stall_start = self.cycle_count
-            self._tick_slot(
-                self._exec_routine, _WRITE, count=outcome.stall_cycles, stalled=True
-            )
-            if self._tracer is not None:
-                self._tracer.complete(
-                    "MEM", stall_start, "write stall", outcome.stall_cycles, {"pa": pa}
-                )
+        self._reference(self._exec_routine, _WRITE, outcome.stall_cycles, "pa", pa)
         source = _TABLE5_GROUP_ROW[self.current_opcode.group]
         self.events.writes_by_source[source] += 1
 
@@ -788,49 +704,26 @@ class EBox:
 
         Anything without a valid record — bytes not fully buffered yet,
         permanently uncompilable instructions, a stale cache entry —
-        falls through to :meth:`_step_interpreted` for this execution.
+        falls through to :meth:`_interpret` for this execution.
         """
-        if self.decode_overlap is not self._records_overlap:
-            # The ablation knob flipped since the cache was built;
-            # records bake the decode-tick shape in.
-            self._space_caches.clear()
-            self._records_overlap = self.decode_overlap
-            self._switch_space(self.memory.page_tables["p0"])
-        else:
-            space = self.memory.page_tables["p0"]
-            if space is not self._cache_space:
-                self._switch_space(space)
+        space = self.memory.page_tables["p0"]
+        if space is not self._cache_space:
+            self._switch_space(space)
         ib = self.ib
         va = ib._decode_va
-        cache = self._record_cache
         stats = self.compile_stats
-        cause = None  # why this execution interprets, if it does
-        record = cache.get(va)
-        if record is not None:
-            if record.never:
-                if ib._bytes.startswith(record.raw):
-                    start = self.cycle_count
-                    result = self._step_interpreted()
-                    stats.jit_misses += 1
-                    stats.slow_cycles += self.cycle_count - start
-                    stats.note_fallback("uncompilable")
-                    channel = self._compile_events
-                    if channel is not None:
-                        channel.emit(start, "fallback", "uncompilable", va)
-                    return result
-                stats.byte_fallbacks += 1
-                cause = "byte_mismatch"
-            elif self._execute_record(record, self):
-                stats.jit_hits += 1
-                stats.fast_cycles += (
-                    self.cycle_count - self._instruction_start_cycle
-                )
-                return not self.halted
-            else:
-                # Bytes at this address changed (process aliasing or a
-                # rewritten program): re-resolve against the buffer.
-                stats.byte_fallbacks += 1
-                cause = "byte_mismatch"
+        record = self._record_cache.get(va)
+        if record is None:
+            cause = "unresolved"
+        elif self._try_replay(record, stats):
+            return not self.halted
+        elif record.never and ib._bytes.startswith(record.raw):
+            return self._interpret(stats, "uncompilable", va)
+        else:
+            # Bytes at this address changed (process aliasing or a
+            # rewritten program): re-resolve against the buffer.
+            stats.byte_fallbacks += 1
+            cause = "byte_mismatch"
         probe = ib._bytes
         if len(probe) < 8:
             # The IB was flushed (taken branch) or is still filling:
@@ -840,59 +733,102 @@ class EBox:
             if image is not None and len(image) > len(probe):
                 probe = image
         compiled_before = stats.records_compiled
-        record = (
-            self._resolve_record(self.layout, probe, self.decode_overlap, stats)
-            if probe
-            else None
-        )
+        record = self._resolve_record(self.layout, probe, stats) if probe else None
         if record is None and len(probe) >= 8:
             # A full IB that still would not resolve usually means an
             # instruction longer than the buffer: extend the probe by
             # lookahead up to the record image cap.
             image = self._peek_image(self)
             if image is not None and len(image) > len(probe):
-                record = self._resolve_record(
-                    self.layout, image, self.decode_overlap, stats
-                )
+                record = self._resolve_record(self.layout, image, stats)
+        if record is None:
+            return self._interpret(stats, cause, va)
+        self._record_cache[va] = record
         channel = self._compile_events
-        if record is not None:
-            cache[va] = record
-            if channel is not None and stats.records_compiled > compiled_before:
-                channel.emit(
-                    self.cycle_count,
-                    "record formed",
-                    record.mnemonic,
-                    len(record.raw),
-                )
-            if not record.never and self._execute_record(record, self):
-                stats.jit_hits += 1
-                stats.fast_cycles += (
-                    self.cycle_count - self._instruction_start_cycle
-                )
-                return not self.halted
-            cause = "uncompilable" if record.never else "byte_mismatch"
-        else:
-            cause = cause or "unresolved"
+        if channel is not None and stats.records_compiled > compiled_before:
+            channel.emit(
+                self.cycle_count, "record formed", record.mnemonic, len(record.raw)
+            )
+        if self._try_replay(record, stats):
+            return not self.halted
+        return self._interpret(
+            stats, "uncompilable" if record.never else "byte_mismatch", va
+        )
+
+    def _try_replay(self, record, stats) -> bool:
+        """Replay ``record`` if it is real and its bytes are (provably)
+        there, counting the hit; False with nothing mutated otherwise."""
+        if record.never or not self._execute_record(record, self):
+            return False
+        stats.jit_hits += 1
+        stats.fast_cycles += self.cycle_count - self._instruction_start_cycle
+        return True
+
+    def _interpret(self, stats, cause: str, va: int) -> bool:
+        """Interpret one instruction while compilation is on, counting
+        the fallback and its cause (and emitting it on the channel)."""
         start = self.cycle_count
         result = self._step_interpreted()
         stats.jit_misses += 1
         stats.slow_cycles += self.cycle_count - start
         stats.note_fallback(cause)
+        channel = self._compile_events
         if channel is not None:
             channel.emit(start, "fallback", cause, va)
         return result
 
+    # -- the instruction frame both paths run through ----------------------
+
+    def _begin_instruction(self, opcode: Opcode, exec_routine) -> None:
+        """Reset the per-instruction state for a decoded ``opcode``."""
+        self.current_opcode = opcode
+        self._exec_routine = exec_routine
+        self._exec_a_used = False
+        self._last_source_routine = None
+        self.branch_displacement = None
+
+    def _retire(
+        self, handler, operands, merge_pending: bool, start_va: int, redirects_before: int
+    ) -> None:
+        """Execute and retire the current instruction.
+
+        Counts its bytes and opcode, runs the execute ``handler``
+        (closing the UCODE and EBOX spans when traced), then retires:
+        instruction count, PC, and whether the IB was redirected — the
+        next instruction's decode-cycle rule reads that.
+        """
+        opcode = self.current_opcode
+        ib = self.ib
+        self._merge_pending = merge_pending
+        self.events.instruction_bytes += ib._decode_va - start_va
+        self.events.opcode_counts[opcode.mnemonic] += 1
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.begin("UCODE", self.cycle_count, self._exec_routine.name)
+            handler(self, opcode, operands)
+            tracer.end("UCODE", self.cycle_count)
+            tracer.end("EBOX", self.cycle_count)
+        else:
+            handler(self, opcode, operands)
+        # Re-read self.events: the handler may have swapped it (LDPCTX
+        # measurement gating).
+        self.events.instructions += 1
+        self.regs.pc = ib._decode_va
+        self._merge_pending = False
+        self._last_instruction_redirected = ib.stats.redirects != redirects_before
+
     def _step_interpreted(self) -> bool:
         """The per-microcycle interpreted path (the replay's oracle)."""
-        start_va = self.ib.decode_va
+        ib = self.ib
+        start_va = ib._decode_va
         self._instruction_start_cycle = self.cycle_count
-
-        redirects_before = self.ib.stats.redirects
+        redirects_before = ib.stats.redirects
         opcode_byte = self._take_bytes(1, self.layout.decode)[0]
         # The 780's first I-Decode for an instruction cannot start until
         # the previous instruction completes: one non-overlapped decode
         # cycle each.  With decode_overlap (the 11/750's improvement) the
-        # cycle is hidden except after a taken branch.
+        # cycle is hidden except after a taken branch.  The replay's
+        # DECODE_TICK op applies the same test.
         if not self.decode_overlap or self._last_instruction_redirected:
             self._tick_slot(self.layout.decode, _COMPUTE_A)
         opcode = OPCODES.get(opcode_byte)
@@ -900,22 +836,12 @@ class EBox:
             raise IllegalInstruction(
                 "undecodable opcode {:#04x} at {:#010x}".format(opcode_byte, start_va)
             )
-
-        self.current_opcode = opcode
-        self._exec_routine = self.layout.execute[opcode.mnemonic]
-        self._exec_a_used = False
-        self._last_source_routine = None
-        self.branch_displacement = None
-
-        tracer = self._tracer
-        if tracer is not None:
+        self._begin_instruction(opcode, self.layout.execute[opcode.mnemonic])
+        if self._tracer is not None:
             # ts is the instruction's first cycle; emitted only now
             # because the span is named after the decoded opcode.
-            tracer.begin(
-                "EBOX",
-                self._instruction_start_cycle,
-                opcode.mnemonic,
-                {"va": start_va},
+            self._tracer.begin(
+                "EBOX", self._instruction_start_cycle, opcode.mnemonic, {"va": start_va}
             )
 
         operands: List[OperandRef] = []
@@ -929,31 +855,12 @@ class EBox:
             else:
                 operands.append(self._process_specifier(position, spec))
 
-        self._merge_pending = merges_execute(
+        merge_pending = merges_execute(
             opcode,
             self._last_source_routine,
             operands[-1].mode if operands else None,
         )
-
-        self.events.instruction_bytes += self.ib.decode_va - start_va
-        self.events.opcode_counts[opcode.mnemonic] += 1
-
-        if tracer is not None:
-            tracer.begin(
-                "UCODE", self.cycle_count, self._exec_routine.name
-            )
-            self._dispatch(self, opcode, operands)
-            tracer.end("UCODE", self.cycle_count)
-            tracer.end("EBOX", self.cycle_count)
-        else:
-            self._dispatch(self, opcode, operands)
-
-        self.events.instructions += 1
-        self.regs.pc = self.ib.decode_va
-        self._merge_pending = False
-        self._last_instruction_redirected = (
-            self.ib.stats.redirects != redirects_before
-        )
+        self._retire(self._dispatch, operands, merge_pending, start_va, redirects_before)
         return not self.halted
 
     def run(self, max_instructions: int = 1_000_000, max_cycles: Optional[int] = None) -> int:

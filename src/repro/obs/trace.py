@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Dict, IO, List, Optional, Tuple, Union
+from typing import Dict, IO, List, Optional, Union
 
 #: The documented default: no tracer is constructed, machines wire
 #: ``tracer=None``, and instrumentation sites cost one None-test on an
@@ -60,15 +60,6 @@ MICROCYCLE_NS = 200
 def tracing_enabled(tracer: Optional["Tracer"]) -> bool:
     """The guard every instrumentation site reduces to."""
     return tracer is not None
-
-
-class TraceEvent(Tuple):
-    """Events are plain tuples ``(phase, track, ts, name, dur, args)``.
-
-    A tuple, not a dataclass: the tracer may record hundreds of
-    thousands of these, and emission sits next to the simulator's hot
-    paths when tracing is on.
-    """
 
 
 class Tracer:
@@ -117,7 +108,8 @@ class Tracer:
     # -- readout (the analysis side) -----------------------------------
 
     def events(self) -> List[tuple]:
-        """The retained events, oldest first."""
+        """The retained events, oldest first, as plain tuples
+        ``(phase, track, ts, name, dur, args)``."""
         return list(self._events)
 
     def __len__(self) -> int:

@@ -38,9 +38,9 @@ class TestResolve:
     def test_two_sightings_before_compiling(self, layout):
         image = encode(("MOVL", "#1", "R0"))
         stats = replay.CompileStats()
-        assert replay.resolve(layout, bytearray(image), False, stats) is None
+        assert replay.resolve(layout, bytearray(image), stats) is None
         assert stats.records_compiled == 0
-        record = replay.resolve(layout, bytearray(image), False, stats)
+        record = replay.resolve(layout, bytearray(image), stats)
         assert record is not None and not record.never
         assert record.mnemonic == "MOVL"
         assert bytes(record.raw) == image
@@ -48,18 +48,18 @@ class TestResolve:
 
     def test_probe_finds_cached_record_under_longer_buffer(self, layout):
         image = encode(("ADDL2", "#5", "R1"))
-        replay.resolve(layout, bytearray(image), False)
-        record = replay.resolve(layout, bytearray(image), False)
+        replay.resolve(layout, bytearray(image))
+        record = replay.resolve(layout, bytearray(image))
         # A buffer that continues into the next instruction still
         # resolves to the same record via the length probe.
         longer = bytearray(image + encode(("MOVL", "#2", "R3")))
-        assert replay.resolve(layout, longer, False) is record
+        assert replay.resolve(layout, longer) is record
 
     def test_short_probe_sets_retry_backoff(self, layout):
         image = encode(("MOVL", "I^#305419896", "R0"))  # 7 bytes
         probe = bytearray(image[:3])
-        assert replay.resolve(layout, probe, False) is None  # sighting 1
-        assert replay.resolve(layout, probe, False) is None  # compile attempt
+        assert replay.resolve(layout, probe) is None  # sighting 1
+        assert replay.resolve(layout, probe) is None  # compile attempt
         _, _, sightings = replay._layout_cache(layout)
         key = bytes(probe[: replay._MAX_IMAGE])
         # The failed attempt (ran out of bytes) pushed the counter far
@@ -68,8 +68,8 @@ class TestResolve:
             replay._COMPILE_MIN_SIGHTINGS - 1 - replay._RETRY_BACKOFF
         )
         # The full image is a different key and compiles normally.
-        replay.resolve(layout, bytearray(image), False)
-        record = replay.resolve(layout, bytearray(image), False)
+        replay.resolve(layout, bytearray(image))
+        record = replay.resolve(layout, bytearray(image))
         assert record is not None and record.mnemonic == "MOVL"
 
     def test_never_record_for_unknown_opcode(self, layout):
@@ -79,7 +79,7 @@ class TestResolve:
         for byte in range(256):
             raw = bytes([byte]) + b"\x00" * (replay._MAX_IMAGE - 1)
             try:
-                record = replay.compile_record(layout, raw, False)
+                record = replay.compile_record(layout, raw)
             except replay._NeedMoreBytes:
                 continue
             if record.never:
@@ -87,8 +87,8 @@ class TestResolve:
                 break
         assert never is not None, "every opcode byte compiled?"
         stats = replay.CompileStats()
-        assert replay.resolve(layout, bytearray(never), False, stats) is None
-        witness = replay.resolve(layout, bytearray(never), False, stats)
+        assert replay.resolve(layout, bytearray(never), stats) is None
+        witness = replay.resolve(layout, bytearray(never), stats)
         assert witness.never
         assert stats.uncompilable == 1
         assert stats.records_compiled == 0
@@ -111,9 +111,7 @@ class TestImageCap:
             ("ADDL3", "L^8(R1)[R2]", "L^8(R3)[R4]", "L^8(R5)[R6]")
         )
         assert len(image) > replay._MAX_IMAGE
-        record = replay.compile_record(
-            layout, image[: replay._MAX_IMAGE], False
-        )
+        record = replay.compile_record(layout, image[: replay._MAX_IMAGE])
         assert record.never
 
 

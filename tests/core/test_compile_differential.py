@@ -7,13 +7,16 @@ This file holds it to that promise:
 
 * every workload profile, run compiled and under ``REPRO_NO_COMPILE=1``,
   must serialize to the same bytes (histogram banks included), and the
-  compiled arm must actually have replayed instructions;
+  compiled arm must actually have replayed instructions — likewise one
+  profile under the decode-overlap ablation, where the replayed decode
+  cycle depends on the previous instruction;
 * an attached tracer forces the slow path yet changes nothing;
 * interrupt delivery, a cycle budget ending at a device's fire time,
   and a loop branch falling through leave both machines identical;
 * mid-run snapshots from the two modes carry identical digests (the
   compiler's caches and stats are deliberately outside machine state);
-* the engine's run manifest records whether the compiler was active;
+* the engine's run manifest records whether the compiler was active,
+  for sharded runs too;
 * randomized specifier-mode programs (hypothesis) leave both machines
   in exactly the same architectural state, cycle for cycle.
 """
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.asm import Assembler
 from repro.core import compile as replay
-from repro.core.executor import RunSpec, execute_spec
+from repro.core.executor import MachineConfig, RunSpec, execute_spec
 from repro.core.experiment import (
     MachineStats,
     prepare_workload,
@@ -35,6 +38,7 @@ from repro.core.experiment import (
 )
 from repro.core.histogram_io import result_to_json
 from repro.core.monitor import UPCMonitor
+from repro.core.scheduler import execute_spec_sharded
 from repro.core.snapshot import capture
 from repro.cpu import VAX780
 from repro.obs.trace import Tracer
@@ -81,9 +85,13 @@ def compiler():
             os.environ[replay.NO_COMPILE_ENV] = prior
 
 
-def measured_run(profile, tracer=None, instructions=INSTRUCTIONS, warmup=WARMUP):
+def measured_run(
+    profile, tracer=None, instructions=INSTRUCTIONS, warmup=WARMUP, config=None
+):
     """One measured workload run; returns (result, board, machine)."""
-    kernel, monitor = prepare_workload(profile, tracer=tracer)
+    kernel, monitor = prepare_workload(
+        profile, tracer=tracer, configure=config.apply if config else None
+    )
     machine = kernel.machine
     kernel.run(max_instructions=warmup)
     baseline = MachineStats.from_machine(machine)
@@ -96,15 +104,26 @@ def measured_run(profile, tracer=None, instructions=INSTRUCTIONS, warmup=WARMUP)
     return result, monitor.board, machine
 
 
-@pytest.fixture(scope="module", params=sorted(PROFILES))
+#: arm name -> (profile, MachineConfig).  Every profile at the 780
+#: baseline, plus the decode-overlap ablation a MachineConfig (and so the
+#: service) can ask for: the one configuration where a record's
+#: DECODE_TICK op spends its cycle only after a redirect.
+ARMS = {profile: (profile, None) for profile in PROFILES}
+ARMS["educational+decode_overlap"] = (
+    "educational",
+    MachineConfig(decode_overlap=True),
+)
+
+
+@pytest.fixture(scope="module", params=sorted(ARMS))
 def arms(request):
-    """Both arms of one profile: (profile, compiled triple, interpreted triple)."""
-    profile = request.param
+    """Both arms of one entry of ARMS: (name, compiled triple, interpreted triple)."""
+    profile, config = ARMS[request.param]
     with compiler():
-        compiled = measured_run(profile)
+        compiled = measured_run(profile, config=config)
     with interpreter():
-        interpreted = measured_run(profile)
-    return profile, compiled, interpreted
+        interpreted = measured_run(profile, config=config)
+    return request.param, compiled, interpreted
 
 
 class TestWorkloadDifferential:
@@ -123,6 +142,9 @@ class TestWorkloadDifferential:
 
     def test_compiled_arm_replayed_interpreted_arm_did_not(self, arms):
         profile, (_, _, c_machine), (_, _, i_machine) = arms
+        config = ARMS[profile][1]
+        overlap = config is not None and config.decode_overlap
+        assert c_machine.ebox.decode_overlap is overlap is i_machine.ebox.decode_overlap
         assert c_machine.ebox._compile_active, profile
         assert c_machine.ebox.compile_stats.jit_hits > 0, profile
         assert not i_machine.ebox._compile_active, profile
@@ -274,6 +296,29 @@ class TestManifestCompileStats:
         assert info is not None
         assert info["active"] == 0
         assert info["jit_hits"] == 0
+
+    def test_sharded_run_reports_the_chain_compile_counters(self):
+        # Without a cache a sharded run is one chain — one machine
+        # through the warmup and every shard — so its summed counters
+        # are the unsharded run's.  Both arms compile from cold.
+        spec = RunSpec(workload="educational", instructions=2000, warmup_instructions=300)
+        replay.clear_record_caches()
+        whole = execute_spec(spec)
+        replay.clear_record_caches()
+        sharded = execute_spec_sharded(spec, 2)
+        assert sharded.shard_count == 2
+        info = sharded.manifest.compile
+        assert info is not None and info["jit_hits"] > 0
+        assert info == whole.manifest.compile
+
+        def compile_counters(run):
+            return {
+                name: value
+                for name, value in run.metrics["counters"].items()
+                if name.startswith(replay.METRIC_PREFIX)
+            }
+
+        assert compile_counters(sharded) == compile_counters(whole)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.core.monitor import (
     HistogramBoard,
     MonitorCommandError,
     MonitorInterface,
-    UPCMonitor,
 )
 
 
@@ -168,13 +167,6 @@ class TestInterfaceBoard:
         interface = MonitorInterface(HistogramBoard())
         with pytest.raises(MonitorCommandError):
             interface.bucket_for(16_384)
-
-    def test_microcycle_counts(self):
-        monitor = UPCMonitor.build()
-        monitor.start()
-        monitor.observe(0x400)
-        monitor.observe(0x400, stalled=True, repeat=2)
-        assert monitor.board.read_bucket(0x400) == (1, 2)
 
 
 class TestLayoutFitsBoard:

@@ -332,7 +332,7 @@ class TestIllegalAccessNeverCompiles:
         asm = Assembler(origin=0x200)
         asm.instr(*instruction)
         raw = asm.assemble()
-        record = replay.compile_record(build_layout(), raw + b"\x00", False)
+        record = replay.compile_record(build_layout(), raw + b"\x00")
         assert record.never
         # The witness runs through the illegal specifier, no further.
         assert raw.startswith(record.raw) and len(record.raw) > 1

@@ -208,6 +208,29 @@ def test_parse_group_by():
     )
 
 
+def test_physical_stalls_are_attributed_to_their_routine():
+    """PCB traffic (SVPCTX/LDPCTX's physically addressed references)
+    charges its stalls like any other reference, so its MEM spans name
+    the routine and ``routine=`` queries attribute them."""
+    from repro.core.monitor import UPCMonitor
+    from repro.cpu import VAX780
+    from repro.isa.opcodes import opcode_by_mnemonic
+
+    tracer = Tracer()
+    machine = VAX780(monitor=UPCMonitor.build(), tracer=tracer)
+    ebox = machine.ebox
+    routine = machine.layout.execute["SVPCTX"]
+    ebox._begin_instruction(opcode_by_mnemonic("SVPCTX"), routine)
+    ebox.exec_read_physical(0x8000, 4)  # cold: a read stall
+    for offset in range(0, 48, 4):  # outruns the write buffer
+        ebox.exec_write_physical(0x9000 + offset, 4, offset)
+    stalls = [event for event in tracer.events() if event[1] == "MEM"]
+    assert {event[3] for event in stalls} == {"read stall", "write stall"}
+    assert all(event[5] == {"pa": event[5]["pa"], "routine": routine.name} for event in stalls)
+    plan = parse_query("stall cycles where track=MEM and routine=" + routine.name)
+    assert plan.run(tracer) == sum(event[4] for event in stalls) > 0
+
+
 def test_parse_rejects_unknown_where_key():
     with pytest.raises(QueryError):
         parse_query("sum cycles where flavor=vanilla")
