@@ -387,6 +387,8 @@ def cmd_serve(args) -> int:
         policy=policy,
         concurrency=args.concurrency,
         result_index_size=args.result_index,
+        # simulations run off the interpreter that answers HTTP
+        persistent_workers=True,
     )
 
     def announce(bound):
@@ -1150,7 +1152,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 = ask the OS; the bound port prints on stdout)",
     )
     serve_parser.add_argument(
-        "--jobs", type=int, default=1, help="process-pool width per sweep"
+        "--jobs", type=int, default=1,
+        help="worker processes the service keeps for running simulations",
     )
     serve_parser.add_argument(
         "--shards", type=int, default=1,

@@ -106,9 +106,11 @@ def load_cached_snapshot(cache, key: str):
     is absent *or* damaged — damage is quarantined so the caller's
     recomputation lands in a clean slot.  ``RunCache.get`` already
     catches byte-level rot via the ``.sum`` digest; the except clause
-    here catches what slips past it (a truncated legacy object, an
-    injected restore failure, a pickle from an incompatible build)."""
-    from repro.core.snapshot import MachineSnapshot, SnapshotError, restore
+    here catches whatever slips past it, as :func:`load_cached_shard`
+    does (a truncated legacy object, an older format version, an
+    injected restore failure, a digest-valid pickle from an
+    incompatible build raising anything while it is rebuilt)."""
+    from repro.core.snapshot import MachineSnapshot, restore
 
     blob = cache.get(key)
     if blob is None:
@@ -116,14 +118,7 @@ def load_cached_snapshot(cache, key: str):
     try:
         snapshot = MachineSnapshot.from_bytes(blob)
         kernel = restore(snapshot)
-    except (
-        SnapshotError,
-        pickle.UnpicklingError,
-        EOFError,
-        AttributeError,
-        ImportError,
-        IndexError,
-    ) as exc:
+    except Exception as exc:
         cache.quarantine(key, reason="snapshot restore failed: {}".format(exc))
         return None, None
     return kernel, snapshot.digest

@@ -20,6 +20,9 @@ Contents:
   wall-clock timeouts enforced by pool recycling, ``BrokenProcessPool``
   respawn and requeue, degradation to in-process execution, interrupt
   handling;
+* :class:`WorkerPool` — the process pool that loop runs on: built per
+  call for a CLI sweep with ``jobs > 1``, or owned for its lifetime by
+  the experiment service's scheduler and lent to every call;
 * the shard measurement primitive (:func:`_measure_span`) used by the
   scheduler's in-process shard chains.
 
@@ -33,6 +36,9 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
+import os
+import signal
+import threading
 import time
 import traceback
 from collections import deque
@@ -332,6 +338,87 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
+#: How often a pool worker checks that its owner is still alive.
+_OWNER_POLL_S = 1.0
+
+
+def _init_worker(owner: int) -> None:
+    """Pool-worker initializer.  A Ctrl-C at the terminal reaches the
+    whole process group, and the owner, not each worker, decides what an
+    interrupt stops, so workers ignore SIGINT.  A worker also exits once
+    ``owner`` is no longer its parent: an owner killed outright (SIGKILL,
+    the OOM killer) runs no shutdown, and a worker waiting on the call
+    queue would otherwise wait forever, reparented to init."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_owner, args=(owner,), name="owner-watch", daemon=True
+    ).start()
+
+
+def _exit_with_owner(owner: int) -> None:
+    while os.getppid() == owner:
+        time.sleep(_OWNER_POLL_S)
+    os._exit(1)
+
+
+class WorkerPool:
+    """A process pool that outlives the sweeps it runs.
+
+    :func:`_run_pool_tasks` builds one for a single call (a CLI sweep
+    with ``jobs > 1``, forked); a long-lived owner (the experiment
+    service's :class:`~repro.core.scheduler.Scheduler`) keeps one for
+    its lifetime instead and lends it to every call, so simulations run
+    off the owner's interpreter without a pool start per sweep.  The
+    workers start on first use, from ``mp_context``, and ignore SIGINT
+    and exit with their owner (:func:`_init_worker`).  :meth:`respawn`
+    swaps in a fresh pool after a crash or a timeout; :meth:`close`
+    stops the workers and joins them, after which the pool refuses
+    work.
+    """
+
+    def __init__(self, workers: int, mp_context):
+        self.workers = max(1, workers)
+        self.mp_context = mp_context
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The live pool, started on first use."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("the worker pool is closed")
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=self.mp_context,
+                    initializer=_init_worker,
+                    initargs=(os.getpid(),),
+                )
+            return self._executor
+
+    def respawn(self) -> None:
+        """Terminate the workers and everything they were running; the
+        next :meth:`executor` call starts fresh ones."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            _terminate_pool(executor)
+
+    def close(self) -> None:
+        """Stop the workers for good and join them: idle workers exit
+        cleanly, busy ones are terminated."""
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        if executor._pending_work_items:
+            _terminate_pool(executor)
+        else:
+            executor.shutdown(wait=True)
+
+
 def _tb_summary(worker_tb: str) -> str:
     """The last line of a traceback — the one-line progress summary."""
     return worker_tb.strip().splitlines()[-1] if worker_tb else ""
@@ -346,6 +433,7 @@ def _run_pool_tasks(
     on_start=None,
     on_done=None,
     on_retry=None,
+    pool: Optional[WorkerPool] = None,
 ):
     """Run guarded tasks through a process pool under a resilience policy.
 
@@ -372,15 +460,19 @@ def _run_pool_tasks(
 
     After ``policy.max_pool_respawns`` recycles the pool is abandoned
     and the remainder runs in-process (degraded mode: retries still
-    apply, timeouts cannot preempt).  ``workers <= 1`` runs every task
-    through that same in-process loop from the start, with no pool at
-    all and without counting as degraded.
+    apply, timeouts cannot preempt).  Without a ``pool``, ``workers <=
+    1`` runs every task through that same in-process loop from the
+    start, with no pool at all and without counting as degraded, and
+    ``workers > 1`` builds a pool for this call alone.
 
-    On completion the pool's workers are joined before returning.  A
-    pool abandoned with work in flight — recycled, interrupted, or left
-    by a raise-mode early exit — has its workers terminated
-    (:func:`_terminate_pool`), so none outlives the call.  A
-    ``KeyboardInterrupt`` re-raises as
+    A borrowed ``pool`` (a :class:`WorkerPool`) runs the tasks, at most
+    ``workers`` at a time, even for ``workers == 1``; a recycle swaps in
+    fresh workers through :meth:`WorkerPool.respawn`, and the pool stays
+    up for the owner's next call.  A pool built for the call has its
+    workers joined before returning.  Either way, workers left with work
+    in flight — recycled, interrupted, or left by a raise-mode early
+    exit — are terminated (:func:`_terminate_pool`), so none outlives
+    the work it was given.  A ``KeyboardInterrupt`` re-raises as
     :class:`~repro.core.resilience.SweepInterrupted` carrying everything
     that already finished.
     """
@@ -436,11 +528,12 @@ def _run_pool_tasks(
             )
 
     def recycle(reason_futures, kind, error):
-        """The pool is unusable: shut it down, charge ``reason_futures``
-        a failed attempt, requeue the innocents for free."""
-        nonlocal pool
+        """The pool is unusable: replace its workers, charge
+        ``reason_futures`` a failed attempt, requeue the innocents for
+        free."""
+        nonlocal executor
         stats["pool_respawns"] += 1
-        _terminate_pool(pool)
+        pool.respawn()
         victims = list(inflight.items())
         inflight.clear()
         for future, (tid, arg, attempt, _) in victims:
@@ -450,21 +543,30 @@ def _run_pool_tasks(
                 pending.appendleft((tid, arg, attempt, 0.0))
         if stats["pool_respawns"] > policy.max_pool_respawns:
             stats["degraded"] = True
-            pool = None
+            executor = None
         else:
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
+            executor = pool.executor()
 
-    pool = (
-        ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
-        if workers > 1
-        else None
-    )
+    def release():
+        """Terminate workers left with work in flight; close a pool
+        built for this call."""
+        if pool is None:
+            return
+        if inflight:
+            pool.respawn()
+        if owned:
+            pool.close()
+
+    owned = pool is None and workers > 1
+    if owned:
+        pool = WorkerPool(workers, _pool_context())
+    executor = pool.executor() if pool is not None else None
     try:
         while pending or inflight:
             if stop_on_failure and failures:
                 break
             now = time.monotonic()
-            if pool is None:
+            if executor is None:
                 # In-process: a sequential sweep, or no pool left to
                 # trust.  Retries still apply; timeouts cannot preempt.
                 tid, arg, attempt, not_before = pending.popleft()
@@ -485,7 +587,7 @@ def _run_pool_tasks(
                     deadline = (
                         now + policy.spec_timeout if policy.spec_timeout else 0.0
                     )
-                    future = pool.submit(fn, arg)
+                    future = executor.submit(fn, arg)
                     inflight[future] = (tid, arg, attempt, deadline)
                     notify_start(tid, attempt)
                 for entry in reversed(waiting):
@@ -544,14 +646,9 @@ def _run_pool_tasks(
                         ),
                     )
     except KeyboardInterrupt:
-        if pool is not None:
-            _terminate_pool(pool)
+        release()
         raise SweepInterrupted(payloads=payloads, failures=failures, stats=stats)
-    if pool is not None:
-        if inflight:
-            _terminate_pool(pool)  # a raise-mode early exit
-        else:
-            pool.shutdown(wait=True)
+    release()  # in flight only after a raise-mode early exit
     return payloads, failures, stats
 
 

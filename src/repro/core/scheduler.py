@@ -44,14 +44,16 @@ Thread model: the Scheduler is thread-safe; registry bookkeeping sits
 under one lock and actual engine execution is serialized under another
 (the simulator's memoized layout/program caches are process-global and
 unproven under concurrent in-process mutation, and process pools must
-not be forked from several threads at once).  Attached clients block
-on a ticket event, not on the execution lock, so waiting is free.
+not be forked from several threads at once; a scheduler with persistent
+workers lends its one pool to one sweep at a time).  Attached clients
+block on a ticket event, not on the execution lock, so waiting is free.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import multiprocessing
 import threading
 import time
 import traceback
@@ -75,6 +77,7 @@ from repro.core.executor import (
     ProgressEvent,
     RunSpec,
     ShardResult,
+    WorkerPool,
     _execute_spec_guarded,
     _ignore_progress,
     _run_pool_tasks,
@@ -117,10 +120,12 @@ def run_specs(
     return _sweep(_execute_spec_guarded, specs, jobs, progress, policy)
 
 
-def _sweep(task, specs: Sequence[RunSpec], jobs: int, progress, policy):
+def _sweep(task, specs: Sequence[RunSpec], jobs: int, progress, policy, pool=None):
     """:func:`run_specs` with the guarded pool task ``task(spec)`` as a
     parameter: whole specs (:func:`_execute_spec_guarded`) or sharded
-    ones (:func:`_execute_sharded_guarded`) share one retry loop."""
+    ones (:func:`_execute_sharded_guarded`) share one retry loop, which
+    borrows ``pool`` (a :class:`~repro.core.executor.WorkerPool`) when
+    the caller owns one."""
     from repro.core.resilience import (
         FailureReport,
         ResiliencePolicy,
@@ -172,7 +177,7 @@ def _sweep(task, specs: Sequence[RunSpec], jobs: int, progress, policy):
     try:
         payloads, failures, stats = _run_pool_tasks(
             task, tasks, min(jobs, total), policy, describe,
-            on_start=on_start, on_done=on_done, on_retry=on_retry,
+            on_start=on_start, on_done=on_done, on_retry=on_retry, pool=pool,
         )
     except SweepInterrupted as stop:
         absorb(stop.payloads, stop.failures, stop.stats)
@@ -635,6 +640,20 @@ class Scheduler:
     ``run_resolution`` additionally banks and resolves whole runs in
     the content-addressed cache (the service turns this on; shard-level
     caching inside ``execute_spec_sharded`` is independent of it).
+
+    Where the work runs: by default as the CLI has always run it — a
+    ``jobs=1`` sweep in-process, ``jobs > 1`` on a pool built for that
+    call.  With ``persistent_workers`` (``repro serve``) the scheduler
+    owns a :class:`~repro.core.executor.WorkerPool` of ``jobs`` workers
+    for its lifetime, ``jobs=1`` included, and every sweep borrows it:
+    simulations stay off the owner's interpreter, where they would
+    compete with its request threads for the GIL, and retries,
+    ``spec_timeout`` preemption, crash respawn and degradation apply to
+    them as to any pooled sweep.  Those workers are spawned, not forked:
+    the owner already runs threads, which a forked child would inherit
+    in whatever state they held, and a spawned worker reads the
+    environment (fault plans included) when it starts.  :meth:`close`
+    stops them.
     """
 
     def __init__(
@@ -646,6 +665,7 @@ class Scheduler:
         metrics=None,
         result_index_size: int = 256,
         run_resolution: bool = False,
+        persistent_workers: bool = False,
     ):
         self.jobs = jobs
         self.shards = shards
@@ -654,12 +674,22 @@ class Scheduler:
         self.metrics = metrics
         self.result_index_size = max(1, result_index_size)
         self.run_resolution = run_resolution
+        self._pool = (
+            WorkerPool(jobs, multiprocessing.get_context("spawn"))
+            if persistent_workers
+            else None
+        )
         #: registry + index bookkeeping
         self._lock = threading.Lock()
         #: serializes actual engine execution across client threads
         self._exec_lock = threading.Lock()
         self._inflight: Dict[str, _Ticket] = {}
         self._index: "OrderedDict[str, EngineRun]" = OrderedDict()
+
+    def close(self) -> None:
+        """Stop and join the persistent workers (a no-op without them)."""
+        if self._pool is not None:
+            self._pool.close()
 
     # -- metrics helpers ---------------------------------------------------
 
@@ -746,7 +776,7 @@ class Scheduler:
                 _execute_sharded_guarded, shards=self.shards, cache=self.cache
             )
         )
-        return _sweep(task, specs, self.jobs, notify, policy)
+        return _sweep(task, specs, self.jobs, notify, policy, pool=self._pool)
 
     @staticmethod
     def _failure_error(spec: RunSpec, report) -> EngineError:
@@ -790,6 +820,10 @@ class Scheduler:
             if policy is not None
             else (self.policy if self.policy is not None else ResiliencePolicy())
         )
+        if policy.metrics is None and self.metrics is not None:
+            # retries, timeouts and respawns land beside the dedupe
+            # counters (the service's /stats)
+            policy = replace(policy, metrics=self.metrics)
         sweep_started = time.perf_counter()
 
         resolved: Dict[int, EngineRun] = {}

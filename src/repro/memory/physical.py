@@ -7,9 +7,14 @@ Values are little-endian, as everywhere on the VAX.
 from __future__ import annotations
 
 import sys
-import zlib
 
 DEFAULT_MEMORY_BYTES = 8 * 1024 * 1024
+
+#: The page size (VAX pages are 512 bytes) and the block size the
+#: pickling scan skips zero memory by.
+_PAGE = 512
+_SCAN_BLOCK = 64 * 1024
+_ZERO_BLOCK = bytes(_SCAN_BLOCK)
 
 
 class PhysicalMemory:
@@ -70,15 +75,37 @@ class PhysicalMemory:
 
     # -- pickling ----------------------------------------------------------
     # Machine snapshots pickle the whole object graph, and the 8 MB array
-    # is almost entirely zero pages; compressing it here keeps a snapshot
-    # in the hundreds-of-kilobytes range instead of megabytes.  Level 1:
-    # runs of zeros compress just as well and an order of magnitude
-    # faster than the default level.
+    # is almost entirely zero pages, so the state keeps only the 512-byte
+    # pages holding a non-zero byte, coalesced into runs of adjacent
+    # pages.  The scan compares 64 KB blocks, then the pages of a non-zero
+    # block, against zero slices: bytearray slice compares run at memcmp
+    # speed (under 1 ms for 8 MB), where memoryview compares cost about
+    # 40 times that.  The state is not compressed here; the snapshot
+    # codec compresses the whole pickle once.
 
     def __getstate__(self):
-        return {"size": self.size, "zbytes": zlib.compress(bytes(self._bytes), 1)}
+        data, size = self._bytes, self.size
+        runs = []
+        for block in range(0, size, _SCAN_BLOCK):
+            block_end = min(block + _SCAN_BLOCK, size)
+            if data[block:block_end] == _ZERO_BLOCK[: block_end - block]:
+                continue
+            for page in range(block, block_end, _PAGE):
+                end = min(page + _PAGE, size)
+                if data[page:end] == _ZERO_BLOCK[: end - page]:
+                    continue
+                if runs and runs[-1][1] == page:
+                    runs[-1][1] = end
+                else:
+                    runs.append([page, end])
+        return {
+            "size": size,
+            "runs": [(start, bytes(data[start:end])) for start, end in runs],
+        }
 
     def __setstate__(self, state):
         self.size = state["size"]
-        self._bytes = bytearray(zlib.decompress(state["zbytes"]))
+        self._bytes = bytearray(self.size)
+        for start, payload in state["runs"]:
+            self._bytes[start : start + len(payload)] = payload
         self._bind_view()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import subprocess
 import time
@@ -102,6 +103,10 @@ class RunManifest:
     code_version: str = field(default_factory=code_version)
     git_commit: Optional[str] = None
     python_version: str = field(default_factory=platform.python_version)
+    #: the process that executed the run (a service's worker process,
+    #: a CLI pool worker, or the CLI process itself); ``None`` on a
+    #: manifest banked before runs recorded it
+    pid: Optional[int] = None
     started_at: float = 0.0
     wall_seconds: float = 0.0
     instructions_measured: int = 0
@@ -151,5 +156,6 @@ class RunManifest:
             instructions_requested=spec.instructions,
             warmup_instructions=spec.warmup_instructions,
             git_commit=git_commit(),
+            pid=os.getpid(),
             started_at=started_at if started_at is not None else time.time(),
         )

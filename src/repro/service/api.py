@@ -304,6 +304,7 @@ def run_summary(run: EngineRun, digest: Optional[str] = None) -> Dict:
         "attached_to": None if manifest is None else manifest.attached_to,
         "resumed_from": None if manifest is None else manifest.resumed_from,
         "attempts": 1 if manifest is None else manifest.attempts,
+        "pid": None if manifest is None else manifest.pid,
     }
 
 

@@ -22,7 +22,20 @@ Routes::
 Concurrency model: requests are served on the event loop; each accepted
 job goes onto an :class:`asyncio.Queue` drained by ``concurrency``
 worker tasks, and each worker hands the blocking scheduler call to a
-thread pool (``run_in_executor``).  Dedupe between concurrently-running
+thread pool (``run_in_executor``).  Under ``repro serve``
+(``persistent_workers=True``) the simulations themselves run in the
+scheduler's persistent worker processes (``jobs`` of them, spawned on
+the first job that executes anything), so a cold run never holds the
+GIL the HTTP thread needs to answer index hits and fetches; the
+scheduler thread only waits, resolves dedupe and unpickles results.
+Shutdown (:meth:`ExperimentService.shutdown`, SIGINT or SIGTERM) stops
+and joins those workers, and a worker whose server was killed outright
+exits on its own.  Spawned workers re-import the owner's ``__main__``,
+so a script that embeds a service with persistent workers must guard
+its entry point with ``if __name__ == "__main__"``.  An embedded
+service without them (the constructor's default) runs simulations on
+the scheduler's thread, as a CLI ``--jobs 1`` sweep does, and ``jobs >
+1`` then builds a pool per sweep.  Dedupe between concurrently-running
 jobs is the scheduler's: overlapping digests attach to the in-flight
 ticket instead of executing twice, repeat sweeps resolve from the
 bounded result index, and (when a cache is configured) whole runs
@@ -42,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -122,6 +136,7 @@ class ExperimentService:
         metrics=None,
         concurrency: int = 2,
         result_index_size: int = 256,
+        persistent_workers: bool = False,
     ):
         if metrics is None:
             from repro.obs.metrics import MetricsRegistry
@@ -140,6 +155,7 @@ class ExperimentService:
             result_index_size=result_index_size,
             # run-level cache resolution: dedupe that survives restarts
             run_resolution=cache is not None,
+            persistent_workers=persistent_workers,
         )
         self._log = get_logger("repro.service")
         self._jobs: "Dict[str, _Job]" = {}
@@ -197,6 +213,18 @@ class ExperimentService:
             )
         try:
             outcome = self.scheduler.run_specs(job.specs, policy=policy)
+            if isinstance(outcome, SweepResult):
+                runs = outcome.runs
+                job.report = outcome.report.to_dict()
+            else:
+                runs = outcome
+            # summarizing stays inside the try: a run resolved from an
+            # older cache must fail its job, not the worker task
+            job.runs = [
+                api.run_summary(run, digest)
+                for run, digest in zip(runs, job.digests)
+                if run is not None
+            ]
         except Exception as error:  # noqa: BLE001 — every failure becomes JSON
             job.error = api.error_envelope(error)
             job.state = "failed"
@@ -204,16 +232,6 @@ class ExperimentService:
                 "service.jobs.failed", "sweeps that raised instead of finishing"
             ).inc()
             return
-        if isinstance(outcome, SweepResult):
-            runs = outcome.runs
-            job.report = outcome.report.to_dict()
-        else:
-            runs = outcome
-        job.runs = [
-            api.run_summary(run, digest)
-            for run, digest in zip(runs, job.digests)
-            if run is not None
-        ]
         job.state = "done"
         self.metrics.counter(
             "service.jobs.completed", "sweeps finished and published"
@@ -359,6 +377,14 @@ class ExperimentService:
         self._log.info(
             "serving", host=self.host, port=self.port, workers=self.concurrency
         )
+        if threading.current_thread() is threading.main_thread():
+            # SIGINT and SIGTERM both shut down cleanly: the worker
+            # processes are joined, not orphaned.  SIGINT is handled
+            # here, not left to KeyboardInterrupt, because a server
+            # started in the background of a non-interactive shell
+            # inherits SIGINT as ignored.
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                self._loop.add_signal_handler(signum, self._stop.set)
         if announce is not None:
             announce(self)
         self._ready.set()
@@ -369,6 +395,7 @@ class ExperimentService:
             for worker in workers:
                 worker.cancel()
             executor.shutdown(wait=False)
+            self.scheduler.close()
 
     def run(self, announce=None) -> None:
         """Serve on the calling thread until interrupted (the CLI path)."""

@@ -75,7 +75,6 @@ class _Emitter:
         self.slot_counts: Dict[str, int] = {}
         self.procedures: List[str] = []
         self.subroutines: List[str] = []
-        self.data_extent = _EXTENT_OFF + (profile.data_pages * 512 - _EXTENT_OFF)
 
     # -- helpers ---------------------------------------------------------
 

@@ -8,7 +8,11 @@ assert the recovered output equals the undisturbed golden run bit for
 bit, with the healing visible in the manifest and metrics.
 """
 
+import hashlib
+import operator
 import os
+import pickle
+import zlib
 
 import pytest
 
@@ -17,6 +21,7 @@ from repro.core.executor import RunSpec, shard_boundaries
 from repro.core.scheduler import Scheduler, execute_spec_sharded, run_specs
 from repro.core.resilience import ResiliencePolicy, RetryPolicy
 from repro.core.runcache import RunCache
+from repro.core.snapshot import SNAPSHOT_VERSION, MachineSnapshot
 from repro.obs.metrics import MetricsRegistry, resilience_counters
 from repro.testing import faults
 from repro.testing.faults import FaultPlan, FaultRule
@@ -36,6 +41,11 @@ def disarmed():
     faults.uninstall()
     yield
     faults.uninstall()
+
+
+class _RaisesKeyErrorWhenUnpickled:
+    def __reduce__(self):
+        return operator.getitem, ({}, "field from another build")
 
 
 def payload_of(run):
@@ -149,6 +159,57 @@ class TestShardedSelfHealing:
         assert payload_of(recovered) == payload_of(golden)
         assert recovered.manifest.quarantined_objects >= 1
         assert recovered.manifest.repaired_shards == 0
+
+    def _plant_midpoint_snapshot(self, tmp_path, make_blob):
+        """A cold 2-shard run, then shard 2/2's result evicted and the
+        midpoint snapshot replaced by ``make_blob(original_snapshot)``:
+        a warm run must restore that snapshot (or recover without it)."""
+        cache = RunCache(str(tmp_path / "cache"))
+        golden = execute_spec_sharded(SPEC, 2, cache=cache)
+        boundaries = shard_boundaries(SPEC.instructions, 2)
+        _, shard_keys, snapshot_keys = shard_cache_keys(SPEC, boundaries)
+        key = snapshot_keys[boundaries[1]]
+        original = MachineSnapshot.from_bytes(cache.get(key))
+        for evicted in (shard_keys[1], key):
+            for suffix in ("", ".sum", ".json"):
+                os.unlink(cache._object_path(evicted) + suffix)
+        cache.put(key, make_blob(original))
+        return cache, golden, key
+
+    def _assert_recomputed(self, cache, golden, key):
+        recovered = execute_spec_sharded(SPEC, 2, cache=RunCache(cache.root))
+        assert payload_of(recovered) == payload_of(golden)
+        assert recovered.manifest.quarantined_objects == 1
+        # the recomputed boundary landed in the vacated slot
+        rebuilt = MachineSnapshot.from_bytes(RunCache(cache.root).get(key))
+        assert rebuilt.version == SNAPSHOT_VERSION
+
+    def test_snapshot_raising_while_unpickled_is_quarantined(self, tmp_path):
+        # A digest-valid snapshot whose pickle raises KeyError on load,
+        # as a pickle from an incompatible build can: it must be
+        # quarantined like any damage, not fail the chain and the repair
+        # pass alike.
+        def poisoned(original):
+            raw = pickle.dumps(_RaisesKeyErrorWhenUnpickled())
+            return MachineSnapshot(
+                payload=zlib.compress(raw),
+                digest=hashlib.sha256(raw).hexdigest(),
+                meta=original.meta,
+            ).to_bytes()
+
+        self._assert_recomputed(*self._plant_midpoint_snapshot(tmp_path, poisoned))
+
+    def test_version_1_snapshot_is_quarantined_and_recomputed(self, tmp_path):
+        # A cache written before the snapshot format went to version 2.
+        def version_1(original):
+            return MachineSnapshot(
+                payload=original.payload,
+                digest=original.digest,
+                meta=original.meta,
+                version=1,
+            ).to_bytes()
+
+        self._assert_recomputed(*self._plant_midpoint_snapshot(tmp_path, version_1))
 
     def test_mid_chain_fault_is_filled_by_the_repair_pass(self, tmp_path):
         _, golden, _, _, _ = self._cold_golden(tmp_path)

@@ -1,5 +1,7 @@
 """Unit tests for physical memory."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,3 +60,60 @@ class TestPhysicalMemory:
         mem = PhysicalMemory(1024)
         mem.write(address, 4, value)
         assert mem.read(address, 4) == value
+
+
+# Sizes that straddle the pickling scan's 64 KB blocks and 512-byte
+# pages, and the 4-byte longword view.
+_EDGE_SIZES = [1, 3, 511, 513, 4 * 1024 + 2, 64 * 1024 - 4, 64 * 1024 + 1,
+               64 * 1024 + 512, 2 * 64 * 1024 + 510]
+
+
+def _nonzero_pages(data: bytes):
+    return {page // 512 for page in range(0, len(data), 512)
+            if any(data[page : page + 512])}
+
+
+class TestPickling:
+    @given(
+        size=st.one_of(st.sampled_from(_EDGE_SIZES),
+                       st.integers(min_value=1, max_value=3 * 64 * 1024)),
+        data=st.data(),
+    )
+    def test_pickle_round_trip_keeps_only_pages_in_use(self, size, data):
+        mem = PhysicalMemory(size)
+        writes = data.draw(st.lists(
+            st.tuples(st.integers(min_value=0, max_value=size - 1),
+                      st.binary(min_size=1, max_size=600)),
+            max_size=6,
+        ))
+        if data.draw(st.booleans()):
+            # a non-zero byte in the last, possibly partial, page
+            writes.append((size - 1, b"\x5a"))
+        for address, payload in writes:
+            mem.load(address, payload[: size - address])
+        before = mem.dump(0, size)
+
+        state = mem.__getstate__()
+        stored = {start // 512 + offset
+                  for start, payload in state["runs"]
+                  for offset in range((len(payload) + 511) // 512)}
+        assert stored == _nonzero_pages(before)
+
+        clone = pickle.loads(pickle.dumps(mem))
+        assert clone.size == size
+        assert clone.dump(0, size) == before
+        if mem._mem32 is None:
+            assert clone._mem32 is None
+        else:
+            # the longword view is rebound to the clone's own bytes
+            assert clone._mem32.obj is clone._bytes
+            clone.write(size - 4, 4, 0x0BADCAFE)
+            assert clone._mem32[(size - 4) // 4] == 0x0BADCAFE
+            assert mem.read(size - 4, 4) == int.from_bytes(before[-4:], "little")
+
+    def test_all_zero_memory_pickles_no_pages(self):
+        mem = PhysicalMemory()
+        assert mem.__getstate__()["runs"] == []
+        clone = pickle.loads(pickle.dumps(mem))
+        assert clone.size == mem.size
+        assert not any(clone.dump(0, clone.size))

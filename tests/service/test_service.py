@@ -220,3 +220,31 @@ class TestErrorEnvelope:
             "no-such-workload"
         ]
         assert [run["name"] for run in record["runs"]] == ["educational"]
+
+    def test_job_whose_summary_raises_fails_and_the_queue_drains_on(
+        self, monkeypatch
+    ):
+        # Summarizing a finished run can raise (a run resolved from an
+        # older cache, say); that must fail the job, not the queue's one
+        # worker task, or every later job would wait forever.
+        svc = ExperimentService(concurrency=1).start_in_thread()
+        own = ServiceClient("http://127.0.0.1:{}".format(svc.port))
+        real = api.run_summary
+        raised = []
+
+        def summary_raising_once(run, digest=None):
+            if not raised:
+                raised.append(digest)
+                raise AttributeError("manifest without a field")
+            return real(run, digest)
+
+        monkeypatch.setattr(api, "run_summary", summary_raising_once)
+        try:
+            spec = RunSpec(**SPEC)
+            first = own.wait(own.submit_sweep([spec])["job"], timeout=120)
+            assert first["state"] == "failed"
+            assert first["error"]["type"] == "AttributeError"
+            second = own.wait(own.submit_sweep([spec])["job"], timeout=60)
+            assert second["state"] == "done"
+        finally:
+            svc.shutdown()
