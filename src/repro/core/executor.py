@@ -35,9 +35,11 @@ traceback, per-shard status map) intact across the pool boundary.
 from __future__ import annotations
 
 import copy
+import gc
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 import traceback
@@ -329,6 +331,23 @@ def _execute_spec_guarded(spec: RunSpec) -> Tuple:
         return ("ok", execute_spec(spec))
     except Exception:
         return ("error", spec.name, traceback.format_exc())
+    finally:
+        _collect_dead_machines()
+
+
+def _collect_dead_machines() -> None:
+    """Free the machines a finished spec left behind.
+
+    A machine is a reference cycle (kernel, devices, terminal emulator
+    and their bound methods) that holds an 8 MB memory array, and only
+    a full collection frees a cycle that lived long.  A process holding
+    a large long-lived heap (layout, compiled records) triggers few of
+    those, so a worker running spec after spec kept several dead
+    machines resident at once, and how many depended on where the
+    collector's counters happened to stand.  The end of a spec is where
+    a whole machine graph has just died; one full collection there
+    (~10 ms) keeps the worker's footprint flat."""
+    gc.collect()
 
 
 def _pool_context():
@@ -377,6 +396,16 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int, mp_context):
+        if mp_context.get_start_method() != "fork":
+            missing = _missing_main_path()
+            if missing is not None:
+                raise ValueError(
+                    "a {} worker pool re-imports __main__ from {!r}, which does not"
+                    " exist (a program read from stdin?): run the program from a"
+                    " file with an `if __name__ == \"__main__\"` guard".format(
+                        mp_context.get_start_method(), missing
+                    )
+                )
         self.workers = max(1, workers)
         self.mp_context = mp_context
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -417,6 +446,20 @@ class WorkerPool:
             _terminate_pool(executor)
         else:
             executor.shutdown(wait=True)
+
+
+def _missing_main_path() -> Optional[str]:
+    """The path a spawned worker would re-import ``__main__`` from, if
+    no file is there (``<stdin>`` for ``python -``); else None."""
+    main = sys.modules.get("__main__")
+    if getattr(getattr(main, "__spec__", None), "name", None):
+        return None  # re-imported by module name (``python -m``)
+    path = getattr(main, "__file__", None)
+    if path is None:
+        return None  # ``python -c`` and interactive sessions re-import nothing
+    if not os.path.isabs(path) and multiprocessing.process.ORIGINAL_DIR is not None:
+        path = os.path.join(multiprocessing.process.ORIGINAL_DIR, path)
+    return None if os.path.exists(path) else path
 
 
 def _tb_summary(worker_tb: str) -> str:

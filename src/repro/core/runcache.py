@@ -5,7 +5,7 @@ The engine's determinism guarantee is what makes caching sound: a
 determines a spec's result, so an object stored under a key derived
 from it can be replayed into any later run — a sweep re-run, a bench,
 an EXPERIMENTS.md regeneration — and the merged output stays
-bit-identical.  The cache stores two kinds of objects today:
+bit-identical.  The cache stores four kinds of objects:
 
 * ``shard`` — one shard's measured delta (a pickled
   :class:`~repro.core.executor.ShardResult`);
@@ -15,6 +15,10 @@ bit-identical.  The cache stores two kinds of objects today:
 * ``run`` — one whole completed :class:`~repro.core.executor.EngineRun`,
   letting the experiment service resolve a duplicate sweep without
   simulating at all (see :mod:`repro.core.cache_resolution`).
+* ``program`` — one generated workload image (a pickled
+  :class:`~repro.workloads.codegen.GeneratedProgram`), banked in the
+  default root so a fresh process skips the generator and the
+  assembler (see :func:`repro.workloads.codegen.generate_program`).
 
 Layout is git-like: ``<root>/objects/<first 2 hex>/<rest>`` with an
 optional ``.json`` metadata sidecar per object.  Writes go through a

@@ -78,6 +78,7 @@ from repro.core.executor import (
     RunSpec,
     ShardResult,
     WorkerPool,
+    _collect_dead_machines,
     _execute_spec_guarded,
     _ignore_progress,
     _run_pool_tasks,
@@ -603,6 +604,8 @@ def _execute_sharded_guarded(spec: RunSpec, shards: int, cache) -> Tuple:
         return ("error", spec.name, error.worker_traceback, error.shard_status)
     except Exception:
         return ("error", spec.name, traceback.format_exc())
+    finally:
+        _collect_dead_machines()
 
 
 # ----------------------------------------------------------------------
@@ -830,6 +833,7 @@ class Scheduler:
         waiters: Dict[int, _Ticket] = {}
         batch_attach: Dict[int, int] = {}
         owners: List[int] = []
+        from_cache: List[int] = []
         tickets: Dict[int, _Ticket] = {}
         digests = [config_hash(spec) for spec in specs]
 
@@ -868,6 +872,7 @@ class Scheduler:
                     if run is not None:
                         self._index_put(digest, run)
                         resolved[index] = run
+                        from_cache.append(index)
                         self._count(
                             "scheduler.specs.resolved_cache",
                             "specs resolved whole from the run cache",
@@ -877,6 +882,11 @@ class Scheduler:
                 self._inflight[digest] = ticket
                 tickets[index] = ticket
                 owners.append(index)
+        # The index keeps the runs it publishes; the client gets private
+        # copies (made outside the lock), so mutating one cannot corrupt
+        # later index hits.
+        for index in from_cache:
+            resolved[index] = copy.deepcopy(resolved[index])
 
         # Progress remap: owner-batch events carry batch-local indices;
         # clients expect sweep-local ones.
@@ -920,10 +930,13 @@ class Scheduler:
                     batch_runs, batch_report = outcome.runs, outcome.report
                 else:
                     batch_runs = outcome
+                private = [
+                    None if run is None else copy.deepcopy(run) for run in batch_runs
+                ]
                 with self._lock:
                     for position, index in enumerate(owners):
                         run = batch_runs[position]
-                        owner_runs[index] = run
+                        owner_runs[index] = private[position]
                         ticket = tickets.get(index)
                         if run is not None:
                             self._count(

@@ -32,7 +32,8 @@ Shutdown (:meth:`ExperimentService.shutdown`, SIGINT or SIGTERM) stops
 and joins those workers, and a worker whose server was killed outright
 exits on its own.  Spawned workers re-import the owner's ``__main__``,
 so a script that embeds a service with persistent workers must guard
-its entry point with ``if __name__ == "__main__"``.  An embedded
+its entry point with ``if __name__ == "__main__"``, and a program read
+from stdin, which has no file to re-import, is refused.  An embedded
 service without them (the constructor's default) runs simulations on
 the scheduler's thread, as a CLI ``--jobs 1`` sweep does, and ``jobs >
 1`` then builds a pool per sweep.  Dedupe between concurrently-running
@@ -157,6 +158,11 @@ class ExperimentService:
             run_resolution=cache is not None,
             persistent_workers=persistent_workers,
         )
+        # registered up front so /stats reads 0 before the first eviction
+        self._evicted = metrics.counter(
+            "service.jobs.evicted",
+            "job records dropped past MAX_JOB_RECORDS, oldest first",
+        )
         self._log = get_logger("repro.service")
         self._jobs: "Dict[str, _Job]" = {}
         self._jobs_order: List[str] = []
@@ -180,6 +186,7 @@ class ExperimentService:
             while len(self._jobs_order) > MAX_JOB_RECORDS:
                 dropped = self._jobs_order.pop(0)
                 self._jobs.pop(dropped, None)
+                self._evicted.inc()
             self.metrics.counter(
                 "service.jobs.submitted", "sweeps accepted by POST /sweeps"
             ).inc()

@@ -23,9 +23,12 @@ R9 queue base, R10 loop counter, R11 index register.
 
 from __future__ import annotations
 
+import hashlib
+import os
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+import sys
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.asm import Assembler
 from repro.isa.datatypes import packed_decimal_encode, packed_size
@@ -533,19 +536,99 @@ def _build_data_image(profile: WorkloadProfile, rng: random.Random) -> bytes:
 #: so its id() cannot be recycled while the entry is live.
 _PROGRAM_CACHE: Dict = {}
 
+#: Packages (under ``repro``) whose sources determine an image's bytes.
+_IMAGE_SOURCES = ("workloads", "asm", "isa")
+
+_sources_digest: Optional[str] = None
+
 
 def generate_program(profile: WorkloadProfile, variant: int = 0) -> GeneratedProgram:
     """Generate one process image for ``profile``.
 
     ``variant`` differentiates the processes of a multi-user workload
-    (different code layout and data, same statistical mix).
+    (different code layout and data, same statistical mix).  Images are
+    remembered per process (``_PROGRAM_CACHE``) and banked across
+    processes in the default run cache (see :func:`_banked_program`).
     """
     key = (id(profile), variant)
     cached = _PROGRAM_CACHE.get(key)
     if cached is not None:
         return cached[1]
-    program = _generate_program(profile, variant)
+    program = _banked_program(profile, variant)
     _PROGRAM_CACHE[key] = (profile, program)
+    return program
+
+
+def _image_sources_digest() -> str:
+    """sha256 over the sources that determine an image's bytes
+    (:data:`_IMAGE_SOURCES`), hashed once per process: editing the
+    generator, the assembler or the ISA tables retires every banked
+    image."""
+    global _sources_digest
+    if _sources_digest is None:
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        digest = hashlib.sha256()
+        for package in _IMAGE_SOURCES:
+            directory = os.path.join(package_root, package)
+            for name in sorted(os.listdir(directory)):
+                if name.endswith(".py"):
+                    digest.update("{}/{}\0".format(package, name).encode("utf-8"))
+                    with open(os.path.join(directory, name), "rb") as handle:
+                        digest.update(handle.read())
+        _sources_digest = digest.hexdigest()
+    return _sources_digest
+
+
+def _banked_program(profile: WorkloadProfile, variant: int) -> GeneratedProgram:
+    """The image for ``(profile, variant)``, read from the bank of
+    generated images in the default :class:`~repro.core.runcache.RunCache`
+    (``$REPRO_CACHE_DIR``, else ``.repro-cache``) or generated and
+    banked there.
+
+    The key commits to the profile's fields, the variant, the Python
+    version (``random``'s stream) and :func:`_image_sources_digest`.
+    The bank can only save time: a corrupt or undecodable entry is
+    quarantined and regenerated, and an ``OSError`` anywhere in the
+    bank (a read-only cwd, a failed write) makes it a miss.  Its
+    hit/miss counters are never flushed to the stats ledger, which
+    counts run traffic only.
+    """
+    import pickle
+
+    from repro.core.runcache import RunCache, cache_key
+
+    try:
+        bank = RunCache.default()
+        key = cache_key(
+            "program",
+            profile=asdict(profile),
+            variant=variant,
+            python="{}.{}".format(*sys.version_info[:2]),
+            sources=_image_sources_digest(),
+        )
+        blob = bank.get(key)
+    except OSError:
+        return _generate_program(profile, variant)
+    name = "{}#{}".format(profile.name, variant)
+    if blob is not None:
+        try:
+            program = pickle.loads(blob)
+        except Exception as exc:  # noqa: BLE001 — any undecodable entry
+            problem = "undecodable program image: {!r}".format(exc)
+        else:
+            if isinstance(program, GeneratedProgram) and program.name == name:
+                return program
+            problem = "stored object is not the image of {}".format(name)
+        try:
+            bank.quarantine(key, reason=problem)
+        except OSError:
+            pass
+    program = _generate_program(profile, variant)
+    try:
+        bank.put(key, pickle.dumps(program, pickle.HIGHEST_PROTOCOL),
+                 meta={"kind": "program", "spec": name})
+    except OSError:
+        pass
     return program
 
 

@@ -1,5 +1,6 @@
 """The parallel experiment engine: specs, configs, fan-out, determinism."""
 
+import gc
 import multiprocessing
 import pickle
 
@@ -109,6 +110,28 @@ class TestExecuteSpec:
             )
         )
         assert tiny_tb.result.stats.tb_misses > base.result.stats.tb_misses
+
+
+def _machine_memories() -> int:
+    from repro.memory.physical import PhysicalMemory
+
+    return sum(1 for obj in gc.get_objects() if type(obj) is PhysicalMemory)
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["whole", "sharded"])
+def test_a_finished_spec_task_leaves_no_machine_behind(sharded):
+    # A dead machine is a reference cycle holding an 8 MB memory array;
+    # a worker running spec after spec must not keep a pile of them.
+    from repro.core.executor import _execute_spec_guarded
+    from repro.core.scheduler import _execute_sharded_guarded
+
+    before = _machine_memories()
+    for offset in range(3):
+        spec = RunSpec(workload="timesharing_light", seed_offset=offset, **SMALL)
+        outcome = (_execute_sharded_guarded(spec, 2, None) if sharded
+                   else _execute_spec_guarded(spec))
+        assert outcome[0] == "ok"
+        assert _machine_memories() <= before
 
 
 class TestRunSpecs:

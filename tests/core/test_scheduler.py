@@ -72,6 +72,24 @@ class TestBatchDedupe:
         # And a private copy: mutating it cannot corrupt the primary.
         assert attached.result is not primary.result
 
+    def test_executing_client_cannot_corrupt_the_index(self):
+        scheduler = Scheduler()
+        executed = scheduler.run_specs([_spec()])[0]
+        instructions = executed.result.events.instructions
+        executed.result.events.instructions = -1
+        again = scheduler.run_specs([_spec()])[0]
+        assert again.result.events.instructions == instructions
+
+    def test_cache_resolved_client_cannot_corrupt_the_index(self, tmp_path):
+        cache = RunCache(str(tmp_path / "cache"))
+        Scheduler(cache=cache, run_resolution=True).run_specs([_spec()])
+        revived = Scheduler(cache=cache, run_resolution=True)
+        resolved = revived.run_specs([_spec()])[0]
+        instructions = resolved.result.events.instructions
+        resolved.result.events.instructions = -1
+        again = revived.run_specs([_spec()])[0]
+        assert again.result.events.instructions == instructions
+
     def test_order_preserved_around_dedupe(self):
         scheduler = Scheduler()
         specs = [_spec(seed_offset=1), _spec(), _spec(seed_offset=1)]
@@ -114,7 +132,11 @@ class TestResultIndex:
         scheduler = Scheduler()
         run = scheduler.run_specs([_spec()])[0]
         digest = run.manifest.config_hash
-        assert scheduler.result_for(digest) is run
+        published = scheduler.result_for(digest)
+        # the index publishes its own copy, equal to the client's run
+        assert published is not run and published.result is not run.result
+        assert published.histogram == run.histogram
+        assert published.result.instructions == run.result.instructions
         assert scheduler.result_for("no-such-digest") is None
 
 

@@ -116,6 +116,22 @@ class TestRoutes:
         stats = client.stats()
         assert set(stats) >= {"inflight", "result_index", "jobs", "metrics"}
 
+    def test_evicted_job_records_are_counted(self, monkeypatch):
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_JOB_RECORDS", 2)
+        service = ExperimentService().start_in_thread()
+        try:
+            client = ServiceClient("http://127.0.0.1:{}".format(service.port))
+            assert client.stats()["metrics"]["counters"]["service.jobs.evicted"] == 0
+            for _ in range(3):
+                client.wait(client.submit_sweep([RunSpec(**SPEC)])["job"])
+            stats = client.stats()
+            assert stats["jobs"]["records"] == 2
+            assert stats["metrics"]["counters"]["service.jobs.evicted"] == 1
+        finally:
+            service.shutdown()
+
     def test_unknown_job_404(self, client):
         with pytest.raises(ClientError) as caught:
             client.job("j-999999")

@@ -214,3 +214,23 @@ def test_worker_exits_when_its_server_is_killed(tmp_path):
     while _alive(worker) and time.monotonic() < deadline:
         time.sleep(0.1)
     assert not _alive(worker)
+
+
+def test_a_program_read_from_stdin_is_refused_persistent_workers(tmp_path):
+    # Spawned workers re-import __main__ from its file; ``python -`` has
+    # none, so every job would fail as a pool crash.  Refuse up front.
+    program = (
+        "from repro.service.server import ExperimentService\n"
+        "try:\n"
+        "    ExperimentService(persistent_workers=True)\n"
+        "except ValueError as error:\n"
+        "    print('refused:', error)\n"
+        "ExperimentService()\n"
+        "print('in-process service constructed')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-"], input=program, capture_output=True,
+                          text=True, env=env, cwd=str(tmp_path), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "refused:" in done.stdout and "<stdin>" in done.stdout
+    assert "in-process service constructed" in done.stdout
