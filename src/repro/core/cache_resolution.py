@@ -5,7 +5,7 @@ cache-resolution).  The scheduler asks this module three questions
 before it spends any simulation time:
 
 * *Is this whole run already banked?* — run-level objects
-  (:func:`resolve_cached_run` / :func:`store_run`) let the service
+  (:func:`load_cached_run` / :func:`store_run`) let the service
   dedupe complete sweeps against the content-addressed
   :class:`~repro.core.runcache.RunCache` across server restarts.
 * *Which shards of this run are already banked?* —
@@ -17,16 +17,16 @@ before it spends any simulation time:
   metadata, relying on the cache's atomic first-write-wins puts so
   concurrent writers never collide.
 
-Everything here is self-healing by contract: an object that is absent,
-digest-rotten (the cache layer catches that), or undeserializable by
-this build is treated as a miss and quarantined so the recomputation
-lands in a clean slot.  Nothing in this module executes simulation
-work or decides scheduling — resolution only.
+Everything here is self-healing by contract: every kind is read
+through :meth:`~repro.core.runcache.RunCache.load`, so an object that
+is absent, digest-rotten, undecodable by this build or of the wrong
+type is treated as a miss and quarantined so the recomputation lands
+in a clean slot.  Nothing in this module executes simulation work or
+decides scheduling — resolution only.
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Dict, List, Optional, Tuple
 
 
@@ -48,9 +48,9 @@ def shard_cache_keys(spec, boundaries: List[int]) -> Tuple[str, List[str], Dict[
 
 
 def store_shard(cache, key: str, shard, spec_name: str, chash: str) -> None:
-    cache.put(
+    cache.store(
         key,
-        pickle.dumps(shard, protocol=4),
+        shard,
         meta={
             "kind": "shard",
             "spec": spec_name,
@@ -63,20 +63,12 @@ def store_shard(cache, key: str, shard, spec_name: str, chash: str) -> None:
 
 
 def load_cached_shard(cache, key: str):
-    """Fetch one banked shard delta; ``None`` on miss or damage.
+    """Fetch one banked shard delta; ``None`` on miss or damage."""
+    from repro.core.executor import ShardResult
 
-    ``RunCache.get`` already rejects byte-level rot via the ``.sum``
-    digest; the except clause quarantines what slips past it — a
-    digest-valid pickle written by an incompatible build."""
-    blob = cache.get(key)
-    if blob is None:
-        return None
-    try:
-        shard = pickle.loads(blob)
-    except Exception as exc:
-        cache.quarantine(key, reason="unpicklable shard: {}".format(exc))
-        return None
-    shard.from_cache = True
+    shard = cache.load(key, ShardResult)
+    if shard is not None:
+        shard.from_cache = True
     return shard
 
 
@@ -99,29 +91,25 @@ def store_boundary_snapshot(
     )
 
 
+def _restore_snapshot(blob: bytes):
+    """Decode one banked snapshot blob to ``(kernel, digest)``;
+    ``restore`` raises on a pickled graph that is not a kernel."""
+    from repro.core.snapshot import MachineSnapshot, restore
+
+    snapshot = MachineSnapshot.from_bytes(blob)
+    return restore(snapshot), snapshot.digest
+
+
 def load_cached_snapshot(cache, key: str):
     """Fetch and restore a boundary snapshot, self-healing corruption.
 
     Returns ``(kernel, digest)``, or ``(None, None)`` when the snapshot
-    is absent *or* damaged — damage is quarantined so the caller's
-    recomputation lands in a clean slot.  ``RunCache.get`` already
-    catches byte-level rot via the ``.sum`` digest; the except clause
-    here catches whatever slips past it, as :func:`load_cached_shard`
-    does (a truncated legacy object, an older format version, an
-    injected restore failure, a digest-valid pickle from an
-    incompatible build raising anything while it is rebuilt)."""
-    from repro.core.snapshot import MachineSnapshot, restore
-
-    blob = cache.get(key)
-    if blob is None:
-        return None, None
-    try:
-        snapshot = MachineSnapshot.from_bytes(blob)
-        kernel = restore(snapshot)
-    except Exception as exc:
-        cache.quarantine(key, reason="snapshot restore failed: {}".format(exc))
-        return None, None
-    return kernel, snapshot.digest
+    is absent *or* damaged: a truncated legacy object, an older format
+    version, an injected restore failure, a digest-valid pickle from an
+    incompatible build raising anything while it is rebuilt — whatever
+    the restore raises quarantines the entry (:meth:`RunCache.load`)."""
+    restored = cache.load(key, tuple, _restore_snapshot)
+    return restored if restored is not None else (None, None)
 
 
 # ----------------------------------------------------------------------
@@ -138,12 +126,11 @@ def load_cached_snapshot(cache, key: str):
 # zeroed rather than replayed as if the work had happened again).
 
 
-def run_cache_key(spec) -> str:
-    """The run-level cache key for one spec (config-hash addressed)."""
+def run_cache_key(digest: str) -> str:
+    """The run-level cache key for a spec's config-hash ``digest``."""
     from repro.core.runcache import cache_key
-    from repro.obs.provenance import config_hash
 
-    return cache_key("run", config=config_hash(spec))
+    return cache_key("run", config=digest)
 
 
 def store_run(cache, spec, run) -> None:
@@ -151,9 +138,11 @@ def store_run(cache, spec, run) -> None:
 
     First write wins: a concurrent client that raced the same spec to
     completion leaves the earlier (bit-identical) payload in place."""
-    cache.put(
-        run_cache_key(spec),
-        pickle.dumps(run, protocol=4),
+    from repro.obs.provenance import config_hash
+
+    cache.store(
+        run_cache_key(config_hash(spec)),
+        run,
         meta={
             "kind": "run",
             "spec": spec.name,
@@ -164,22 +153,20 @@ def store_run(cache, spec, run) -> None:
     )
 
 
-def resolve_cached_run(cache, spec):
-    """Replay one whole run from the cache; ``None`` on miss or damage.
+def load_cached_run(cache, digest: str):
+    """Replay one whole run by its config-hash ``digest`` from the
+    cache; ``None`` on miss or damage.
 
     The replayed :class:`~repro.core.executor.EngineRun` carries honest
     provenance: ``manifest.resumed_from`` names the run-level cache key
     and wall seconds are zeroed — the run cost nothing *this time*, and
     fabricating the original timing would double-count it (the original
     manifest is still banked inside the cached payload's history)."""
-    key = run_cache_key(spec)
-    blob = cache.get(key)
-    if blob is None:
-        return None
-    try:
-        run = pickle.loads(blob)
-    except Exception as exc:
-        cache.quarantine(key, reason="unpicklable run: {}".format(exc))
+    from repro.core.executor import EngineRun
+
+    key = run_cache_key(digest)
+    run = cache.load(key, EngineRun)
+    if run is None:
         return None
     run.wall_seconds = 0.0
     if run.manifest is not None:

@@ -383,11 +383,12 @@ def _exit_with_owner(owner: int) -> None:
 class WorkerPool:
     """A process pool that outlives the sweeps it runs.
 
-    :func:`_run_pool_tasks` builds one for a single call (a CLI sweep
-    with ``jobs > 1``, forked); a long-lived owner (the experiment
-    service's :class:`~repro.core.scheduler.Scheduler`) keeps one for
-    its lifetime instead and lends it to every call, so simulations run
-    off the owner's interpreter without a pool start per sweep.  The
+    :func:`_run_pool_tasks` and :func:`parallel_map` build one for a
+    single call (a CLI sweep with ``jobs > 1``, forked); a long-lived
+    owner (the experiment service's
+    :class:`~repro.core.scheduler.Scheduler`) keeps one for its lifetime
+    instead and lends it to every call, so simulations run off the
+    owner's interpreter without a pool start per sweep.  The
     workers start on first use, from ``mp_context``, and ignore SIGINT
     and exit with their owner (:func:`_init_worker`).  :meth:`respawn`
     swaps in a fresh pool after a crash or a timeout; :meth:`close`
@@ -788,11 +789,15 @@ def _measure_span(kernel, instructions: int, fault_key: Optional[str] = None):
 
 def parallel_map(func: Callable, items: Sequence, jobs: int = 1) -> List:
     """Generic deterministic fan-out: ``[func(x) for x in items]``,
-    optionally across a process pool.  ``func`` must be a module-level
-    function when ``jobs > 1``.  Order is preserved either way."""
+    optionally across a :class:`WorkerPool` built for the call (its
+    workers ignore SIGINT and exit with their owner).  ``func`` must be
+    a module-level function when ``jobs > 1``.  Order is preserved
+    either way."""
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [func(item) for item in items]
-    workers = min(jobs, len(items))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
-        return list(pool.map(func, items))
+    pool = WorkerPool(min(jobs, len(items)), _pool_context())
+    try:
+        return list(pool.executor().map(func, items))
+    finally:
+        pool.close()

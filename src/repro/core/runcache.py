@@ -1,4 +1,4 @@
-"""Content-addressed run cache for shards and snapshots.
+"""Content-addressed run cache for everything the engine banks.
 
 The engine's determinism guarantee is what makes caching sound: a
 :func:`~repro.obs.provenance.config_hash` pins down everything that
@@ -19,6 +19,11 @@ bit-identical.  The cache stores four kinds of objects:
   :class:`~repro.workloads.codegen.GeneratedProgram`), banked in the
   default root so a fresh process skips the generator and the
   assembler (see :func:`repro.workloads.codegen.generate_program`).
+
+:meth:`RunCache.store` pickles an object and puts its bytes (snapshots,
+framed blobs of their own, are put as they are); :meth:`RunCache.load`
+reads any kind back, decodes it and checks its type, and quarantines
+whatever fails either as a miss.
 
 Layout is git-like: ``<root>/objects/<first 2 hex>/<rest>`` with an
 optional ``.json`` metadata sidecar per object.  Writes go through a
@@ -56,15 +61,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 from repro.testing import faults
 
 #: Bump to invalidate every existing cache entry (key derivation
 #: changes, stored-object shape changes).
 CACHE_SCHEMA_VERSION = 1
+
+#: The pickle protocol of every object :meth:`RunCache.store` banks.
+PICKLE_PROTOCOL = 4
 
 #: Environment override for the cache root directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -159,7 +168,7 @@ class RunCache:
         """Existence probe; does not count toward hit/miss stats."""
         return os.path.exists(self._object_path(key))
 
-    def get(self, key: str, verify: bool = True) -> Optional[bytes]:
+    def get(self, key: str) -> Optional[bytes]:
         """Fetch ``key``, integrity-checked against its ``.sum`` sidecar.
 
         A digest mismatch quarantines the object and reports a miss —
@@ -174,16 +183,15 @@ class RunCache:
             self.misses += 1
             return None
         data = faults.corrupt_bytes("cache.get", key, data)
-        if verify:
-            expected = self._read_sum(key)
-            if expected is not None and hashlib.sha256(data).hexdigest() != expected:
-                self.quarantine(
-                    key,
-                    reason="content digest mismatch: stored bytes no longer "
-                    "hash to the recorded sha256",
-                )
-                self.misses += 1
-                return None
+        expected = self._read_sum(key)
+        if expected is not None and hashlib.sha256(data).hexdigest() != expected:
+            self.quarantine(
+                key,
+                reason="content digest mismatch: stored bytes no longer "
+                "hash to the recorded sha256",
+            )
+            self.misses += 1
+            return None
         self.hits += 1
         return data
 
@@ -205,6 +213,34 @@ class RunCache:
         faults.corrupt_file("cache.stored", key, path)
         self.puts += 1
         return path
+
+    def store(self, key: str, obj, meta: Optional[Dict] = None) -> str:
+        """Bank ``obj`` under ``key``: pickled, then :meth:`put`."""
+        return self.put(key, pickle.dumps(obj, protocol=PICKLE_PROTOCOL), meta=meta)
+
+    def load(self, key: str, kind: type, decode: Callable[[bytes], object] = pickle.loads):
+        """The banked object under ``key``, or ``None`` on a miss.
+
+        :meth:`get` rejects byte-level rot; this quarantines, as a miss,
+        what a valid digest lets through: bytes ``decode`` cannot read
+        (a pickle of an incompatible build raising anything while it is
+        rebuilt) or an object that is not a ``kind``."""
+        data = self.get(key)
+        if data is None:
+            return None
+        try:
+            obj = decode(data)
+        except Exception as exc:  # noqa: BLE001 — any undecodable entry
+            reason = "undecodable {}: {!r}".format(kind.__name__, exc)
+        else:
+            if isinstance(obj, kind):
+                return obj
+            reason = "stored object is a {}, not a {}".format(type(obj).__name__, kind.__name__)
+        self.quarantine(key, reason=reason)
+        # what get() counted as a hit is a miss the caller recomputes
+        self.hits -= 1
+        self.misses += 1
+        return None
 
     @staticmethod
     def _write_atomic(path: str, data: bytes) -> None:

@@ -31,7 +31,7 @@ results), and each unique digest is checked against:
    the same payload when it lands, instead of enqueueing a duplicate
    execution;
 3. the content-addressed **RunCache** (run-level objects, see
-   :func:`~repro.core.cache_resolution.resolve_cached_run`) — dedupe
+   :func:`~repro.core.cache_resolution.load_cached_run`) — dedupe
    that survives server restarts.
 
 Deduplicated runs carry honest provenance: their manifests mark
@@ -62,9 +62,9 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache_resolution import (
+    load_cached_run,
     load_cached_shard,
     load_cached_snapshot,
-    resolve_cached_run,
     shard_cache_keys,
     store_boundary_snapshot,
     store_run,
@@ -724,26 +724,15 @@ class Scheduler:
     def result_for(self, digest: str) -> Optional[EngineRun]:
         """Look one completed run up by its config-hash digest —
         the ``GET /results/{digest}`` primitive.  Falls back to the
-        run cache when the index has rotated the entry out."""
+        run cache when the index has rotated the entry out (a revived
+        run carries ``resumed_from`` provenance, as in :meth:`run_specs`)."""
         with self._lock:
             run = self._index.get(digest)
             if run is not None:
                 self._index.move_to_end(digest)
                 return run
         if self.run_resolution and self.cache is not None:
-            from repro.core.runcache import cache_key
-
-            blob_key = cache_key("run", config=digest)
-            import pickle
-
-            blob = self.cache.get(blob_key)
-            if blob is not None:
-                try:
-                    return pickle.loads(blob)
-                except Exception as exc:
-                    self.cache.quarantine(
-                        blob_key, reason="unpicklable run: {}".format(exc)
-                    )
+            return load_cached_run(self.cache, digest)
         return None
 
     # -- deduplicated provenance -------------------------------------------
@@ -868,7 +857,7 @@ class Scheduler:
                     )
                     continue
                 if self.run_resolution and self.cache is not None:
-                    run = resolve_cached_run(self.cache, spec)
+                    run = load_cached_run(self.cache, digest)
                     if run is not None:
                         self._index_put(digest, run)
                         resolved[index] = run

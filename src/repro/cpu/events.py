@@ -85,21 +85,11 @@ class EventCounters:
         return delta
 
     def merge_from(self, other: "EventCounters") -> None:
-        """Accumulate another run's counters (composite workloads)."""
-        self.instructions += other.instructions
-        self.opcode_counts += other.opcode_counts
-        self.branch_executed += other.branch_executed
-        self.branch_taken += other.branch_taken
-        self.specifier_counts += other.specifier_counts
-        self.indexed_specifiers += other.indexed_specifiers
-        self.branch_displacements += other.branch_displacements
-        self.instruction_bytes += other.instruction_bytes
-        self.specifier_bytes += other.specifier_bytes
-        self.displacement_bytes += other.displacement_bytes
-        self.reads_by_source += other.reads_by_source
-        self.writes_by_source += other.writes_by_source
-        self.software_interrupt_requests += other.software_interrupt_requests
-        self.interrupts_delivered += other.interrupts_delivered
-        self.context_switches += other.context_switches
-        self.page_faults += other.page_faults
-        self.arithmetic_exceptions += other.arithmetic_exceptions
+        """Accumulate another run's counters (composites, shard merges).
+
+        Field by field with in-place ``+=``, so a Counter keeps its own
+        key order and serialized output stays byte-identical."""
+        for name in self.__dataclass_fields__:
+            total = getattr(self, name)
+            total += getattr(other, name)
+            setattr(self, name, total)

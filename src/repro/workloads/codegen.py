@@ -587,14 +587,13 @@ def _banked_program(profile: WorkloadProfile, variant: int) -> GeneratedProgram:
 
     The key commits to the profile's fields, the variant, the Python
     version (``random``'s stream) and :func:`_image_sources_digest`.
-    The bank can only save time: a corrupt or undecodable entry is
-    quarantined and regenerated, and an ``OSError`` anywhere in the
-    bank (a read-only cwd, a failed write) makes it a miss.  Its
-    hit/miss counters are never flushed to the stats ledger, which
-    counts run traffic only.
+    The bank can only save time: a corrupt, undecodable or foreign
+    entry is quarantined and regenerated
+    (:meth:`~repro.core.runcache.RunCache.load`), and an ``OSError``
+    anywhere in the bank (a read-only cwd, a failed write) makes it a
+    miss.  Its hit/miss counters are never flushed to the stats ledger,
+    which counts run traffic only.
     """
-    import pickle
-
     from repro.core.runcache import RunCache, cache_key
 
     try:
@@ -606,29 +605,15 @@ def _banked_program(profile: WorkloadProfile, variant: int) -> GeneratedProgram:
             python="{}.{}".format(*sys.version_info[:2]),
             sources=_image_sources_digest(),
         )
-        blob = bank.get(key)
+        program = bank.load(key, GeneratedProgram)
     except OSError:
         return _generate_program(profile, variant)
-    name = "{}#{}".format(profile.name, variant)
-    if blob is not None:
+    if program is None:
+        program = _generate_program(profile, variant)
         try:
-            program = pickle.loads(blob)
-        except Exception as exc:  # noqa: BLE001 — any undecodable entry
-            problem = "undecodable program image: {!r}".format(exc)
-        else:
-            if isinstance(program, GeneratedProgram) and program.name == name:
-                return program
-            problem = "stored object is not the image of {}".format(name)
-        try:
-            bank.quarantine(key, reason=problem)
+            bank.store(key, program, meta={"kind": "program", "spec": program.name})
         except OSError:
             pass
-    program = _generate_program(profile, variant)
-    try:
-        bank.put(key, pickle.dumps(program, pickle.HIGHEST_PROTOCOL),
-                 meta={"kind": "program", "spec": name})
-    except OSError:
-        pass
     return program
 
 

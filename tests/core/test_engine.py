@@ -3,6 +3,7 @@
 import gc
 import multiprocessing
 import pickle
+import signal
 
 import pytest
 
@@ -243,6 +244,10 @@ def _square(value):
     return value * value
 
 
+def _sigint_handler(_):
+    return signal.getsignal(signal.SIGINT)
+
+
 class TestParallelMap:
     def test_sequential_and_parallel_agree(self):
         items = list(range(8))
@@ -252,6 +257,12 @@ class TestParallelMap:
     def test_empty_and_single(self):
         assert parallel_map(_square, [], jobs=4) == []
         assert parallel_map(_square, [5], jobs=4) == [25]
+
+    def test_workers_ignore_sigint(self):
+        # A Ctrl-C reaches the whole process group; the owner, not each
+        # worker, decides what it stops.
+        assert parallel_map(_sigint_handler, range(2), jobs=2) == [signal.SIG_IGN] * 2
+        assert multiprocessing.active_children() == []
 
 
 class TestShardBoundaries:

@@ -195,6 +195,30 @@ class TestEventCounterMergeFuzz:
             model.update(part.opcode_counts)
         assert total.opcode_counts == model
 
+    def test_every_field_survives_a_merge(self):
+        # A field merge_from skipped would silently drop out of
+        # composites and shard merges.
+        def value(name, number):
+            if isinstance(getattr(EventCounters(), name), Counter):
+                return Counter({name: number})
+            return number
+
+        part = EventCounters()
+        for number, name in enumerate(part.__dataclass_fields__, start=1):
+            setattr(part, name, value(name, number))
+        total = EventCounters()
+        total.merge_from(part)
+        total.merge_from(part)
+        for number, name in enumerate(part.__dataclass_fields__, start=1):
+            assert getattr(total, name) == value(name, 2 * number), name
+
+    def test_merge_keeps_first_occurrence_key_order(self):
+        total = EventCounters(opcode_counts=Counter({"MOVL": 1}))
+        counts = total.opcode_counts
+        total.merge_from(EventCounters(opcode_counts=Counter({"ADDL2": 1, "MOVL": 1})))
+        assert total.opcode_counts is counts
+        assert list(total.opcode_counts) == ["MOVL", "ADDL2"]
+
     def test_minus_preserves_first_occurrence_key_order(self):
         # Serialized output is order-sensitive (JSON dicts); the delta
         # must list keys in the full run's first-occurrence order, not

@@ -6,6 +6,7 @@ metadata sidecars and the hit/miss accounting the CLI reports.
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -256,6 +257,36 @@ class TestSelfHealing:
         assert cache.quarantined_objects() == 1
         assert cache.clear() == 1
         assert cache.quarantined_objects() == 0
+
+
+class TestTypedLoad:
+    def test_store_load_roundtrip(self, cache):
+        key = cache_key("test", payload="typed")
+        cache.store(key, {"cpi": 10.6}, meta={"kind": "test"})
+        assert cache.load(key, dict) == {"cpi": 10.6}
+        assert cache.get_meta(key) == {"kind": "test"}
+        assert cache.load(cache_key("test", payload="absent"), dict) is None
+        assert cache.stats() == {"hits": 1, "misses": 1, "puts": 1, "quarantined": 0}
+
+    @pytest.mark.parametrize(
+        "blob, reason",
+        [
+            (pickle.dumps(["a", "list"]), "stored object is a list, not a dict"),
+            (b"no pickle at all", "undecodable dict"),
+        ],
+        ids=["wrong-type", "undecodable"],
+    )
+    def test_bad_entry_is_quarantined_as_a_miss(self, cache, blob, reason):
+        key = cache_key("test", payload="bad")
+        cache.put(key, blob)
+        assert cache.load(key, dict) is None
+        assert not cache.has(key)
+        assert cache.stats() == {"hits": 0, "misses": 1, "puts": 1, "quarantined": 1}
+        note = os.path.join(
+            cache.root, "objects", RunCache.QUARANTINE_DIRNAME, key + ".reason"
+        )
+        with open(note) as handle:
+            assert handle.read().startswith(reason)
 
 
 class TestWriteFailureCleanup:

@@ -16,15 +16,23 @@ import zlib
 
 import pytest
 
-from repro.core.cache_resolution import shard_cache_keys
+from repro.core.cache_resolution import (
+    load_cached_run,
+    load_cached_shard,
+    load_cached_snapshot,
+    run_cache_key,
+    shard_cache_keys,
+)
 from repro.core.executor import RunSpec, shard_boundaries
 from repro.core.scheduler import Scheduler, execute_spec_sharded, run_specs
 from repro.core.resilience import ResiliencePolicy, RetryPolicy
-from repro.core.runcache import RunCache
+from repro.core.runcache import CACHE_DIR_ENV, RunCache
 from repro.core.snapshot import SNAPSHOT_VERSION, MachineSnapshot
 from repro.obs.metrics import MetricsRegistry, resilience_counters
+from repro.obs.provenance import config_hash
 from repro.testing import faults
 from repro.testing.faults import FaultPlan, FaultRule
+from repro.workloads import codegen, profile_by_name
 
 SMALL = dict(instructions=600, warmup_instructions=150)
 SHARDS = 3
@@ -64,6 +72,16 @@ def damage_object(cache, key, mode):
         data = data[:middle] + bytes([data[middle] ^ 0x01]) + data[middle + 1 :]
     with open(path, "wb") as handle:
         handle.write(data)
+
+
+def replace_object(cache, key, blob):
+    """Swap the object under ``key`` for ``blob``, digest-valid."""
+    for suffix in ("", ".sum", ".json"):
+        try:
+            os.unlink(cache._object_path(key) + suffix)
+        except FileNotFoundError:
+            pass
+    cache.put(key, blob)
 
 
 def metered_policy():
@@ -248,3 +266,92 @@ class TestShardedSelfHealing:
         assert [payload_of(run) for run in recovered] == golden
         assert all(run.shard_count == SHARDS for run in recovered)
         assert policy.metrics.snapshot()["counters"]["engine.pool_respawns"] >= 1
+
+
+def _bad_blob(kind, bad):
+    """A digest-valid entry for ``kind`` that must not be used: bytes
+    that do not decode, or a pickle of the wrong type (for a snapshot,
+    a well-framed snapshot whose pickled kernel is a dict)."""
+    if bad == "undecodable":
+        return b"bytes no decoder reads"
+    raw = pickle.dumps({"foreign": kind})
+    if kind != "snapshot":
+        return raw
+    return MachineSnapshot(
+        payload=zlib.compress(raw), digest=hashlib.sha256(raw).hexdigest()
+    ).to_bytes()
+
+
+class TestForeignObjectsHeal:
+    """Every banked kind goes through one typed load, so an entry that
+    does not decode, or decodes to the wrong type, is quarantined once
+    and recomputed bit-identically, whatever its kind."""
+
+    def _shard(self, root, blob, monkeypatch):
+        golden = execute_spec_sharded(SPEC, SHARDS, cache=RunCache(root))
+        boundaries = shard_boundaries(SPEC.instructions, SHARDS)
+        _, shard_keys, _ = shard_cache_keys(SPEC, boundaries)
+        key = shard_keys[1]
+        replace_object(RunCache(root), key, blob)
+        recovered = execute_spec_sharded(SPEC, SHARDS, cache=RunCache(root))
+        assert payload_of(recovered) == payload_of(golden)
+        assert recovered.manifest.quarantined_objects == 1
+        return key, lambda cache: load_cached_shard(cache, key)
+
+    def _snapshot(self, root, blob, monkeypatch):
+        # shard 2/2 evicted, so the warm run must restore the midpoint
+        golden = execute_spec_sharded(SPEC, 2, cache=RunCache(root))
+        boundaries = shard_boundaries(SPEC.instructions, 2)
+        _, shard_keys, snapshot_keys = shard_cache_keys(SPEC, boundaries)
+        key = snapshot_keys[boundaries[1]]
+        for suffix in ("", ".sum", ".json"):
+            os.unlink(RunCache(root)._object_path(shard_keys[1]) + suffix)
+        replace_object(RunCache(root), key, blob)
+        recovered = execute_spec_sharded(SPEC, 2, cache=RunCache(root))
+        assert payload_of(recovered) == payload_of(golden)
+        assert recovered.manifest.quarantined_objects == 1
+        return key, lambda cache: load_cached_snapshot(cache, key)[0]
+
+    def _run(self, root, blob, monkeypatch):
+        golden = Scheduler(cache=RunCache(root), run_resolution=True).run_specs([SPEC])
+        digest = config_hash(SPEC)
+        key = run_cache_key(digest)
+        replace_object(RunCache(root), key, blob)
+        metrics = MetricsRegistry()
+        recovered = Scheduler(
+            cache=RunCache(root), run_resolution=True, metrics=metrics
+        ).run_specs([SPEC])
+        assert [payload_of(run) for run in recovered] == [
+            payload_of(run) for run in golden
+        ]
+        assert metrics.snapshot()["counters"]["scheduler.specs.executed"] == 1
+        return key, lambda cache: load_cached_run(cache, digest)
+
+    def _program(self, root, blob, monkeypatch):
+        profile = profile_by_name("educational")
+        monkeypatch.setenv(CACHE_DIR_ENV, root)
+        monkeypatch.setattr(codegen, "_PROGRAM_CACHE", {})
+        fresh = codegen.generate_program(profile, 0)
+        (entry,) = RunCache(root).entries()
+        replace_object(RunCache(root), entry.key, blob)
+        monkeypatch.setattr(codegen, "_PROGRAM_CACHE", {})
+        assert codegen.generate_program(profile, 0) == fresh
+        return entry.key, lambda cache: cache.load(
+            entry.key, codegen.GeneratedProgram
+        )
+
+    @pytest.mark.parametrize("bad", ["wrong-type", "undecodable"])
+    @pytest.mark.parametrize("kind", ["shard", "snapshot", "run", "program"])
+    def test_bad_entry_is_quarantined_once_and_recomputed(
+        self, tmp_path, monkeypatch, kind, bad
+    ):
+        root = str(tmp_path / "cache")
+        key, load = getattr(self, "_" + kind)(root, _bad_blob(kind, bad), monkeypatch)
+        cache = RunCache(root)
+        assert cache.quarantined_objects() == 1
+        assert os.path.exists(os.path.join(
+            root, "objects", RunCache.QUARANTINE_DIRNAME, key + ".reason"
+        ))
+        # the recomputed object took the vacated slot and loads clean
+        assert load(cache) is not None
+        assert cache.quarantined_objects() == 1
