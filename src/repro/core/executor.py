@@ -299,8 +299,7 @@ def execute_spec(spec: RunSpec, tracer=None) -> EngineRun:
         tracer=tracer,
         metrics=metrics,
     )
-    if spec.label is not None or spec.config is not None:
-        result.name = spec.name
+    result.name = spec.name
     wall = time.perf_counter() - started
     manifest.wall_seconds = wall
     manifest.instructions_measured = result.instructions

@@ -4,9 +4,8 @@ The paper's monitor survived a week of live timesharing because losing
 one histogram readout did not abort the experiment; this module gives
 the simulator's engine the same property.  A
 :class:`ResiliencePolicy` tells the executor's retry loop (behind
-:func:`~repro.core.scheduler.run_specs` and every
-:class:`~repro.core.scheduler.Scheduler` sweep, sharded or not) how
-hard to fight for a result — retry budgets with exponential backoff,
+every :class:`~repro.core.scheduler.Scheduler` sweep, sharded or not)
+how hard to fight for a result — retry budgets with exponential backoff,
 per-spec wall-clock timeouts, how many process-pool deaths to tolerate
 before degrading to in-process execution — and whether a spec that
 still fails should abort the sweep (``on_error="raise"``, the

@@ -5,34 +5,40 @@ The :mod:`~repro.core.executor` knows how to run one unit of work; the
 :mod:`~repro.core.cache_resolution` layer knows what is already banked;
 this module decides, along one orchestration path:
 
-* the :class:`Scheduler` is the front door.  Every CLI command that
-  runs a sweep (``composite``, ``sweep``, ``stats``) and the experiment
-  service call ``Scheduler.run_specs``, so one code path decides what
-  executes, whoever the client is;
-* what it executes is a sweep of specs, each one task of the
+* the :class:`Scheduler` is the only front door.  Every CLI command
+  that runs a sweep (``composite``, ``sweep``, ``stats``), the
+  experiment service and the module-level :func:`run_specs` (a sweep
+  through a short-lived Scheduler) call ``Scheduler.run_specs``, so one
+  code path decides what executes, whoever the client is;
+* what it executes is the sweep's owned specs, each one task of the
   executor's one retry loop,
   :func:`~repro.core.executor._run_pool_tasks`, which runs them
   in-process for ``jobs <= 1`` and ``jobs`` at a time across a process
-  pool otherwise.  A task is a whole spec (:func:`run_specs`) or, with
-  ``shards > 1``, one spec executed in-process as resumable shards
+  pool otherwise.  A task is a whole spec or, with ``shards > 1``, one
+  spec executed in-process as resumable shards
   (:func:`execute_spec_sharded`) — so retries, timeouts, crash respawn
   and interrupt reports apply to sharded specs exactly as to whole
   ones.
 
-The Scheduler deduplicates three ways before spending simulation time.
-A spec's identity is its :func:`~repro.obs.provenance.config_hash`
-(the determinism guarantee makes equal hashes mean bit-identical
-results), and each unique digest is checked against:
+A spec's identity is its :func:`~repro.obs.provenance.config_hash` (the
+determinism guarantee makes equal hashes mean bit-identical results),
+and every index of a sweep resolves through one *ticket* for its
+digest, taken in this order:
 
-1. the server's bounded **result index** of completed jobs (newest-kept
-   LRU) — a repeat sweep resolves instantly;
-2. the **in-flight registry** — a concurrent client submitting an
+1. a repeat of an earlier index of the same sweep shares that index's
+   ticket;
+2. the bounded **result index** of completed runs (newest-kept LRU) —
+   a repeat sweep resolves instantly;
+3. the **in-flight registry** — a concurrent client submitting an
    already-running spec *attaches* to the running ticket and receives
    the same payload when it lands, instead of enqueueing a duplicate
    execution;
-3. the content-addressed **RunCache** (run-level objects, see
+4. the content-addressed **RunCache** (run-level objects, see
    :func:`~repro.core.cache_resolution.load_cached_run`) — dedupe
-   that survives server restarts.
+   that survives server restarts;
+5. otherwise the sweep owns a new ticket and executes the spec; one
+   settle step then publishes each finished run (so even an aborted
+   sweep keeps what it finished) or hands the ticket its failure.
 
 Deduplicated runs carry honest provenance: their manifests mark
 ``attached_to`` (or ``resumed_from`` for cache hits) and report zero
@@ -97,8 +103,11 @@ def run_specs(
 ):
     """Execute ``specs``, ``jobs`` at a time; results keep spec order.
 
-    ``jobs <= 1`` runs in-process (no pool, no pickling requirement)
-    through the same retry loop as a pooled sweep
+    A sweep through a short-lived :class:`Scheduler`, so it has the
+    front door's contract: each unique configuration executes once and
+    a duplicate comes back as an attached copy.  ``jobs <= 1`` runs
+    in-process (no pool, no pickling requirement) through the same
+    retry loop as a pooled sweep
     (:func:`~repro.core.executor._run_pool_tasks`); parallel execution
     produces bit-identical payloads, just faster.
 
@@ -118,88 +127,7 @@ def run_specs(
     a path, and re-raises as
     :class:`~repro.core.resilience.SweepInterrupted`.
     """
-    return _sweep(_execute_spec_guarded, specs, jobs, progress, policy)
-
-
-def _sweep(task, specs: Sequence[RunSpec], jobs: int, progress, policy, pool=None):
-    """:func:`run_specs` with the guarded pool task ``task(spec)`` as a
-    parameter: whole specs (:func:`_execute_spec_guarded`) or sharded
-    ones (:func:`_execute_sharded_guarded`) share one retry loop, which
-    borrows ``pool`` (a :class:`~repro.core.executor.WorkerPool`) when
-    the caller owns one."""
-    from repro.core.resilience import (
-        FailureReport,
-        ResiliencePolicy,
-        SweepInterrupted,
-        SweepResult,
-    )
-
-    specs = list(specs)
-    total = len(specs)
-    notify = progress if progress is not None else _ignore_progress
-    policy = policy if policy is not None else ResiliencePolicy()
-    results: List[Optional[EngineRun]] = [None] * total
-    report = FailureReport(total=total)
-
-    def describe(index):
-        return specs[index].name
-
-    def on_start(index):
-        notify(ProgressEvent("start", index, total, specs[index].name))
-
-    def on_done(index, payload):
-        notify(
-            ProgressEvent(
-                "done", index, total, specs[index].name,
-                wall_seconds=payload[1].wall_seconds,
-            )
-        )
-
-    def on_retry(index, attempt, kind, error):
-        notify(ProgressEvent("retry", index, total, specs[index].name, error=error))
-
-    def absorb(payloads, failures, stats):
-        for index, (payload, attempts) in payloads.items():
-            run = payload[1]
-            if run.manifest is not None:
-                run.manifest.attempts = attempts
-                _record_healing(policy, run.manifest)
-            results[index] = run
-        report.retries += stats["retries"]
-        report.timeouts += stats["timeouts"]
-        report.pool_respawns += stats["pool_respawns"]
-        report.degraded = stats["degraded"]
-        report.failures.extend(failures[index] for index in sorted(failures))
-        report.completed = [
-            spec.name for spec, run in zip(specs, results) if run is not None
-        ]
-
-    tasks = list(enumerate(specs))
-    try:
-        payloads, failures, stats = _run_pool_tasks(
-            task, tasks, min(jobs, total), policy, describe,
-            on_start=on_start, on_done=on_done, on_retry=on_retry, pool=pool,
-        )
-    except SweepInterrupted as stop:
-        absorb(stop.payloads, stop.failures, stop.stats)
-        report.interrupted = True
-        if policy.interrupt_report_path:
-            report.save(policy.interrupt_report_path)
-        policy.record_report(report)
-        raise SweepInterrupted(report=report) from stop
-    absorb(payloads, failures, stats)
-    for failure in report.failures:
-        notify(
-            ProgressEvent(
-                "error", failure.index, total, failure.name, error=failure.error
-            )
-        )
-    policy.record_report(report)
-    if report.failures and policy.on_error == "raise":
-        raise report.failures[0].engine_error()
-    if policy.on_error == "collect":
-        return SweepResult(runs=results, report=report)
-    return results
+    return Scheduler(jobs=jobs).run_specs(specs, progress=progress, policy=policy)
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +290,6 @@ def _merge_shard_results(
     from repro.core.reduction import reduce_histogram
     from repro.cpu.events import EventCounters
     from repro.ucode.routines import build_layout
-    from repro.workloads import profile_by_name
 
     board = HistogramBoard()
     merged_events = EventCounters()
@@ -374,13 +301,11 @@ def _merge_shard_results(
     counts, stalled = board.dump()
     reduction = reduce_histogram(counts, stalled, build_layout(), events=merged_events)
     result = ExperimentResult(
-        name=profile_by_name(spec.workload).name,
+        name=spec.name,
         reduction=reduction,
         events=merged_events,
         stats=merged_stats,
     )
-    if spec.label is not None or spec.config is not None:
-        result.name = spec.name
     return result, board.dump_sparse()
 
 
@@ -614,31 +539,36 @@ def _execute_sharded_guarded(spec: RunSpec, shards: int, cache) -> Tuple:
 
 
 class _Ticket:
-    """One in-flight unique spec: who runs it, and who is waiting."""
+    """How one unique digest resolves: to a run or an error, once its
+    ``event`` is set.  A ticket for a run already in hand (an index hit,
+    a cache revival) is born set; an owner's ticket sits in the
+    in-flight registry until its sweep settles it."""
 
-    __slots__ = ("digest", "spec_name", "event", "run", "error")
+    __slots__ = ("digest", "event", "run", "error")
 
-    def __init__(self, digest: str, spec_name: str):
+    def __init__(self, digest: str, run: Optional[EngineRun] = None):
         self.digest = digest
-        self.spec_name = spec_name
         self.event = threading.Event()
-        self.run: Optional[EngineRun] = None
+        self.run = run
         self.error: Optional[BaseException] = None
+        if run is not None:
+            self.event.set()
 
 
 class Scheduler:
     """The front door over the executor and the cache.
 
-    One instance serves every client — CLI commands construct a
-    short-lived one per invocation; the experiment service keeps one
-    for its whole lifetime and feeds it from many worker threads.  Each
-    call to :meth:`run_specs` partitions its sweep into specs that must
-    execute and specs that resolve without executing (result index →
-    in-flight attach → run cache, in that order), executes the
-    remainder through the executor's retry loop (each spec whole, or
+    One instance serves every client — CLI commands and the
+    module-level :func:`run_specs` construct a short-lived one per
+    sweep; the experiment service keeps one for its whole lifetime and
+    feeds it from many worker threads.  Each call to :meth:`run_specs`
+    gives every index a ticket (batch duplicate → result index →
+    in-flight attach → run cache → owned, in that order), executes the
+    owned specs through the executor's retry loop (each spec whole, or
     through :func:`execute_spec_sharded` when ``shards > 1``; progress
-    events are per spec either way), and publishes every completed run
-    so concurrent and future clients dedupe against it.
+    events are per spec either way), settles every owned ticket so
+    concurrent and future clients dedupe against it, and hands each
+    index a private copy.
 
     ``run_resolution`` additionally banks and resolves whole runs in
     the content-addressed cache (the service turns this on; shard-level
@@ -735,32 +665,82 @@ class Scheduler:
             return load_cached_run(self.cache, digest)
         return None
 
-    # -- deduplicated provenance -------------------------------------------
+    # -- one sweep ---------------------------------------------------------
 
     @staticmethod
-    def _attached_copy(run: EngineRun, digest: str) -> EngineRun:
-        """A client's view of a run it did not execute.
+    def _client_copy(
+        run: EngineRun, spec: RunSpec, attached_to: Optional[str]
+    ) -> EngineRun:
+        """A client's private view of a run: one deep copy, so clients
+        cannot corrupt each other's payloads or the index, named after
+        the spec that asked for it (a label is not part of the digest,
+        so specs differing only by label share one run).
 
-        Deep-copied so clients cannot corrupt each other's payloads,
-        with honest provenance: zero wall seconds (the work happened
-        once, elsewhere — copying the executor's timing would
-        double-count it in any aggregation over manifests) and
-        ``attached_to`` naming the digest it deduplicated against."""
-        attached = copy.deepcopy(run)
-        attached.wall_seconds = 0.0
-        if attached.manifest is not None:
-            attached.manifest.wall_seconds = 0.0
-            attached.manifest.attached_to = digest
-        return attached
+        A run the client attached to instead of executing carries
+        honest provenance: zero wall seconds (the work happened once,
+        elsewhere — copying the executor's timing would double-count it
+        in any aggregation over manifests) and ``attached_to`` naming
+        the digest it deduplicated against."""
+        client = copy.deepcopy(run)
+        client.spec = spec
+        client.result.name = spec.name
+        if client.manifest is not None:
+            client.manifest.spec_name = spec.name
+        if attached_to is not None:
+            client.wall_seconds = 0.0
+            if client.manifest is not None:
+                client.manifest.wall_seconds = 0.0
+                client.manifest.attached_to = attached_to
+        return client
 
-    # -- execution ---------------------------------------------------------
+    def _ticket_for(self, digest: str) -> Tuple[_Ticket, bool]:
+        """The ticket the first index of ``digest`` in a sweep resolves
+        through (result index → in-flight attach → run cache → a new
+        owned ticket), and whether the index attaches to work done
+        elsewhere.  Called under ``self._lock``."""
+        held = self._index.get(digest)
+        if held is not None:
+            self._index.move_to_end(digest)
+            self._count(
+                "scheduler.specs.resolved_index",
+                "specs resolved from the bounded result index",
+            )
+            return _Ticket(digest, held), True
+        ticket = self._inflight.get(digest)
+        if ticket is not None:
+            self._count(
+                "scheduler.specs.attached_inflight",
+                "specs attached to an already-running job instead"
+                " of executing a duplicate",
+            )
+            return ticket, True
+        if self.run_resolution and self.cache is not None:
+            run = load_cached_run(self.cache, digest)
+            if run is not None:
+                self._index_put(digest, run)
+                self._count(
+                    "scheduler.specs.resolved_cache",
+                    "specs resolved whole from the run cache",
+                )
+                return _Ticket(digest, run), False
+        ticket = self._inflight[digest] = _Ticket(digest)
+        return ticket, False
 
-    def _execute_batch(self, specs: List[RunSpec], notify, policy):
-        """The one orchestration path that actually executes work: the
-        executor's retry loop over whole specs, or over sharded specs
-        when ``shards > 1`` — either way the :func:`run_specs` contract
-        (a runs list, or a :class:`~repro.core.resilience.SweepResult`
-        in collect mode)."""
+    def _execute_batch(self, specs: List[Optional[RunSpec]], notify, policy):
+        """The one path that actually executes work: the executor's
+        retry loop over the sweep's owned specs, each whole or, when
+        ``shards > 1``, through :func:`execute_spec_sharded`.
+
+        ``specs`` is the whole sweep, with ``None`` at every index that
+        resolves without executing, so progress events and the returned
+        ``(runs, report)`` carry sweep-local indices; ``runs`` holds
+        ``None`` wherever nothing finished.  A raise-mode sweep stops at
+        its first failure and still returns the runs that finished
+        (the report names the failure); a ``KeyboardInterrupt`` saves
+        the partial report when the policy names a path and raises
+        :class:`~repro.core.resilience.SweepInterrupted`."""
+        from repro.core.resilience import FailureReport, SweepInterrupted
+
         task = (
             _execute_spec_guarded
             if self.shards <= 1
@@ -768,17 +748,109 @@ class Scheduler:
                 _execute_sharded_guarded, shards=self.shards, cache=self.cache
             )
         )
-        return _sweep(task, specs, self.jobs, notify, policy, pool=self._pool)
+        total = len(specs)
+        runs: List[Optional[EngineRun]] = [None] * total
+        report = FailureReport(total=total)
 
-    @staticmethod
-    def _failure_error(spec: RunSpec, report) -> EngineError:
-        """Rebuild the EngineError a collect-mode failure would have
-        raised, for ticket fulfilment."""
-        if report is not None:
-            for failure in report.failures:
-                if failure.name == spec.name:
-                    return failure.engine_error()
-        return EngineError(spec.name, "spec failed (no report available)")
+        def describe(index):
+            return specs[index].name
+
+        def on_start(index):
+            notify(ProgressEvent("start", index, total, specs[index].name))
+
+        def on_done(index, payload):
+            notify(
+                ProgressEvent(
+                    "done", index, total, specs[index].name,
+                    wall_seconds=payload[1].wall_seconds,
+                )
+            )
+
+        def on_retry(index, attempt, kind, error):
+            notify(ProgressEvent("retry", index, total, specs[index].name, error=error))
+
+        def absorb(payloads, failures, stats):
+            for index, (payload, attempts) in payloads.items():
+                run = payload[1]
+                if run.manifest is not None:
+                    run.manifest.attempts = attempts
+                    _record_healing(policy, run.manifest)
+                runs[index] = run
+            report.retries += stats["retries"]
+            report.timeouts += stats["timeouts"]
+            report.pool_respawns += stats["pool_respawns"]
+            report.degraded = stats["degraded"]
+            report.failures.extend(failures[index] for index in sorted(failures))
+            report.completed = [
+                spec.name for spec, run in zip(specs, runs) if run is not None
+            ]
+
+        tasks = [(index, spec) for index, spec in enumerate(specs) if spec is not None]
+        try:
+            payloads, failures, stats = _run_pool_tasks(
+                task, tasks, min(self.jobs, len(tasks)), policy, describe,
+                on_start=on_start, on_done=on_done, on_retry=on_retry,
+                pool=self._pool,
+            )
+        except SweepInterrupted as stop:
+            absorb(stop.payloads, stop.failures, stop.stats)
+            report.interrupted = True
+            if policy.interrupt_report_path:
+                report.save(policy.interrupt_report_path)
+            policy.record_report(report)
+            raise SweepInterrupted(report=report) from stop
+        absorb(payloads, failures, stats)
+        for failure in report.failures:
+            notify(
+                ProgressEvent(
+                    "error", failure.index, total, failure.name, error=failure.error
+                )
+            )
+        policy.record_report(report)
+        return runs, report
+
+    def _settle(self, specs: List[RunSpec], owned: Dict[int, _Ticket], outcome) -> None:
+        """Fulfil every ticket this sweep owns from the batch
+        ``outcome`` (``None`` when the batch raised): publish a finished
+        run to the index, hand a failed spec its error, and tell the
+        rest that the sweep stopped before they completed.  With
+        ``run_resolution`` the finished runs are banked afterwards, so
+        a failing cache write cannot strand a waiting client."""
+        runs, report = outcome if outcome is not None else ([None] * len(specs), None)
+        failed = {} if report is None else {f.index: f for f in report.failures}
+        with self._lock:
+            for index, ticket in owned.items():
+                name = specs[index].name
+                if runs[index] is not None:
+                    self._count(
+                        "scheduler.specs.executed",
+                        "specs this scheduler actually executed",
+                    )
+                    self._index_put(ticket.digest, runs[index])
+                    ticket.run = runs[index]
+                elif index in failed:
+                    ticket.error = failed[index].engine_error()
+                elif failed:
+                    first = report.failures[0]
+                    ticket.error = EngineError(
+                        name,
+                        "the executing sweep aborted on {!r} before this spec"
+                        " completed:\n{}".format(
+                            first.name, first.worker_traceback or first.error
+                        ),
+                    )
+                else:
+                    ticket.error = EngineError(
+                        name,
+                        "the executing sweep was interrupted before this spec"
+                        " completed",
+                    )
+                ticket.event.set()
+                del self._inflight[ticket.digest]
+        if self.run_resolution and self.cache is not None:
+            for index in owned:
+                if runs[index] is not None:
+                    store_run(self.cache, specs[index], runs[index])
 
     def run_specs(
         self,
@@ -788,14 +860,23 @@ class Scheduler:
     ):
         """Run one client's sweep through the dedupe-aware front door.
 
-        Same contract as the module-level :func:`run_specs` (order
-        preserved; collect mode returns a
-        :class:`~repro.core.resilience.SweepResult`), except that specs
-        resolvable without executing come back as attached copies with
-        zeroed wall time and ``attached_to``/``resumed_from``
-        provenance.  Thread-safe: any number of client threads may call
-        this concurrently and each unique digest executes at most once
-        across all of them."""
+        Results keep spec order.  Every index resolves through one
+        ticket: an index hit or a cache revival is a ticket already
+        fulfilled, the first index of a new digest owns a ticket the
+        sweep executes, and a later index of the same digest — in this
+        sweep or in flight for another client — waits on that ticket.
+        Each index gets a private copy; one it did not execute comes
+        back with zeroed wall time and ``attached_to``/``resumed_from``
+        provenance.
+
+        Raise mode (the default policy) raises the first failure as an
+        :class:`EngineError` naming the spec; runs that finished before
+        it are still published.  Collect mode returns a
+        :class:`~repro.core.resilience.SweepResult` whose report covers
+        every index once: an executed failure keeps its kind, an index
+        that waited on a failed ticket is ``"attached"``.  Thread-safe:
+        any number of client threads may call this concurrently and
+        each unique digest executes at most once across all of them."""
         from repro.obs.provenance import config_hash
         from repro.core.resilience import (
             FailureReport,
@@ -805,7 +886,6 @@ class Scheduler:
         )
 
         specs = list(specs)
-        total = len(specs)
         notify = progress if progress is not None else _ignore_progress
         policy = (
             policy
@@ -818,176 +898,63 @@ class Scheduler:
             policy = replace(policy, metrics=self.metrics)
         sweep_started = time.perf_counter()
 
-        resolved: Dict[int, EngineRun] = {}
-        waiters: Dict[int, _Ticket] = {}
-        batch_attach: Dict[int, int] = {}
-        owners: List[int] = []
-        from_cache: List[int] = []
-        tickets: Dict[int, _Ticket] = {}
-        digests = [config_hash(spec) for spec in specs]
-
+        #: per index: the ticket it resolves through, and whether it
+        #: attaches to work done elsewhere
+        entries: List[Tuple[_Ticket, bool]] = []
+        owned: Dict[int, _Ticket] = {}
         with self._lock:
-            seen: Dict[str, int] = {}
-            for index, (spec, digest) in enumerate(zip(specs, digests)):
-                if digest in seen:
-                    batch_attach[index] = seen[digest]
+            first: Dict[str, _Ticket] = {}
+            for index, spec in enumerate(specs):
+                digest = config_hash(spec)
+                if digest in first:
+                    entries.append((first[digest], True))
                     self._count(
                         "scheduler.specs.deduped_batch",
                         "duplicate specs within one sweep attached to the"
                         " batch primary",
                     )
                     continue
-                seen[digest] = index
-                held = self._index.get(digest)
-                if held is not None:
-                    self._index.move_to_end(digest)
-                    resolved[index] = self._attached_copy(held, digest)
-                    self._count(
-                        "scheduler.specs.resolved_index",
-                        "specs resolved from the bounded result index",
-                    )
-                    continue
-                ticket = self._inflight.get(digest)
-                if ticket is not None:
-                    waiters[index] = ticket
-                    self._count(
-                        "scheduler.specs.attached_inflight",
-                        "specs attached to an already-running job instead"
-                        " of executing a duplicate",
-                    )
-                    continue
-                if self.run_resolution and self.cache is not None:
-                    run = load_cached_run(self.cache, digest)
-                    if run is not None:
-                        self._index_put(digest, run)
-                        resolved[index] = run
-                        from_cache.append(index)
-                        self._count(
-                            "scheduler.specs.resolved_cache",
-                            "specs resolved whole from the run cache",
-                        )
-                        continue
-                ticket = _Ticket(digest, spec.name)
-                self._inflight[digest] = ticket
-                tickets[index] = ticket
-                owners.append(index)
-        # The index keeps the runs it publishes; the client gets private
-        # copies (made outside the lock), so mutating one cannot corrupt
-        # later index hits.
-        for index in from_cache:
-            resolved[index] = copy.deepcopy(resolved[index])
+                ticket, attached = self._ticket_for(digest)
+                if not attached and not ticket.event.is_set():
+                    owned[index] = ticket  # a new ticket: this sweep executes it
+                first[digest] = ticket
+                entries.append((ticket, attached))
 
-        # Progress remap: owner-batch events carry batch-local indices;
-        # clients expect sweep-local ones.
-        if len(owners) == total and not batch_attach:
-            batch_notify = notify
-        else:
-            def batch_notify(event: ProgressEvent) -> None:
-                notify(replace(event, index=owners[event.index], total=total))
-
-        owner_runs: Dict[int, Optional[EngineRun]] = {}
-        batch_report = None
+        outcome = None
         try:
-            if owners:
-                try:
-                    with self._exec_lock:
-                        outcome = self._execute_batch(
-                            [specs[index] for index in owners], batch_notify, policy
-                        )
-                except EngineError as error:
-                    # Raise-mode batch failure: hand attached clients the
-                    # *actual* error before it propagates — the ticket
-                    # whose spec failed gets the real traceback, the rest
-                    # learn the sweep aborted around them.
-                    with self._lock:
-                        for index, ticket in tickets.items():
-                            if specs[index].name == error.spec_name:
-                                ticket.error = error
-                            else:
-                                ticket.error = EngineError(
-                                    specs[index].name,
-                                    "the executing sweep aborted on "
-                                    "{!r} before this spec completed:\n{}".format(
-                                        error.spec_name, error.worker_traceback
-                                    ),
-                                )
-                            ticket.event.set()
-                            if self._inflight.get(ticket.digest) is ticket:
-                                del self._inflight[ticket.digest]
-                    raise
-                if isinstance(outcome, SweepResult):
-                    batch_runs, batch_report = outcome.runs, outcome.report
-                else:
-                    batch_runs = outcome
-                private = [
-                    None if run is None else copy.deepcopy(run) for run in batch_runs
-                ]
-                with self._lock:
-                    for position, index in enumerate(owners):
-                        run = batch_runs[position]
-                        owner_runs[index] = private[position]
-                        ticket = tickets.get(index)
-                        if run is not None:
-                            self._count(
-                                "scheduler.specs.executed",
-                                "specs this scheduler actually executed",
-                            )
-                            if self.run_resolution and self.cache is not None:
-                                store_run(self.cache, specs[index], run)
-                            self._index_put(digests[index], run)
-                            if ticket is not None:
-                                ticket.run = run
-                        elif ticket is not None:
-                            ticket.error = self._failure_error(
-                                specs[index], batch_report
-                            )
-                        if ticket is not None:
-                            ticket.event.set()
-                            if self._inflight.get(ticket.digest) is ticket:
-                                del self._inflight[ticket.digest]
+            if owned:
+                with self._exec_lock:
+                    batch = [
+                        spec if index in owned else None
+                        for index, spec in enumerate(specs)
+                    ]
+                    outcome = self._execute_batch(batch, notify, policy)
         finally:
-            # Never leave a ticket unfulfilled: a raise/interrupt on the
-            # executing thread must release every attached client.
-            abandoned = [
-                ticket for ticket in tickets.values() if not ticket.event.is_set()
-            ]
-            if abandoned:
-                with self._lock:
-                    for ticket in abandoned:
-                        if ticket.error is None and ticket.run is None:
-                            ticket.error = EngineError(
-                                ticket.spec_name, "the executing sweep was"
-                                " interrupted before this spec completed"
-                            )
-                        ticket.event.set()
-                        if self._inflight.get(ticket.digest) is ticket:
-                            del self._inflight[ticket.digest]
-
-        # Attached clients: wait for the executing thread's verdict.
-        waiter_failures: Dict[int, BaseException] = {}
-        for index, ticket in waiters.items():
+            # Never leave a ticket unfulfilled: attached clients are
+            # released even when the batch raises.
+            self._settle(specs, owned, outcome)
+        runs: List[Optional[EngineRun]] = [None] * len(specs)
+        report = outcome[1] if outcome is not None else FailureReport(total=len(specs))
+        if policy.on_error == "raise" and report.failures:
+            raise owned[report.failures[0].index].error
+        for index, (ticket, attached) in enumerate(entries):
             ticket.event.wait()
             if ticket.run is not None:
-                resolved[index] = self._attached_copy(ticket.run, ticket.digest)
-            else:
-                waiter_failures[index] = ticket.error or EngineError(
-                    specs[index].name, "attached job failed without a traceback"
+                runs[index] = self._client_copy(
+                    ticket.run, specs[index], ticket.digest if attached else None
                 )
-
-        # In-batch duplicates mirror whatever their primary produced —
-        # the payload on success, the failure otherwise (a collect-mode
-        # report must account for every sweep index, duplicates included).
-        for index, primary in batch_attach.items():
-            source = resolved.get(primary)
-            if source is None:
-                source = owner_runs.get(primary)
-            if source is not None:
-                resolved[index] = self._attached_copy(source, digests[index])
-            elif primary in waiter_failures:
-                waiter_failures[index] = waiter_failures[primary]
-            elif primary in owner_runs:
-                waiter_failures[index] = self._failure_error(
-                    specs[index], batch_report
+            elif policy.on_error == "raise":
+                raise ticket.error
+            elif attached:
+                report.failures.append(
+                    SpecFailure(
+                        name=specs[index].name,
+                        index=index,
+                        attempts=0,
+                        kind="attached",
+                        error=str(ticket.error).splitlines()[0],
+                        worker_traceback=ticket.error.worker_traceback,
+                    )
                 )
 
         if self.metrics is not None:
@@ -996,41 +963,9 @@ class Scheduler:
                 "wall-clock of one scheduled sweep, recorded once at the"
                 " scheduler layer",
             ).observe(time.perf_counter() - sweep_started)
-
-        runs: List[Optional[EngineRun]] = [None] * total
-        for index in range(total):
-            if index in owner_runs:
-                runs[index] = owner_runs[index]
-            elif index in resolved:
-                runs[index] = resolved[index]
-
         if policy.on_error == "raise":
-            if waiter_failures:
-                raise waiter_failures[min(waiter_failures)]
             return runs
-
-        # Collect mode: extend the batch report to cover the whole
-        # sweep — attached specs count as completed (or inherit their
-        # primary's failure), and totals/indices are sweep-local.
-        report = batch_report if batch_report is not None else FailureReport()
-        report.total = total
-        remapped = []
-        for failure in report.failures:
-            if failure.index < len(owners):
-                failure.index = owners[failure.index]
-            remapped.append(failure)
-        for index, error in sorted(waiter_failures.items()):
-            remapped.append(
-                SpecFailure(
-                    name=specs[index].name,
-                    index=index,
-                    attempts=0,
-                    kind="attached",
-                    error=str(error).splitlines()[0] if str(error) else "attached job failed",
-                    worker_traceback=getattr(error, "worker_traceback", ""),
-                )
-            )
-        report.failures = remapped
+        report.failures.sort(key=lambda failure: failure.index)
         report.completed = [
             spec.name for spec, run in zip(specs, runs) if run is not None
         ]

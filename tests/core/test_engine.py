@@ -158,6 +158,24 @@ class TestRunSpecs:
             "timesharing_light",
         ]
 
+    def test_duplicates_execute_once_and_keep_order(self):
+        # The module front door is a Scheduler sweep: a repeated spec
+        # runs once and comes back attached, bit-identical.
+        events = []
+        duplicate = RunSpec(workload="timesharing_light", **SMALL)
+        specs = [duplicate, duplicate, RunSpec(workload="scientific", **SMALL)]
+        runs = run_specs(specs, jobs=2, progress=events.append)
+        assert sorted(e.index for e in events if e.kind == "start") == [0, 2]
+        assert [run.spec.workload for run in runs] == [
+            "timesharing_light", "timesharing_light", "scientific",
+        ]
+        first, second, _ = runs
+        assert first.manifest.attached_to is None
+        assert second.manifest.attached_to == first.manifest.config_hash
+        assert second.wall_seconds == second.manifest.wall_seconds == 0.0
+        assert second.histogram == first.histogram
+        assert result_to_json(second.result) == result_to_json(first.result)
+
     def test_pool_workers_are_joined_on_return(self):
         specs = [
             RunSpec(workload=name, **SMALL)

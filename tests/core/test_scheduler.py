@@ -90,6 +90,19 @@ class TestBatchDedupe:
         again = revived.run_specs([_spec()])[0]
         assert again.result.events.instructions == instructions
 
+    def test_label_only_duplicates_keep_their_own_names(self):
+        # A label is not part of the digest: the second spec attaches
+        # to the first's run but must still come back under its own name.
+        scheduler = Scheduler()
+        alpha, beta = scheduler.run_specs([_spec(label="alpha"), _spec(label="beta")])
+        assert beta.manifest.attached_to == alpha.manifest.config_hash
+        for run, name in ((alpha, "alpha"), (beta, "beta")):
+            assert run.spec.label == run.spec.name == name
+            assert run.result.name == run.manifest.spec_name == name
+        plain = scheduler.run_specs([_spec()])[0]
+        assert plain.spec.label is None
+        assert plain.result.name == plain.manifest.spec_name == "educational"
+
     def test_order_preserved_around_dedupe(self):
         scheduler = Scheduler()
         specs = [_spec(seed_offset=1), _spec(), _spec(seed_offset=1)]
@@ -127,6 +140,21 @@ class TestResultIndex:
         scheduler.run_specs([_spec(seed_offset=1)])
         assert _counter(metrics, "scheduler.specs.executed") == 4
         assert _counter(metrics, "scheduler.specs.resolved_index") == 1
+
+    def test_raise_mode_abort_publishes_finished_runs(self, metrics):
+        from repro.core.executor import EngineError
+
+        scheduler = Scheduler(metrics=metrics)
+        with pytest.raises(EngineError) as excinfo:
+            scheduler.run_specs([_spec(), _spec(workload="no-such-workload")])
+        assert excinfo.value.spec_name == "no-such-workload"
+        # The spec that finished before the failure was published, so
+        # the next sweep resolves it instead of executing it again.
+        again = scheduler.run_specs([_spec()])[0]
+        assert _counter(metrics, "scheduler.specs.executed") == 1
+        assert _counter(metrics, "scheduler.specs.resolved_index") == 1
+        assert again.manifest.attached_to == again.manifest.config_hash
+        assert scheduler.stats_snapshot()["inflight"] == 0
 
     def test_result_for_digest(self):
         scheduler = Scheduler()
@@ -306,3 +334,65 @@ class TestCollectMode:
         kinds = sorted(f.kind for f in outcome.report.failures)
         assert kinds == ["attached", "error"]
         assert sorted(f.index for f in outcome.report.failures) == [0, 1]
+
+    def test_failed_duplicate_and_failed_inflight_ticket_each_reported_once(
+        self, metrics, monkeypatch
+    ):
+        # One sweep holds a failing owner, its duplicate, and a spec
+        # another client is executing when the sweep starts and that
+        # then fails: every index is reported once, with its own kind.
+        from repro.core.executor import EngineError
+        from repro.core.resilience import ResiliencePolicy
+
+        entered = threading.Event()
+        release = threading.Event()
+        real = executor_module.execute_spec
+
+        def gated(spec):
+            if spec.seed_offset != 7:
+                return real(spec)
+            entered.set()
+            assert release.wait(30)
+            raise RuntimeError("injected in-flight failure")
+
+        monkeypatch.setattr(executor_module, "execute_spec", gated)
+        scheduler = Scheduler(metrics=metrics)
+        elsewhere = _spec(seed_offset=7)
+
+        def owner():
+            with pytest.raises(EngineError):
+                scheduler.run_specs([elsewhere])
+
+        other = threading.Thread(target=owner)
+        other.start()
+        assert entered.wait(30)
+        outcome = {}
+
+        def sweep():
+            bad = _spec(workload="no-such-workload")
+            outcome["result"] = scheduler.run_specs(
+                [bad, bad, elsewhere],
+                policy=ResiliencePolicy(on_error="collect"),
+            )
+
+        client = threading.Thread(target=sweep)
+        client.start()
+        for _ in range(200):
+            if _counter(metrics, "scheduler.specs.attached_inflight") == 1:
+                break
+            threading.Event().wait(0.02)
+        assert _counter(metrics, "scheduler.specs.attached_inflight") == 1
+        release.set()
+        other.join(30)
+        client.join(60)
+        result = outcome["result"]
+        assert result.runs == [None, None, None]
+        assert result.report.total == 3
+        assert [(f.index, f.kind) for f in result.report.failures] == [
+            (0, "error"), (1, "attached"), (2, "attached"),
+        ]
+        assert "injected in-flight failure" in (
+            result.report.failures[2].worker_traceback
+        )
+        assert result.report.completed == []
+        assert scheduler.stats_snapshot()["inflight"] == 0
