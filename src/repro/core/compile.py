@@ -471,12 +471,18 @@ class _OpBuilder:
     interpreter ``take``, because that is the granularity at which the
     IB can stall (stall cycles must land on that take's wait routine)
     and at which consumed bytes free buffer room for the prefetcher.
+
+    :meth:`build` interns every op but SPEC in ``shared``, the layout's
+    op table: thousands of records repeat a few hundred distinct
+    CONSUME / ADVANCE / DECODE_TICK / BRANCH tuples, and each record
+    then holds references to one copy.  SPEC ops keep their own plans.
     """
 
-    __slots__ = ("ops",)
+    __slots__ = ("ops", "shared")
 
-    def __init__(self):
+    def __init__(self, shared):
         self.ops = []
+        self.shared = shared
 
     def consume(self, count, wait_routine):
         if count <= 0:
@@ -503,7 +509,17 @@ class _OpBuilder:
         self.ops.append((OP_DECODE_TICK, cycles, incs))
 
     def build(self):
-        return tuple(self.ops)
+        shared = self.shared
+        ops = []
+        for op in self.ops:
+            kind = op[0]
+            if kind != OP_SPEC:
+                # A Routine is unhashable; the layout keeps its routines
+                # alive, so a CONSUME's wait routine is keyed by id.
+                key = (kind, op[1], id(op[2])) if kind == OP_CONSUME else op
+                op = shared.setdefault(key, op)
+            ops.append(op)
+        return tuple(ops)
 
 
 def compile_record(layout, raw):
@@ -528,7 +544,7 @@ def compile_record(layout, raw):
         return NeverRecord(bytes(raw[:1]))
 
     replay = specialize_layout(layout)
-    builder = _OpBuilder()
+    builder = _OpBuilder(_layout_cache(layout)[3])
     cursor = _Cursor(raw, 1)
 
     builder.consume(1, layout.decode)
@@ -598,7 +614,7 @@ def _compile_specifier(replay, layout, position, spec, cursor, builder):
 # ---------------------------------------------------------------------------
 
 #: control store -> ({raw: record}, {first_byte: set(lengths)},
-#: {image: sightings})
+#: {image: sightings}, {op key: shared op})
 _LAYOUT_RECORDS: "WeakKeyDictionary" = WeakKeyDictionary()
 
 #: Executions of a byte image seen before its record is compiled.  The
@@ -624,7 +640,7 @@ _RETRY_BACKOFF = 64
 def _layout_cache(layout):
     entry = _LAYOUT_RECORDS.get(layout.store)
     if entry is None:
-        entry = ({}, {}, {})
+        entry = ({}, {}, {}, {})
         _LAYOUT_RECORDS[layout.store] = entry
     return entry
 
@@ -644,7 +660,7 @@ def resolve(layout, buf, stats=None):
     image — which makes probing the cached lengths for one first byte
     sound: at most one can match.
     """
-    records, lengths, sightings = _layout_cache(layout)
+    records, lengths, sightings, _ops = _layout_cache(layout)
     lens = lengths.get(buf[0])
     if lens:
         n = len(buf)
@@ -678,7 +694,7 @@ def resolve(layout, buf, stats=None):
 
 
 def clear_record_caches() -> None:
-    """Drop every layout's record cache.
+    """Drop every layout's record cache and shared op table.
 
     Benchmarks and tests call this between arms so each arm compiles
     its records from cold (machines built afterwards start with empty

@@ -338,11 +338,13 @@ def _collect_dead_machines() -> None:
     """Free the machines a finished spec left behind.
 
     A machine is a reference cycle (kernel, devices, terminal emulator
-    and their bound methods) that holds an 8 MB memory array, and only
-    a full collection frees a cycle that lived long.  A process holding
-    a large long-lived heap (layout, compiled records) triggers few of
-    those, so a worker running spec after spec kept several dead
-    machines resident at once, and how many depended on where the
+    and their bound methods), and only a full collection frees a cycle
+    that lived long.  Its physical memory sits on demand-zero pages, so
+    a dead machine holds only the pages its workload touched (about
+    150 KB) plus its objects, not 8 MB; but a process holding a large
+    long-lived heap (layout, compiled records) triggers few full
+    collections, so a worker running spec after spec would still keep
+    dead machines around in numbers that depended on where the
     collector's counters happened to stand.  The end of a spec is where
     a whole machine graph has just died; one full collection there
     (~10 ms) keeps the worker's footprint flat."""

@@ -1,11 +1,15 @@
 """Byte-addressable physical memory.
 
 All measured machines in the paper had 8 Megabytes; that is the default.
-Values are little-endian, as everywhere on the VAX.
+Values are little-endian, as everywhere on the VAX.  The bytes live in a
+private anonymous mapping: the host kernel hands out a zeroed page on
+the first write to it, so a machine is resident only in the pages its
+workload touches (about 150 KB of the 8 MB), not in all of them.
 """
 
 from __future__ import annotations
 
+import mmap
 import sys
 
 DEFAULT_MEMORY_BYTES = 8 * 1024 * 1024
@@ -17,22 +21,29 @@ _SCAN_BLOCK = 64 * 1024
 _ZERO_BLOCK = bytes(_SCAN_BLOCK)
 
 
+def _zero_pages(size: int) -> mmap.mmap:
+    # MAP_PRIVATE, not the default MAP_SHARED: the CLI's worker pools
+    # fork, and a shared mapping would carry a child's writes back into
+    # its parent.  Untouched pages read as the kernel's shared zero page.
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+
+
 class PhysicalMemory:
-    """A flat little-endian byte array with bounds checking."""
+    """Little-endian bytes on demand-zero pages, with bounds checking."""
 
     def __init__(self, size: int = DEFAULT_MEMORY_BYTES):
         if size <= 0:
             raise ValueError("memory size must be positive")
         self.size = size
-        self._bytes = bytearray(size)
+        self._bytes = _zero_pages(size)
         self._bind_view()
 
     def _bind_view(self) -> None:
-        # A zero-copy longword window over the byte array: aligned
-        # longword loads (every I-stream fetch and most D-stream hits)
-        # become one index instead of a slice + int.from_bytes.  The view
-        # tracks in-place mutation of the bytearray; nothing here ever
-        # resizes it, which is the one operation a live view forbids.
+        # A zero-copy longword window over the mapping: aligned longword
+        # loads (every I-stream fetch and most D-stream hits) become one
+        # index instead of a slice + int.from_bytes.  The view tracks
+        # in-place writes; nothing here ever resizes or closes the
+        # mapping, which a live view forbids.
         # Native-endian cast, hence the byte-order guard (VAX memory is
         # little-endian); odd sizes cannot cast to 4-byte items.
         if sys.byteorder == "little" and self.size % 4 == 0:
@@ -78,10 +89,12 @@ class PhysicalMemory:
     # is almost entirely zero pages, so the state keeps only the 512-byte
     # pages holding a non-zero byte, coalesced into runs of adjacent
     # pages.  The scan compares 64 KB blocks, then the pages of a non-zero
-    # block, against zero slices: bytearray slice compares run at memcmp
-    # speed (under 1 ms for 8 MB), where memoryview compares cost about
-    # 40 times that.  The state is not compressed here; the snapshot
-    # codec compresses the whole pickle once.
+    # block, against zero slices: mapping slices are bytes, compared at
+    # memcmp speed (under 1 ms for 8 MB), where memoryview compares cost
+    # about 40 times that.  Reading an untouched page maps the shared
+    # zero page, so the scan makes nothing resident.  The state is not
+    # compressed here; the snapshot codec compresses the whole pickle
+    # once.
 
     def __getstate__(self):
         data, size = self._bytes, self.size
@@ -104,8 +117,17 @@ class PhysicalMemory:
         }
 
     def __setstate__(self, state):
-        self.size = state["size"]
-        self._bytes = bytearray(self.size)
+        size = state["size"]
+        data = _zero_pages(size)
         for start, payload in state["runs"]:
-            self._bytes[start : start + len(payload)] = payload
+            end = start + len(payload)
+            if start < 0 or end > size:
+                raise ValueError(
+                    "page run [{:#x}, {:#x}) outside memory of {:#x} bytes".format(
+                        start, end, size
+                    )
+                )
+            data[start:end] = payload
+        self.size = size
+        self._bytes = data
         self._bind_view()

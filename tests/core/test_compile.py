@@ -4,7 +4,8 @@ White-box coverage of the pieces the differential harness exercises
 only in aggregate: the sighting-gated resolve cache, the retry backoff
 for chronically short probes, NeverRecord witnesses, the 16-byte image
 cap, the side-effect-free I-stream lookahead, the env/tracer gates,
-record immutability, and the metrics round-trip.
+record immutability, ops shared across records, and the metrics
+round-trip.
 """
 
 import os
@@ -13,6 +14,12 @@ import pytest
 
 from repro.asm import Assembler
 from repro.core import compile as replay
+from repro.core.experiment import (
+    MachineStats,
+    prepare_workload,
+    result_from_machine,
+    run_workload,
+)
 from repro.core.monitor import UPCMonitor
 from repro.cpu import VAX780
 from repro.obs.metrics import MetricsRegistry
@@ -60,7 +67,7 @@ class TestResolve:
         probe = bytearray(image[:3])
         assert replay.resolve(layout, probe) is None  # sighting 1
         assert replay.resolve(layout, probe) is None  # compile attempt
-        _, _, sightings = replay._layout_cache(layout)
+        sightings = replay._layout_cache(layout)[2]
         key = bytes(probe[: replay._MAX_IMAGE])
         # The failed attempt (ran out of bytes) pushed the counter far
         # negative so the next executions skip recompiling.
@@ -200,8 +207,6 @@ class TestSharedRecords:
     def test_records_are_immutable_after_compilation(self, monkeypatch):
         # Records are shared by every machine on a layout; running a
         # second machine over them must not change a single slot.
-        from repro.core.experiment import run_workload
-
         monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
         replay.clear_record_caches()
         try:
@@ -218,6 +223,64 @@ class TestSharedRecords:
             assert after == before
         finally:
             replay.clear_record_caches()
+
+
+class TestSharedOps:
+    def test_records_share_their_ops(self, layout):
+        # Same consume shape (opcode byte, two register specifiers),
+        # different instructions: every CONSUME is one shared object.
+        first = replay.compile_record(layout, encode(("MOVL", "R1", "R0")))
+        second = replay.compile_record(layout, encode(("ADDL2", "R2", "R3")))
+        consumes = [
+            [op for op in record.ops if op[0] == replay.OP_CONSUME]
+            for record in (first, second)
+        ]
+        assert len(consumes[0]) == len(consumes[1]) == 3
+        for mine, theirs in zip(*consumes):
+            assert mine is theirs
+        shared = replay._layout_cache(layout)[3]
+        table = {id(op) for op in shared.values()}
+        assert all(
+            id(op) in table for op in first.ops if op[0] != replay.OP_SPEC
+        )
+        assert not any(op[0] == replay.OP_SPEC for op in shared.values())
+        replay.clear_record_caches()
+        assert replay._layout_cache(layout)[3] == {}
+
+    def test_sharing_changes_no_counter_or_result(self, monkeypatch):
+        # The same run with and without the shared op table: identical
+        # replay counters and identical results.
+        from repro.core.histogram_io import result_to_json
+
+        monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
+
+        def one_run():
+            replay.clear_record_caches()
+            kernel, monitor = prepare_workload("educational")
+            kernel.run(max_instructions=500)
+            baseline = MachineStats.from_machine(kernel.machine)
+            kernel.start_measurement()
+            kernel.run(max_instructions=2_000)
+            kernel.stop_measurement()
+            result = result_from_machine(
+                kernel.machine, monitor, name="educational",
+                stats_baseline=baseline,
+            )
+            stats = kernel.machine.ebox.compile_stats.to_dict()
+            return stats, result_to_json(result, monitor.board)
+
+        try:
+            shared_stats, shared_json = one_run()
+            monkeypatch.setattr(
+                replay._OpBuilder, "build", lambda self: tuple(self.ops)
+            )
+            private_stats, private_json = one_run()
+        finally:
+            replay.clear_record_caches()
+        assert shared_stats["records_compiled"] > 0
+        assert shared_stats["jit_hits"] > 0
+        assert shared_stats == private_stats
+        assert shared_json == private_json
 
 
 class TestMetricsRoundTrip:

@@ -1,5 +1,7 @@
 """Unit tests for physical memory."""
 
+import hashlib
+import os
 import pickle
 
 import pytest
@@ -117,3 +119,75 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(mem))
         assert clone.size == mem.size
         assert not any(clone.dump(0, clone.size))
+
+    def test_page_run_past_the_end_is_rejected(self):
+        # A run reaching past ``size`` used to grow the backing array
+        # (and the longword view) beyond the memory's stated size.
+        mem = PhysicalMemory.__new__(PhysicalMemory)
+        with pytest.raises(ValueError, match=r"\[0x3fc, 0x404\)"):
+            mem.__setstate__({"size": 1024, "runs": [(1020, b"\x01" * 8)]})
+        with pytest.raises(ValueError, match="outside memory"):
+            mem.__setstate__({"size": 1024, "runs": [(-4, b"\x01" * 4)]})
+
+    def test_run_cache_quarantines_an_overlong_page_run(self, tmp_path, monkeypatch):
+        from repro.core.runcache import RunCache
+
+        mem = PhysicalMemory(1024)
+        monkeypatch.setattr(
+            PhysicalMemory, "__getstate__",
+            lambda self: {"size": 1024, "runs": [(1020, b"\x01" * 8)]},
+        )
+        data = pickle.dumps(mem)
+        monkeypatch.undo()
+        cache = RunCache(str(tmp_path))
+        key = hashlib.sha256(data).hexdigest()
+        cache.put(key, data)
+        assert cache.load(key, PhysicalMemory) is None
+        assert cache.quarantined == 1
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as handle:
+        return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestDemandZeroPages:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_writes_stay_in_the_child(self):
+        # Worker pools fork: a child's writes must never reach the
+        # parent's memory (they would through a shared mapping).
+        mem = PhysicalMemory()
+        mem.write(0x12340, 4, 0x11111111)
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports via the pipe
+            status = 1
+            try:
+                os.close(read_end)
+                seen = mem.read(0x12340, 4)
+                mem.write(0x12340, 4, 0x22222222)
+                own = mem._mem32[0x12340 // 4]
+                os.write(write_end, b"%08x %08x" % (seen, own))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            report = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        assert status == 0
+        assert report == b"11111111 22222222"
+        assert mem.read(0x12340, 4) == 0x11111111
+        assert mem._mem32[0x12340 // 4] == 0x11111111
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    def test_memory_is_paid_for_per_touched_page(self):
+        before = _resident_bytes()
+        memories = [PhysicalMemory() for _ in range(8)]
+        for index, mem in enumerate(memories):
+            mem.write(0x10000, 4, index + 1)
+            # pickling reads every page, touched or not
+            assert len(mem.__getstate__()["runs"]) == 1
+        grown = _resident_bytes() - before
+        assert grown < 8 * 1024 * 1024, grown
