@@ -126,8 +126,7 @@ def _equal(result_a, result_b) -> bool:
 
 
 def _measure_sharded(instructions, warmup, shards, cache):
-    from repro.core.executor import RunSpec
-    from repro.core.scheduler import execute_spec_sharded
+    from repro.core.executor import RunSpec, execute_spec
 
     spec = RunSpec(
         workload=SHARD_WORKLOAD,
@@ -135,7 +134,7 @@ def _measure_sharded(instructions, warmup, shards, cache):
         warmup_instructions=warmup,
     )
     started = time.perf_counter()
-    run = execute_spec_sharded(spec, shards=shards, cache=cache)
+    run = execute_spec(spec, shards=shards, cache=cache)
     wall = time.perf_counter() - started
     return run, wall
 
@@ -261,7 +260,6 @@ def smoke(jobs: int) -> int:
     steady-state compiled path must clear the throughput floor and the
     compiled-vs-interpreted speedup ratchet."""
     from repro.core.executor import RunSpec, execute_spec
-    from repro.core.scheduler import execute_spec_sharded
     from repro.core.experiment import run_workload
     from repro.obs.trace import Tracer, validate_chrome
 
@@ -299,7 +297,7 @@ def smoke(jobs: int) -> int:
         workload=SHARD_WORKLOAD, instructions=600, warmup_instructions=150
     )
     unsharded = execute_spec(shard_spec)
-    sharded = execute_spec_sharded(shard_spec, shards=3)
+    sharded = execute_spec(shard_spec, shards=3)
     if sharded.histogram != unsharded.histogram or not _equal(
         sharded.result, unsharded.result
     ):

@@ -107,7 +107,6 @@ def sweep_chaos(state_dir):
 
 def cache_chaos(state_dir, cache_root):
     from repro.core.executor import RunSpec, execute_spec
-    from repro.core.scheduler import execute_spec_sharded
     from repro.core.resilience import ResiliencePolicy
     from repro.core.runcache import RunCache
     from repro.obs.metrics import MetricsRegistry, resilience_counters
@@ -132,7 +131,7 @@ def cache_chaos(state_dir, cache_root):
         state_dir=state_dir,
     )
     with rot_plan.active():
-        cold = execute_spec_sharded(
+        cold = execute_spec(
             spec, shards=SHARDS, cache=RunCache(cache_root)
         )
     if cold.histogram != golden.histogram or not _equal(cold.result, golden.result):
@@ -143,7 +142,7 @@ def cache_chaos(state_dir, cache_root):
     # reproduce the golden result exactly.
     policy = ResiliencePolicy(metrics=resilience_counters(MetricsRegistry()))
     warm_cache = RunCache(cache_root)
-    warm = execute_spec_sharded(
+    warm = execute_spec(
         spec, shards=SHARDS, cache=warm_cache, policy=policy
     )
     if warm.histogram != golden.histogram or not _equal(warm.result, golden.result):
@@ -159,7 +158,7 @@ def cache_chaos(state_dir, cache_root):
         return None
 
     # Healed store: a third run must replay everything clean.
-    healed = execute_spec_sharded(spec, shards=SHARDS, cache=RunCache(cache_root))
+    healed = execute_spec(spec, shards=SHARDS, cache=RunCache(cache_root))
     if healed.histogram != golden.histogram:
         print("FAIL: healed cache replay differs from golden", file=sys.stderr)
         return None

@@ -1,4 +1,4 @@
-"""The execution layer: how one unit of engine work actually runs.
+"""The execution layer: how one spec runs.
 
 This is the bottom layer of the engine split (scheduler / executor /
 cache-resolution).  Everything here answers one question — *given a
@@ -13,18 +13,17 @@ Contents:
 * the declarative work descriptions (:class:`RunSpec`,
   :class:`MachineConfig`) and the payloads they produce
   (:class:`EngineRun`, :class:`ShardResult`);
-* :func:`execute_spec` — one monitored measurement run, manifest and
-  metrics included (this is the pool-worker body);
+* :func:`execute_spec` — the one function that measures a spec, as a
+  chain of ``shards`` resumable spans (one span for a whole run):
+  build and warm-up, measure, merge, manifest and metrics; and
+  :func:`_execute_guarded`, the pool task that wraps it;
 * :func:`_run_pool_tasks` — the one retry loop, for sequential and
-  pooled sweeps of whole and sharded specs alike: retries with backoff,
-  wall-clock timeouts enforced by pool recycling, ``BrokenProcessPool``
-  respawn and requeue, degradation to in-process execution, interrupt
-  handling;
+  pooled sweeps alike: retries with backoff, wall-clock timeouts
+  enforced by pool recycling, ``BrokenProcessPool`` respawn and
+  requeue, degradation to in-process execution, interrupt handling;
 * :class:`WorkerPool` — the process pool that loop runs on: built per
   call for a CLI sweep with ``jobs > 1``, or owned for its lifetime by
-  the experiment service's scheduler and lent to every call;
-* the shard measurement primitive (:func:`_measure_span`) used by the
-  scheduler's in-process shard chains.
+  the experiment service's scheduler and lent to every call.
 
 Every payload crosses the process boundary by value, so everything in
 this module must pickle — including :class:`EngineError`, whose
@@ -49,11 +48,14 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.experiment import (
-    ExperimentResult,
-    MachineStats,
-    run_workload,
+from repro.core.cache_resolution import (
+    load_cached_shard,
+    load_cached_snapshot,
+    shard_cache_keys,
+    store_boundary_snapshot,
+    store_shard,
 )
+from repro.core.experiment import ExperimentResult, MachineStats
 from repro.cpu.events import EventCounters
 from repro.testing import faults
 
@@ -63,8 +65,8 @@ class EngineError(RuntimeError):
 
     Carries *which* spec died and the worker-side traceback — a bare
     ``BrokenProcessPool`` or a re-raised exception with a coordinator
-    stack tells you neither.  Sharded failures additionally carry the
-    per-shard status map (``shard_status``), so a partial sharded
+    stack tells you neither.  A failed measurement additionally carries
+    the per-shard status map (``shard_status``), so a partial sharded
     failure is diagnosable from the error alone.
 
     The extras are constructor arguments, which breaks the default
@@ -269,88 +271,6 @@ def _spec_configure(spec: RunSpec):
     return apply
 
 
-def execute_spec(spec: RunSpec, tracer=None) -> EngineRun:
-    """Run one spec to completion (this is the pool worker).
-
-    Every run ships back a :class:`~repro.obs.provenance.RunManifest`
-    (config hash, seeds, code version, timings) and a metrics snapshot
-    (per-phase wall-clock self-profiling from the worker).  Timing is
-    recorded here, at the execution site, exactly once — the scheduler
-    above never re-times work, it only copies or zeroes this figure
-    when a spec is deduplicated.
-    """
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.provenance import RunManifest
-    from repro.workloads import profile_by_name
-
-    faults.fire("worker", key=spec.name)
-    profile = profile_by_name(spec.workload)
-    manifest = RunManifest.for_spec(spec, profile_seed=profile.seed)
-    metrics = MetricsRegistry()
-    started = time.perf_counter()
-    result, board = run_workload(
-        spec.workload,
-        instructions=spec.instructions,
-        warmup_instructions=spec.warmup_instructions,
-        process_count=spec.process_count,
-        seed_offset=spec.seed_offset,
-        configure=_spec_configure(spec),
-        return_board=True,
-        tracer=tracer,
-        metrics=metrics,
-    )
-    result.name = spec.name
-    wall = time.perf_counter() - started
-    manifest.wall_seconds = wall
-    manifest.instructions_measured = result.instructions
-    manifest.cycles_measured = result.stats.cycles
-    snapshot = metrics.snapshot()
-    from repro.core.compile import stats_from_snapshot
-
-    manifest.compile = stats_from_snapshot(snapshot)
-    return EngineRun(
-        spec=spec,
-        result=result,
-        histogram=board.dump_sparse(),
-        wall_seconds=wall,
-        manifest=manifest,
-        metrics=snapshot,
-    )
-
-
-def _execute_spec_guarded(spec: RunSpec) -> Tuple:
-    """Pool-worker wrapper: never raises across the pickle boundary.
-
-    Exceptions re-raised by a future lose their worker stack; shipping
-    ``("error", name, traceback_text)`` instead lets the coordinator
-    raise an :class:`EngineError` that says exactly which spec died and
-    where.
-    """
-    try:
-        return ("ok", execute_spec(spec))
-    except Exception:
-        return ("error", spec.name, traceback.format_exc())
-    finally:
-        _collect_dead_machines()
-
-
-def _collect_dead_machines() -> None:
-    """Free the machines a finished spec left behind.
-
-    A machine is a reference cycle (kernel, devices, terminal emulator
-    and their bound methods), and only a full collection frees a cycle
-    that lived long.  Its physical memory sits on demand-zero pages, so
-    a dead machine holds only the pages its workload touched (about
-    150 KB) plus its objects, not 8 MB; but a process holding a large
-    long-lived heap (layout, compiled records) triggers few full
-    collections, so a worker running spec after spec would still keep
-    dead machines around in numbers that depended on where the
-    collector's counters happened to stand.  The end of a spec is where
-    a whole machine graph has just died; one full collection there
-    (~10 ms) keeps the worker's footprint flat."""
-    gc.collect()
-
-
 def _pool_context():
     """Prefer fork (cheap, shares the warmed program cache); fall back
     to the platform default elsewhere."""
@@ -484,7 +404,7 @@ def _run_pool_tasks(
 
     ``tasks`` is ``[(task_id, arg), ...]`` and ``fn(arg)`` must return a
     guarded payload (``("ok", ...)`` or ``("error", name, traceback)``,
-    optionally followed by a sharded spec's per-shard status map).
+    optionally followed by the spec's per-shard status map).
     Returns ``(payloads, failures, stats)``: ``payloads[task_id]`` is
     ``(payload, attempts)``, ``failures[task_id]`` a
     :class:`~repro.core.resilience.SpecFailure`, and ``stats`` the
@@ -703,9 +623,9 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
     ``shutdown(wait=False)`` alone leaves a stuck or still-busy worker
     running after the sweep returns.  Killing one loses only work the
-    caller already gave up on: a sharded spec's worker does write to
-    the cache, but every cache write is an atomic rename, so a killed
-    writer leaves no torn object behind."""
+    caller already gave up on: a spec run with a cache does write to
+    it, but every cache write is an atomic rename, so a killed writer
+    leaves no torn object behind."""
     processes = list((pool._processes or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
     for process in processes:
@@ -715,8 +635,34 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 # ----------------------------------------------------------------------
-# shard measurement primitives
+# measuring one spec: a chain of resumable shards
 # ----------------------------------------------------------------------
+#
+# One spec's N-instruction measurement splits into K shards at
+# instruction boundaries i*N//K; a whole run is the one-shard case.
+# Everything the measurement produces is additive — monitor banks, event
+# counters, hardware stats — so each shard records its *delta* and
+# merging the deltas in order is bit-identical to the uninterrupted run
+# (asserted by the equivalence tests, like the composite case).
+#
+# Simulation is inherently serial (shard i+1 starts from shard i's end
+# state), so a spec executes in-process: each maximal run of missing
+# shards is one chain from the deepest cached boundary snapshot at or
+# below its first shard, banking a machine snapshot at every boundary
+# it passes.  The speedup comes from the content-addressed cache —
+# finished shards replay instantly on re-runs and a chain starts as
+# deep as the cache allows — while parallelism is across specs: the
+# Scheduler hands each spec to the retry loop as one task, so ``jobs``
+# specs run at once.  Boundary offsets are absolute instruction counts,
+# so different shard counts share the snapshots they have in common (a
+# 2-way split reuses a 4-way split's midpoint).
+#
+# Fault tolerance rides the same structure: a corrupt cached shard or
+# snapshot is quarantined (RunCache.quarantine) and treated as a miss,
+# and with a cache, whatever a failed chain left unfilled is recomputed
+# by one repair pass from the deepest healthy snapshot — the
+# determinism guarantee makes the repaired shards bit-identical to what
+# the failed chain would have produced.
 
 
 @dataclass
@@ -786,6 +732,444 @@ def _measure_span(kernel, instructions: int, fault_key: Optional[str] = None):
         MachineStats.from_machine(machine).minus(stats_before),
         wall,
     )
+
+
+def _shard_name(spec: RunSpec, index: int, shards: int) -> str:
+    return "{}[shard {}/{}]".format(spec.name, index + 1, shards)
+
+
+class _Chains:
+    """What every chain of one spec's measurement shares: the shard
+    boundaries and their cache keys, what a fresh build attaches, the
+    shard results filled so far, and what the chain machines recorded.
+    """
+
+    def __init__(
+        self, spec: RunSpec, shards: int, cache, notify, tracer, compile_events
+    ):
+        from repro.obs.metrics import MetricsRegistry
+
+        self.spec = spec
+        self.shards = shards
+        self.cache = cache
+        self.notify = notify
+        self.tracer = tracer
+        self.compile_events = compile_events
+        self.boundaries = shard_boundaries(spec.instructions, shards)
+        self.chash, self.shard_keys, self.snapshot_keys = shard_cache_keys(
+            spec, self.boundaries
+        )
+        self.results: List[Optional[ShardResult]] = [None] * shards
+        self.metrics = MetricsRegistry()
+        #: (compile_stats, active, disabled_by_tracer) per chain machine
+        self.compile: list = []
+        #: wall seconds, instructions and cycles of every measured span
+        self.measure_seconds = 0.0
+        self.measured_instructions = 0
+        self.measured_cycles = 0
+
+
+def _open_chain_kernel(chains: _Chains, start_index: int):
+    """Open a measuring kernel for a chain that wants to start at
+    ``start_index``.
+
+    Restores the deepest *healthy* cached boundary snapshot at or below
+    the requested index — corrupt candidates are quarantined and the
+    search continues shallower — falling back to a fresh build + warmup
+    at instruction 0, timed into ``phase.build.seconds`` and
+    ``phase.warmup.seconds``.  Returns ``(kernel, anchor_index,
+    resumed_digest)``; the caller's chain must run from ``anchor_index``
+    (which may be below ``start_index``, recomputing spans whose results
+    are already known, because simulation state is only reachable by
+    simulating)."""
+    # Resolved at call time so tests can patch the one well-known
+    # ``repro.core.experiment.prepare_workload`` seam.
+    from repro.core import experiment
+
+    spec, cache = chains.spec, chains.cache
+    if cache is not None:
+        for candidate in range(start_index, -1, -1):
+            key = chains.snapshot_keys[chains.boundaries[candidate]]
+            if not cache.has(key):
+                continue
+            kernel, digest = load_cached_snapshot(cache, key)
+            if kernel is not None:
+                return kernel, candidate, digest
+    started = time.perf_counter()
+    kernel, _ = experiment.prepare_workload(
+        spec.workload,
+        process_count=spec.process_count,
+        seed_offset=spec.seed_offset,
+        configure=_spec_configure(spec),
+        tracer=chains.tracer,
+        compile_events=chains.compile_events,
+    )
+    built = time.perf_counter()
+    kernel.run(max_instructions=spec.warmup_instructions)
+    chains.metrics.histogram(
+        "phase.build.seconds", "machine + kernel + workload construction"
+    ).observe(built - started)
+    chains.metrics.histogram(
+        "phase.warmup.seconds", "unmeasured warmup instructions"
+    ).observe(time.perf_counter() - built)
+    kernel.start_measurement()
+    key = chains.snapshot_keys[0]
+    if cache is not None and not cache.has(key):
+        store_boundary_snapshot(cache, key, kernel, spec.name, chains.chash, 0)
+    return kernel, 0, None
+
+
+def _run_shard_chain(
+    chains: _Chains, start_index: int, end_index: int
+) -> Optional[str]:
+    """Execute a contiguous run of shards in-process.
+
+    Starts from the deepest healthy cached boundary snapshot (or a
+    fresh build + warmup when none survives), emits every missing shard
+    result and boundary snapshot into the cache as it passes, and
+    returns the digest of the snapshot it resumed from, if any.  Spans
+    whose results are already filled are simulated through without
+    re-storing — the chain needs their end state, not their numbers.
+    The chain machine's compile stats are noted before any shard runs,
+    so a failed chain's replay work is counted too."""
+    spec, shards, boundaries, cache = (
+        chains.spec, chains.shards, chains.boundaries, chains.cache
+    )
+    kernel, anchor, resumed_digest = _open_chain_kernel(chains, start_index)
+    ebox = kernel.machine.ebox
+    chains.compile.append(
+        (ebox.compile_stats, ebox._compile_active, ebox._compile_disabled_by_tracer)
+    )
+    for index in range(anchor, end_index + 1):
+        span = boundaries[index + 1] - boundaries[index]
+        name = _shard_name(spec, index, shards)
+        chains.notify(ProgressEvent("start", index, shards, name))
+        histogram, events, stats, wall = _measure_span(
+            kernel, span, fault_key="{}@{}".format(spec.name, boundaries[index])
+        )
+        chains.measure_seconds += wall
+        chains.measured_instructions += span
+        chains.measured_cycles += stats.cycles
+        if chains.results[index] is None:
+            shard = ShardResult(
+                index=index,
+                shard_count=shards,
+                start_instruction=boundaries[index],
+                instructions=span,
+                histogram=histogram,
+                events=events,
+                stats=stats,
+                wall_seconds=wall,
+            )
+            chains.results[index] = shard
+            if cache is not None:
+                store_shard(
+                    cache, chains.shard_keys[index], shard, spec.name, chains.chash
+                )
+        chains.notify(ProgressEvent("done", index, shards, name, wall_seconds=wall))
+        next_boundary = boundaries[index + 1]
+        if cache is not None and index + 1 < shards:
+            key = chains.snapshot_keys[next_boundary]
+            if not cache.has(key):
+                store_boundary_snapshot(
+                    cache, key, kernel, spec.name, chains.chash, next_boundary
+                )
+    if end_index == shards - 1:
+        kernel.stop_measurement()
+    return resumed_digest
+
+
+def _merge_shard_results(
+    spec: RunSpec, shard_results: List[ShardResult]
+):
+    """Merge shard deltas into one ExperimentResult + sparse histogram.
+
+    The same readout-side machinery the composite uses:
+    :meth:`HistogramBoard.merge_from` sums the banks,
+    :meth:`EventCounters.merge_from` and :meth:`MachineStats.merge_from`
+    sum the companion channels, and one reduction runs over the summed
+    banks — bit-identical to reducing the uninterrupted run."""
+    from repro.core.monitor import HistogramBoard
+    from repro.core.reduction import reduce_histogram
+    from repro.ucode.routines import build_layout
+
+    board = HistogramBoard()
+    merged_events = EventCounters()
+    merged_stats = MachineStats()
+    for shard in shard_results:
+        board.merge_from(HistogramBoard.from_sparse(*shard.histogram))
+        merged_events.merge_from(shard.events)
+        merged_stats.merge_from(shard.stats)
+    counts, stalled = board.dump()
+    reduction = reduce_histogram(counts, stalled, build_layout(), events=merged_events)
+    result = ExperimentResult(
+        name=spec.name,
+        reduction=reduction,
+        events=merged_events,
+        stats=merged_stats,
+    )
+    return result, board.dump_sparse()
+
+
+def _record_run_metrics(chains: _Chains) -> None:
+    """The measure phase, simulation speed and ``sim.compile.*`` over
+    every chain machine (nothing when every shard came from the
+    cache)."""
+    from repro.core.compile import CompileStats, record_metrics
+
+    if not chains.compile:
+        return
+    metrics, seconds = chains.metrics, chains.measure_seconds
+    metrics.histogram("phase.measure.seconds", "measured instructions").observe(seconds)
+    if seconds > 0:
+        metrics.gauge(
+            "speed.instructions_per_second", "simulated instructions / wall second"
+        ).set(chains.measured_instructions / seconds)
+        metrics.gauge(
+            "speed.cycles_per_second", "simulated cycles / wall second"
+        ).set(chains.measured_cycles / seconds)
+    totals = CompileStats()
+    for stats, _active, _traced in chains.compile:
+        totals.merge_from(stats)
+    record_metrics(
+        metrics,
+        totals,
+        active=any(active for _stats, active, _traced in chains.compile),
+        disabled_by_tracer=any(traced for _stats, _active, traced in chains.compile),
+    )
+
+
+def _shard_status_map(results: List[Optional[ShardResult]]) -> Dict[int, str]:
+    """Per-shard outcome: the diagnosable face of a partial failure."""
+    return {
+        index: "unfilled"
+        if shard is None
+        else ("from-cache" if shard.from_cache else "computed")
+        for index, shard in enumerate(results)
+    }
+
+
+def _shard_failure_text(
+    results: List[Optional[ShardResult]],
+    chain_failure: Optional[str],
+    repair_failure: Optional[str],
+) -> str:
+    """Compose the EngineError body for a failed spec: the per-shard
+    status map first, then every traceback we hold."""
+    shards = len(results)
+    lines = ["sharded execution left shards unfilled; per-shard status:"]
+    for index, status in _shard_status_map(results).items():
+        lines.append("  shard {}/{}: {}".format(index + 1, shards, status))
+    if chain_failure:
+        lines.append("chain traceback:\n{}".format(chain_failure))
+    if repair_failure:
+        lines.append("repair-chain traceback:\n{}".format(repair_failure))
+    return "\n".join(lines)
+
+
+def _missing_runs(results: List[Optional[ShardResult]]) -> List[Tuple[int, int]]:
+    """Maximal runs ``(first, last)`` of consecutive unfilled shards."""
+    runs: List[Tuple[int, int]] = []
+    for index, shard in enumerate(results):
+        if shard is not None:
+            continue
+        if runs and runs[-1][1] == index - 1:
+            runs[-1] = (runs[-1][0], index)
+        else:
+            runs.append((index, index))
+    return runs
+
+
+def _record_healing(policy, manifest) -> None:
+    """Fold a sharded run's self-healing into the policy's metrics."""
+    if policy.metrics is None or manifest.shards <= 1:
+        return
+    policy.metrics.counter(
+        "engine.quarantined_objects", "corrupt cache objects quarantined"
+    ).inc(manifest.quarantined_objects)
+    policy.metrics.counter(
+        "engine.repaired_shards", "shards recomputed by the repair pass"
+    ).inc(manifest.repaired_shards)
+
+
+def execute_spec(
+    spec: RunSpec,
+    shards: int = 1,
+    cache=None,
+    progress: Optional[ProgressCallback] = None,
+    policy=None,
+    tracer=None,
+    compile_events=None,
+) -> EngineRun:
+    """Measure one spec, in-process, as ``shards`` resumable shards.
+
+    The one function that measures a spec: a whole run is one chain —
+    a fresh build and warm-up, one measured span, and the merge.  With
+    a ``cache`` (a :class:`~repro.core.runcache.RunCache`): finished
+    shards replay instantly, and each maximal run of missing shards
+    executes as one chain from the deepest cached boundary snapshot at
+    or below its first shard.  Whatever the shard count, the merged
+    result is bit-identical to the uninterrupted run (the equivalence
+    tests assert it).  Parallelism, retries and timeouts are the
+    caller's: the :class:`~repro.core.scheduler.Scheduler` runs each
+    spec as one task of the retry loop (:func:`_execute_guarded`).
+
+    The returned :class:`EngineRun` carries a
+    :class:`~repro.obs.provenance.RunManifest` (config hash, seeds,
+    code version, timings, shard provenance) and a metrics snapshot:
+    ``phase.build.seconds`` and ``phase.warmup.seconds`` per fresh
+    build, ``phase.measure.seconds`` over the measured spans, the
+    ``speed.*`` gauges and ``sim.compile.*``.  ``tracer`` and
+    ``compile_events`` attach to freshly built machines (see
+    :func:`~repro.core.experiment.prepare_workload`); a machine restored
+    from a cached snapshot runs without them.
+
+    The path is self-healing: corrupt or unpicklable cached objects are
+    quarantined and recomputed, and with a cache, whatever a failed
+    chain left unfilled falls to one repair pass from the snapshots it
+    banked (without one, a repair would only repeat the failed chain
+    from scratch; the retry loop above owns that).  The manifest
+    records how much healing happened (``quarantined_objects``,
+    ``repaired_shards``; with a ``policy`` carrying metrics, the
+    matching ``engine.*`` counters).  A failure surfaces as
+    :class:`EngineError` — its message carries the per-shard status map
+    and every chain traceback, so a partial cache failure is
+    diagnosable from the error alone.  ``progress`` names the
+    individual shards.
+
+    Timing note: this function is the *execution site*, so wall-clock
+    is recorded here exactly once.  A spec that never reaches execution
+    — deduplicated against an in-flight job or resolved whole from the
+    cache by the Scheduler — gets zero wall seconds and
+    ``attached_to``/``resumed_from`` provenance, never a copy of this
+    timing.
+    """
+    from repro.core.compile import stats_from_snapshot
+    from repro.obs.provenance import RunManifest
+    from repro.workloads import profile_by_name
+
+    shards = max(1, min(shards, spec.instructions or 1))
+    notify = progress if progress is not None else _ignore_progress
+    started = time.perf_counter()
+    profile = profile_by_name(spec.workload)
+    manifest = RunManifest.for_spec(spec, profile_seed=profile.seed)
+    chains = _Chains(spec, shards, cache, notify, tracer, compile_events)
+    results = chains.results
+    stats_before = cache.stats() if cache is not None else None
+
+    if cache is not None:
+        for index in range(shards):
+            shard = load_cached_shard(cache, chains.shard_keys[index])
+            if shard is None:
+                continue
+            results[index] = shard
+            name = _shard_name(spec, index, shards)
+            notify(ProgressEvent("start", index, shards, name))
+            notify(ProgressEvent("done", index, shards, name))
+
+    resumed_digest: Optional[str] = None
+
+    def fill() -> Optional[str]:
+        """One pass: a chain per run of unfilled shards.  Returns the
+        first failed chain's traceback, if any."""
+        nonlocal resumed_digest
+        failure = None
+        for first, last in _missing_runs(results):
+            try:
+                digest = _run_shard_chain(chains, first, last)
+            except Exception:
+                failure = failure or traceback.format_exc()
+                continue
+            if resumed_digest is None:
+                resumed_digest = digest
+        return failure
+
+    chain_failure = fill()
+    repair_failure = None
+    repaired = 0
+    unfilled = results.count(None)
+    if unfilled and cache is not None:
+        # Repair pass: what a chain that faulted midway left unfilled
+        # gets one more chain per run, from the snapshots it banked.
+        repair_failure = fill()
+        repaired = unfilled - results.count(None)
+    if None in results:
+        raise EngineError(
+            spec.name,
+            _shard_failure_text(results, chain_failure, repair_failure),
+            shard_status=_shard_status_map(results),
+        )
+
+    result, histogram = _merge_shard_results(spec, results)
+    wall = time.perf_counter() - started
+    cached_count = sum(1 for shard in results if shard.from_cache)
+    manifest.wall_seconds = wall
+    manifest.instructions_measured = result.instructions
+    manifest.cycles_measured = result.stats.cycles
+    manifest.shards = shards
+    manifest.shards_from_cache = cached_count
+    manifest.resumed_from = resumed_digest
+    manifest.repaired_shards = repaired
+    if cache is not None:
+        stats_after = cache.stats()
+        manifest.cache_stats = {
+            name: stats_after[name] - stats_before[name] for name in stats_before
+        }
+        manifest.quarantined_objects = manifest.cache_stats["quarantined"]
+        cache.flush_stats()
+    if policy is not None:
+        _record_healing(policy, manifest)
+    _record_run_metrics(chains)
+    metrics = chains.metrics.snapshot()
+    manifest.compile = stats_from_snapshot(metrics)
+    return EngineRun(
+        spec=spec,
+        result=result,
+        histogram=histogram,
+        wall_seconds=wall,
+        manifest=manifest,
+        metrics=metrics,
+        shard_count=shards,
+        shards_from_cache=cached_count,
+    )
+
+
+def _collect_dead_machines() -> None:
+    """Free the machines a finished spec left behind.
+
+    A machine is a reference cycle (kernel, devices, terminal emulator
+    and their bound methods), and only a full collection frees a cycle
+    that lived long.  Its physical memory sits on demand-zero pages, so
+    a dead machine holds only the pages its workload touched (about
+    150 KB) plus its objects, not 8 MB; but a process holding a large
+    long-lived heap (layout, compiled records) triggers few full
+    collections, so a worker running spec after spec would still keep
+    dead machines around in numbers that depended on where the
+    collector's counters happened to stand.  The end of a spec is where
+    a whole machine graph has just died; one full collection there
+    (~10 ms) keeps the worker's footprint flat."""
+    gc.collect()
+
+
+def _execute_guarded(spec: RunSpec, shards: int = 1, cache=None) -> Tuple:
+    """The pool task for one spec: never raises across the pickle
+    boundary.
+
+    Fires the ``worker`` fault site, then :func:`execute_spec`.
+    Exceptions re-raised by a future lose their worker stack; shipping
+    ``("error", name, traceback_text[, shard_status])`` instead lets the
+    coordinator raise an :class:`EngineError` that says exactly which
+    spec died, where, and what each shard came to.  Either way the
+    machines the spec left behind are collected."""
+    try:
+        faults.fire("worker", key=spec.name)
+        return ("ok", execute_spec(spec, shards, cache=cache))
+    except EngineError as error:
+        return ("error", spec.name, error.worker_traceback, error.shard_status)
+    except Exception:
+        return ("error", spec.name, traceback.format_exc())
+    finally:
+        _collect_dead_machines()
 
 
 def parallel_map(func: Callable, items: Sequence, jobs: int = 1) -> List:

@@ -148,9 +148,10 @@ def prepare_workload(
     the mini-VMS kernel, create the profile's process population, attach
     the RTE as the terminal source.  Returns ``(kernel, monitor)``.
 
-    Shared by :func:`run_workload` and the sharded executor in
-    :mod:`repro.core.scheduler`, which snapshots the machine at shard
-    boundaries instead of running straight through.
+    The fresh-build step of :func:`~repro.core.executor.execute_spec`
+    (which :func:`run_workload` calls): its chains warm the kernel up,
+    measure it span by span and snapshot it at shard boundaries.
+    ``tracer`` and ``compile_events`` attach to the machine built here.
     """
     from repro.vms import VMSKernel
     from repro.workloads import (
@@ -209,11 +210,13 @@ def run_workload(
     as the terminal source (see :func:`prepare_workload`), warms up
     unmeasured, then measures ``instructions`` instructions (the
     stand-in for the paper's one-hour runs).  ``configure(machine)``
-    runs before boot, for ablations.
+    runs before boot, for ablations.  This is one
+    :func:`~repro.core.executor.execute_spec` call, the engine's one
+    measurement path.
 
     With ``return_board=True`` the return value is ``(result, board)``,
-    exposing the stopped histogram board so callers (the parallel
-    engine, equality tests) can dump the raw banks as well.
+    exposing the stopped histogram board so callers (equality tests)
+    can dump the raw banks as well.
 
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) attaches cycle-level
     event tracing to the machine; the tracer is strictly passive, so a
@@ -224,63 +227,27 @@ def run_workload(
     records compile lifecycle events; unlike ``tracer`` it leaves
     the compiled hot path enabled.
     """
-    import time as _time
+    # lazy: the executor imports this module
+    from repro.core.executor import RunSpec, execute_spec
+    from repro.core.monitor import HistogramBoard
 
-    from repro.workloads import profile_by_name
-
-    phase_started = _time.perf_counter()
-
-    profile = profile_by_name(profile_name)
-    kernel, monitor = prepare_workload(
-        profile_name,
-        process_count=process_count,
-        seed_offset=seed_offset,
-        configure=configure,
+    run = execute_spec(
+        RunSpec(
+            profile_name,
+            instructions=instructions,
+            warmup_instructions=warmup_instructions,
+            process_count=process_count,
+            seed_offset=seed_offset,
+            configure=configure,
+        ),
         tracer=tracer,
         compile_events=compile_events,
     )
-    machine = kernel.machine
     if metrics is not None:
-        metrics.histogram(
-            "phase.build.seconds", "machine + kernel + workload construction"
-        ).observe(_time.perf_counter() - phase_started)
-        phase_started = _time.perf_counter()
-    kernel.run(max_instructions=warmup_instructions)
-    if metrics is not None:
-        metrics.histogram(
-            "phase.warmup.seconds", "unmeasured warmup instructions"
-        ).observe(_time.perf_counter() - phase_started)
-        phase_started = _time.perf_counter()
-    baseline = MachineStats.from_machine(machine)
-    kernel.start_measurement()
-    kernel.run(max_instructions=instructions)
-    kernel.stop_measurement()
-    measure_seconds = _time.perf_counter() - phase_started
-    result = result_from_machine(
-        machine, monitor, name=profile.name, stats_baseline=baseline
-    )
-    if metrics is not None:
-        metrics.histogram(
-            "phase.measure.seconds", "measured instructions"
-        ).observe(measure_seconds)
-        if measure_seconds > 0:
-            metrics.gauge(
-                "speed.instructions_per_second", "simulated instructions / wall second"
-            ).set(result.instructions / measure_seconds)
-            metrics.gauge(
-                "speed.cycles_per_second", "simulated cycles / wall second"
-            ).set(result.stats.cycles / measure_seconds)
-        from repro.core import compile as replay
-
-        replay.record_metrics(
-            metrics,
-            machine.ebox.compile_stats,
-            machine.ebox._compile_active,
-            disabled_by_tracer=machine.ebox._compile_disabled_by_tracer,
-        )
+        metrics.merge_snapshot(run.metrics)
     if return_board:
-        return result, monitor.board
-    return result
+        return run.result, HistogramBoard.from_sparse(*run.histogram)
+    return run.result
 
 
 def run_composite_experiment(
@@ -308,7 +275,7 @@ def run_composite_experiment(
     is forwarded to :meth:`~repro.core.scheduler.Scheduler.run_specs`.
 
     ``shards > 1`` splits each workload's measurement into resumable
-    shards (see :func:`~repro.core.scheduler.execute_spec_sharded`);
+    shards (see :func:`~repro.core.executor.execute_spec`);
     ``cache`` (a :class:`~repro.core.runcache.RunCache`) lets repeated
     runs reuse finished shards and boundary snapshots.  The composite
     stays bit-identical whatever the shard count.

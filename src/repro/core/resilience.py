@@ -11,9 +11,10 @@ before degrading to in-process execution — and whether a spec that
 still fails should abort the sweep (``on_error="raise"``, the
 historical behaviour) or be collected into a structured
 :class:`FailureReport` alongside the partial results
-(``on_error="collect"``).  A sharded spec is one task of that loop: its
-shard-level self-healing (quarantine and the repair pass) happens
-inside the attempt, and the policy's retries wrap the whole spec.
+(``on_error="collect"``).  Every spec is one task of that loop: its
+shard-level self-healing (quarantine and, with a cache, the repair
+pass) happens inside the attempt, and the policy's retries wrap the
+whole spec.
 
 Everything here is plain data: reports serialize to JSON so an
 interrupted or partially-failed sweep leaves a machine-readable account

@@ -14,11 +14,12 @@ this module decides, along one orchestration path:
   executor's one retry loop,
   :func:`~repro.core.executor._run_pool_tasks`, which runs them
   in-process for ``jobs <= 1`` and ``jobs`` at a time across a process
-  pool otherwise.  A task is a whole spec or, with ``shards > 1``, one
-  spec executed in-process as resumable shards
-  (:func:`execute_spec_sharded`) — so retries, timeouts, crash respawn
-  and interrupt reports apply to sharded specs exactly as to whole
-  ones.
+  pool otherwise.  A task is one spec measured by
+  :func:`~repro.core.executor.execute_spec` as a chain of ``shards``
+  resumable spans (one span unless the scheduler was given more), so
+  retries, timeouts, crash respawn and interrupt reports apply to every
+  spec alike.  How a spec runs — build, warm-up, measure, merge — lives
+  in the executor; this module only decides which specs run.
 
 A spec's identity is its :func:`~repro.obs.provenance.config_hash` (the
 determinism guarantee makes equal hashes mean bit-identical results),
@@ -62,38 +63,23 @@ import functools
 import multiprocessing
 import threading
 import time
-import traceback
 from collections import OrderedDict
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cache_resolution import (
-    load_cached_run,
-    load_cached_shard,
-    load_cached_snapshot,
-    shard_cache_keys,
-    store_boundary_snapshot,
-    store_run,
-    store_shard,
-)
+from repro.core.cache_resolution import load_cached_run, store_run
 from repro.core.executor import (
     EngineError,
     EngineRun,
     ProgressCallback,
     ProgressEvent,
     RunSpec,
-    ShardResult,
     WorkerPool,
-    _collect_dead_machines,
-    _execute_spec_guarded,
+    _execute_guarded,
     _ignore_progress,
+    _record_healing,
     _run_pool_tasks,
-    _spec_configure,
-    execute_spec,
-    shard_boundaries,
 )
-from repro.testing import faults
-
 
 def run_specs(
     specs: Sequence[RunSpec],
@@ -131,409 +117,6 @@ def run_specs(
 
 
 # ----------------------------------------------------------------------
-# intra-workload sharding
-# ----------------------------------------------------------------------
-#
-# One workload's N-instruction measurement splits into K resumable
-# shards at instruction boundaries i*N//K.  Everything the measurement
-# produces is additive — monitor banks, event counters, hardware stats —
-# so each shard records its *delta* and merging the deltas in order is
-# bit-identical to the uninterrupted run (asserted by the equivalence
-# tests, like the composite case).
-#
-# Simulation is inherently serial (shard i+1 starts from shard i's end
-# state), so a sharded run executes in-process: each maximal run of
-# missing shards is one chain from the deepest cached boundary snapshot
-# at or below its first shard, banking a machine snapshot at every
-# boundary it passes.  The speedup comes from the content-addressed
-# cache — finished shards replay instantly on re-runs and a chain starts
-# as deep as the cache allows — while parallelism is across specs: the
-# Scheduler hands each sharded spec to the executor's retry loop as one
-# task, so ``jobs`` sharded specs run at once with the same retries,
-# timeouts and crash recovery as whole specs.  Boundary offsets are
-# absolute instruction counts, so different shard counts share the
-# snapshots they have in common (a 2-way split reuses a 4-way split's
-# midpoint).
-#
-# Fault tolerance rides the same structure: a corrupt cached shard or
-# snapshot is quarantined (RunCache.quarantine) and treated as a miss,
-# and whatever a failed chain left unfilled is recomputed by one repair
-# pass from the deepest healthy snapshot — the determinism guarantee
-# makes the repaired shards bit-identical to what the failed chain
-# would have produced.
-
-
-def _shard_name(spec: RunSpec, index: int, shards: int) -> str:
-    return "{}[shard {}/{}]".format(spec.name, index + 1, shards)
-
-
-def _open_chain_kernel(
-    spec: RunSpec,
-    boundaries: List[int],
-    start_index: int,
-    cache,
-    snapshot_keys: Dict[int, str],
-    chash: str,
-):
-    """Open a measuring kernel for a chain that wants to start at
-    ``start_index``.
-
-    Restores the deepest *healthy* cached boundary snapshot at or below
-    the requested index — corrupt candidates are quarantined and the
-    search continues shallower — falling back to a fresh build + warmup
-    at instruction 0.  Returns ``(kernel, anchor_index,
-    resumed_digest)``; the caller's chain must run from ``anchor_index``
-    (which may be below ``start_index``, recomputing spans whose results
-    are already known, because simulation state is only reachable by
-    simulating)."""
-    # Resolved at call time so tests can patch the one well-known
-    # ``repro.core.experiment.prepare_workload`` seam.
-    from repro.core import experiment
-
-    if cache is not None:
-        for candidate in range(start_index, -1, -1):
-            key = snapshot_keys[boundaries[candidate]]
-            if not cache.has(key):
-                continue
-            kernel, digest = load_cached_snapshot(cache, key)
-            if kernel is not None:
-                return kernel, candidate, digest
-    kernel, _ = experiment.prepare_workload(
-        spec.workload,
-        process_count=spec.process_count,
-        seed_offset=spec.seed_offset,
-        configure=_spec_configure(spec),
-    )
-    kernel.run(max_instructions=spec.warmup_instructions)
-    kernel.start_measurement()
-    if cache is not None and not cache.has(snapshot_keys[0]):
-        store_boundary_snapshot(cache, snapshot_keys[0], kernel, spec.name, chash, 0)
-    return kernel, 0, None
-
-
-def _run_shard_chain(
-    spec: RunSpec,
-    boundaries: List[int],
-    start_index: int,
-    end_index: int,
-    results: List[Optional[ShardResult]],
-    cache,
-    shard_keys: List[str],
-    snapshot_keys: Dict[int, str],
-    chash: str,
-    notify: ProgressCallback,
-    shards: int,
-    chain_compile: list,
-) -> Optional[str]:
-    """Execute a contiguous run of shards in-process.
-
-    Starts from the deepest healthy cached boundary snapshot (or a
-    fresh build + warmup when none survives), emits every missing shard
-    result and boundary snapshot into the cache as it passes, and
-    returns the digest of the snapshot it resumed from, if any.  Spans
-    whose results are already filled are simulated through without
-    re-storing — the chain needs their end state, not their numbers.
-    The chain machine's ``(compile_stats, compile_active)`` is appended
-    to ``chain_compile`` before any shard runs, so a failed chain's
-    replay work is counted too."""
-    from repro.core.executor import _measure_span
-
-    kernel, anchor, resumed_digest = _open_chain_kernel(
-        spec, boundaries, start_index, cache, snapshot_keys, chash
-    )
-    ebox = kernel.machine.ebox
-    chain_compile.append((ebox.compile_stats, ebox._compile_active))
-    for index in range(anchor, end_index + 1):
-        span = boundaries[index + 1] - boundaries[index]
-        name = _shard_name(spec, index, shards)
-        notify(ProgressEvent("start", index, shards, name))
-        histogram, events, stats, wall = _measure_span(
-            kernel, span, fault_key="{}@{}".format(spec.name, boundaries[index])
-        )
-        if results[index] is None:
-            shard = ShardResult(
-                index=index,
-                shard_count=shards,
-                start_instruction=boundaries[index],
-                instructions=span,
-                histogram=histogram,
-                events=events,
-                stats=stats,
-                wall_seconds=wall,
-            )
-            results[index] = shard
-            if cache is not None:
-                store_shard(cache, shard_keys[index], shard, spec.name, chash)
-        notify(ProgressEvent("done", index, shards, name, wall_seconds=wall))
-        next_boundary = boundaries[index + 1]
-        if cache is not None and index + 1 < shards:
-            key = snapshot_keys[next_boundary]
-            if not cache.has(key):
-                store_boundary_snapshot(
-                    cache, key, kernel, spec.name, chash, next_boundary
-                )
-    return resumed_digest
-
-
-def _merge_shard_results(
-    spec: RunSpec, shard_results: List[ShardResult]
-):
-    """Merge shard deltas into one ExperimentResult + sparse histogram.
-
-    The same readout-side machinery the composite uses:
-    :meth:`HistogramBoard.merge_from` sums the banks,
-    :meth:`EventCounters.merge_from` and :meth:`MachineStats.merge_from`
-    sum the companion channels, and one reduction runs over the summed
-    banks — bit-identical to reducing the uninterrupted run."""
-    from repro.core.experiment import ExperimentResult, MachineStats
-    from repro.core.monitor import HistogramBoard
-    from repro.core.reduction import reduce_histogram
-    from repro.cpu.events import EventCounters
-    from repro.ucode.routines import build_layout
-
-    board = HistogramBoard()
-    merged_events = EventCounters()
-    merged_stats = MachineStats()
-    for shard in shard_results:
-        board.merge_from(HistogramBoard.from_sparse(*shard.histogram))
-        merged_events.merge_from(shard.events)
-        merged_stats.merge_from(shard.stats)
-    counts, stalled = board.dump()
-    reduction = reduce_histogram(counts, stalled, build_layout(), events=merged_events)
-    result = ExperimentResult(
-        name=spec.name,
-        reduction=reduction,
-        events=merged_events,
-        stats=merged_stats,
-    )
-    return result, board.dump_sparse()
-
-
-def _shard_status_map(results: List[Optional[ShardResult]]) -> Dict[int, str]:
-    """Per-shard outcome: the diagnosable face of a partial failure."""
-    return {
-        index: "unfilled"
-        if shard is None
-        else ("from-cache" if shard.from_cache else "computed")
-        for index, shard in enumerate(results)
-    }
-
-
-def _shard_failure_text(
-    results: List[Optional[ShardResult]],
-    chain_failure: Optional[str],
-    repair_failure: Optional[str],
-) -> str:
-    """Compose the EngineError body for a sharded failure: the
-    per-shard status map first, then every traceback we hold."""
-    shards = len(results)
-    lines = ["sharded execution left shards unfilled; per-shard status:"]
-    for index, status in _shard_status_map(results).items():
-        lines.append("  shard {}/{}: {}".format(index + 1, shards, status))
-    if chain_failure:
-        lines.append("chain traceback:\n{}".format(chain_failure))
-    if repair_failure:
-        lines.append("repair-chain traceback:\n{}".format(repair_failure))
-    return "\n".join(lines)
-
-
-def _missing_runs(results: List[Optional[ShardResult]]) -> List[Tuple[int, int]]:
-    """Maximal runs ``(first, last)`` of consecutive unfilled shards."""
-    runs: List[Tuple[int, int]] = []
-    for index, shard in enumerate(results):
-        if shard is not None:
-            continue
-        if runs and runs[-1][1] == index - 1:
-            runs[-1] = (runs[-1][0], index)
-        else:
-            runs.append((index, index))
-    return runs
-
-
-def _record_healing(policy, manifest) -> None:
-    """Fold a sharded run's self-healing into the policy's metrics."""
-    if policy.metrics is None or manifest.shards <= 1:
-        return
-    policy.metrics.counter(
-        "engine.quarantined_objects", "corrupt cache objects quarantined"
-    ).inc(manifest.quarantined_objects)
-    policy.metrics.counter(
-        "engine.repaired_shards", "shards recomputed by the repair pass"
-    ).inc(manifest.repaired_shards)
-
-
-def _chain_compile_metrics(chain_compile) -> Optional[Dict]:
-    """The chain machines' compile diagnostics, summed, as the same
-    ``sim.compile.*`` metrics snapshot an unsharded run reports (``None``
-    when every shard came from the cache and no machine ran)."""
-    from repro.core.compile import CompileStats, record_metrics
-    from repro.obs.metrics import MetricsRegistry
-
-    if not chain_compile:
-        return None
-    totals = CompileStats()
-    for stats, _active in chain_compile:
-        totals.merge_from(stats)
-    registry = MetricsRegistry()
-    record_metrics(
-        registry, totals, active=any(active for _stats, active in chain_compile)
-    )
-    return registry.snapshot()
-
-
-def execute_spec_sharded(
-    spec: RunSpec,
-    shards: int,
-    cache=None,
-    progress: Optional[ProgressCallback] = None,
-    policy=None,
-) -> EngineRun:
-    """Execute one spec as ``shards`` resumable shards, in-process.
-
-    With a ``cache`` (a :class:`~repro.core.runcache.RunCache`):
-    finished shards replay instantly, and each maximal run of missing
-    shards executes as one chain from the deepest cached boundary
-    snapshot at or below its first shard.  Without a cache the whole
-    measurement runs as one chain.  Either way the merged result is
-    bit-identical to :func:`~repro.core.executor.execute_spec` (the
-    equivalence tests assert it), and the returned :class:`EngineRun`
-    carries shard provenance in its manifest.  Parallelism, retries and
-    timeouts are the caller's: the :class:`Scheduler` runs each sharded
-    spec as one task of the executor's retry loop.
-
-    The path is self-healing: corrupt or unpicklable cached objects are
-    quarantined and recomputed, whatever a failed chain left unfilled
-    falls to one repair pass, and the manifest records how much healing
-    happened (``quarantined_objects``, ``repaired_shards``; with a
-    ``policy`` carrying metrics, the matching ``engine.*`` counters).
-    Only when the repair pass fails too does :class:`EngineError`
-    surface — its message carries the per-shard status map and both
-    chain tracebacks, so a partial cache failure is diagnosable from the
-    error alone.  ``progress`` names the individual shards.
-
-    Timing note: this function is the *execution site* for a sharded
-    run, so wall-clock is recorded here exactly once.  A spec that
-    never reaches execution — deduplicated against an in-flight job or
-    resolved whole from the cache by the :class:`Scheduler` — gets zero
-    wall seconds and ``attached_to``/``resumed_from`` provenance, never
-    a copy of this timing.
-    """
-    from repro.obs.provenance import RunManifest
-    from repro.workloads import profile_by_name
-
-    shards = max(1, min(shards, spec.instructions or 1))
-    if shards <= 1:
-        return execute_spec(spec)
-    notify = progress if progress is not None else _ignore_progress
-    started = time.perf_counter()
-    profile = profile_by_name(spec.workload)
-    manifest = RunManifest.for_spec(spec, profile_seed=profile.seed)
-    boundaries = shard_boundaries(spec.instructions, shards)
-    chash, shard_keys, snapshot_keys = shard_cache_keys(spec, boundaries)
-    stats_before = cache.stats() if cache is not None else None
-
-    results: List[Optional[ShardResult]] = [None] * shards
-    if cache is not None:
-        for index in range(shards):
-            shard = load_cached_shard(cache, shard_keys[index])
-            if shard is None:
-                continue
-            results[index] = shard
-            name = _shard_name(spec, index, shards)
-            notify(ProgressEvent("start", index, shards, name))
-            notify(ProgressEvent("done", index, shards, name))
-
-    resumed_digest: Optional[str] = None
-    chain_compile: list = []
-
-    def fill() -> Optional[str]:
-        """One pass: a chain per run of unfilled shards.  Returns the
-        first failed chain's traceback, if any."""
-        nonlocal resumed_digest
-        failure = None
-        for first, last in _missing_runs(results):
-            try:
-                digest = _run_shard_chain(
-                    spec, boundaries, first, last, results, cache,
-                    shard_keys, snapshot_keys, chash, notify, shards,
-                    chain_compile,
-                )
-            except Exception:
-                failure = failure or traceback.format_exc()
-                continue
-            if resumed_digest is None:
-                resumed_digest = digest
-        return failure
-
-    chain_failure = fill()
-    repair_failure = None
-    repaired = 0
-    unfilled = results.count(None)
-    if unfilled:
-        # Repair pass: what a chain that faulted midway left unfilled
-        # gets one more chain per run, from the snapshots it banked.
-        repair_failure = fill()
-        repaired = unfilled - results.count(None)
-    if None in results:
-        raise EngineError(
-            spec.name,
-            _shard_failure_text(results, chain_failure, repair_failure),
-            shard_status=_shard_status_map(results),
-        )
-
-    result, histogram = _merge_shard_results(spec, results)
-    wall = time.perf_counter() - started
-    cached_count = sum(1 for shard in results if shard.from_cache)
-    manifest.wall_seconds = wall
-    manifest.instructions_measured = result.instructions
-    manifest.cycles_measured = result.stats.cycles
-    manifest.shards = shards
-    manifest.shards_from_cache = cached_count
-    manifest.resumed_from = resumed_digest
-    manifest.repaired_shards = repaired
-    if cache is not None:
-        stats_after = cache.stats()
-        manifest.cache_stats = {
-            name: stats_after[name] - stats_before[name] for name in stats_before
-        }
-        manifest.quarantined_objects = manifest.cache_stats["quarantined"]
-        cache.flush_stats()
-    if policy is not None:
-        _record_healing(policy, manifest)
-    metrics = _chain_compile_metrics(chain_compile)
-    if metrics is not None:
-        from repro.core.compile import stats_from_snapshot
-
-        manifest.compile = stats_from_snapshot(metrics)
-    return EngineRun(
-        spec=spec,
-        result=result,
-        histogram=histogram,
-        wall_seconds=wall,
-        manifest=manifest,
-        metrics=metrics,
-        shard_count=shards,
-        shards_from_cache=cached_count,
-    )
-
-
-def _execute_sharded_guarded(spec: RunSpec, shards: int, cache) -> Tuple:
-    """Pool task for one sharded spec (cf.
-    :func:`~repro.core.executor._execute_spec_guarded`): fires the
-    ``worker`` fault site and ships a failure back as data, per-shard
-    status map included."""
-    try:
-        faults.fire("worker", key=spec.name)
-        return ("ok", execute_spec_sharded(spec, shards, cache=cache))
-    except EngineError as error:
-        return ("error", spec.name, error.worker_traceback, error.shard_status)
-    except Exception:
-        return ("error", spec.name, traceback.format_exc())
-    finally:
-        _collect_dead_machines()
-
-
-# ----------------------------------------------------------------------
 # the multi-client scheduler
 # ----------------------------------------------------------------------
 
@@ -564,15 +147,15 @@ class Scheduler:
     feeds it from many worker threads.  Each call to :meth:`run_specs`
     gives every index a ticket (batch duplicate → result index →
     in-flight attach → run cache → owned, in that order), executes the
-    owned specs through the executor's retry loop (each spec whole, or
-    through :func:`execute_spec_sharded` when ``shards > 1``; progress
-    events are per spec either way), settles every owned ticket so
+    owned specs through the executor's retry loop (each one
+    :func:`~repro.core.executor.execute_spec` call over ``shards``
+    shards; progress events are per spec), settles every owned ticket so
     concurrent and future clients dedupe against it, and hands each
     index a private copy.
 
     ``run_resolution`` additionally banks and resolves whole runs in
     the content-addressed cache (the service turns this on; shard-level
-    caching inside ``execute_spec_sharded`` is independent of it).
+    caching inside ``execute_spec`` is independent of it).
 
     Where the work runs: by default as the CLI has always run it — a
     ``jobs=1`` sweep in-process, ``jobs > 1`` on a pool built for that
@@ -728,8 +311,8 @@ class Scheduler:
 
     def _execute_batch(self, specs: List[Optional[RunSpec]], notify, policy):
         """The one path that actually executes work: the executor's
-        retry loop over the sweep's owned specs, each whole or, when
-        ``shards > 1``, through :func:`execute_spec_sharded`.
+        retry loop over the sweep's owned specs, each one
+        :func:`~repro.core.executor._execute_guarded` task.
 
         ``specs`` is the whole sweep, with ``None`` at every index that
         resolves without executing, so progress events and the returned
@@ -741,13 +324,7 @@ class Scheduler:
         :class:`~repro.core.resilience.SweepInterrupted`."""
         from repro.core.resilience import FailureReport, SweepInterrupted
 
-        task = (
-            _execute_spec_guarded
-            if self.shards <= 1
-            else functools.partial(
-                _execute_sharded_guarded, shards=self.shards, cache=self.cache
-            )
-        )
+        task = functools.partial(_execute_guarded, shards=self.shards, cache=self.cache)
         total = len(specs)
         runs: List[Optional[EngineRun]] = [None] * total
         report = FailureReport(total=total)

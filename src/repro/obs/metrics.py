@@ -223,7 +223,7 @@ class MetricsRegistry:
 
 #: Names the resilience layer reports through a policy's registry
 #: (see :meth:`repro.core.resilience.ResiliencePolicy.record_report`
-#: and the sharded executor).  Pre-registered by
+#: and :func:`repro.core.executor.execute_spec`).  Pre-registered by
 #: :func:`resilience_counters` so dashboards see zeros, not absences.
 RESILIENCE_COUNTERS = (
     ("engine.retries", "spec retries performed"),

@@ -30,10 +30,12 @@ Sites currently instrumented (see the callers for exact keys):
 
 ========================  ====================================================
 ``worker``                every spec task of the executor's retry loop,
-                          whole or sharded, keyed by spec name —
-                          ``raise``/``crash``/``hang``
-``shard.measure``         every measured shard span, keyed
-                          ``<spec>@<start>``
+                          keyed by spec name — ``raise``/``crash``/``hang``
+``shard.measure``         every measured span of every spec (a whole run is
+                          one span), keyed ``<spec>@<start>``
+``monitor.dump``          :meth:`repro.core.monitor.HistogramBoard.dump`,
+                          key ``board`` — ``miscount`` damages the readout
+                          copy, never the live banks
 ``cache.get``             :meth:`repro.core.runcache.RunCache.get` — corrupt
                           the bytes read back (``truncate``/``bitflip``)
 ``cache.write``           mid-write inside ``RunCache._write_atomic``, keyed
@@ -50,8 +52,7 @@ Sites currently instrumented (see the callers for exact keys):
                           error ``repro validate`` exists to refute)
 ========================  ====================================================
 
-A hung worker — whole spec or sharded — is terminated when its pool is
-recycled.
+A hung worker is terminated when its pool is recycled.
 """
 
 from __future__ import annotations

@@ -124,7 +124,6 @@ class TestCLI:
         # `sweep ... 4 4` names one configuration twice: the Scheduler
         # executes it once and the attached copy still prints its row.
         import repro.core.executor as executor_module
-        import repro.core.scheduler as scheduler_module
 
         executed = []
         real = executor_module.execute_spec
@@ -134,7 +133,6 @@ class TestCLI:
             return real(spec, *args, **kwargs)
 
         monkeypatch.setattr(executor_module, "execute_spec", spy)
-        monkeypatch.setattr(scheduler_module, "execute_spec", spy)
         argv = ["sweep", "educational", "cache_kb", "4", "4",
                 "--instructions", "400", "--warmup", "100"]
         assert main(argv) == 0

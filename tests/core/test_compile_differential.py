@@ -38,7 +38,6 @@ from repro.core.experiment import (
 )
 from repro.core.histogram_io import result_to_json
 from repro.core.monitor import UPCMonitor
-from repro.core.scheduler import execute_spec_sharded
 from repro.core.snapshot import capture
 from repro.cpu import VAX780
 from repro.obs.trace import Tracer
@@ -305,7 +304,7 @@ class TestManifestCompileStats:
         replay.clear_record_caches()
         whole = execute_spec(spec)
         replay.clear_record_caches()
-        sharded = execute_spec_sharded(spec, 2)
+        sharded = execute_spec(spec, 2)
         assert sharded.shard_count == 2
         info = sharded.manifest.compile
         assert info is not None and info["jit_hits"] > 0

@@ -17,7 +17,7 @@ from repro.core.executor import (
     parallel_map,
     shard_boundaries,
 )
-from repro.core.scheduler import execute_spec_sharded, run_specs
+from repro.core.scheduler import run_specs
 from repro.core.histogram_io import result_to_json
 from repro.core.monitor import UPCMonitor
 from repro.cpu import VAX780
@@ -119,18 +119,16 @@ def _machine_memories() -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is PhysicalMemory)
 
 
-@pytest.mark.parametrize("sharded", [False, True], ids=["whole", "sharded"])
-def test_a_finished_spec_task_leaves_no_machine_behind(sharded):
+@pytest.mark.parametrize("shards", [1, 2], ids=["whole", "sharded"])
+def test_a_finished_spec_task_leaves_no_machine_behind(shards):
     # A dead machine is a reference cycle holding an 8 MB memory array;
     # a worker running spec after spec must not keep a pile of them.
-    from repro.core.executor import _execute_spec_guarded
-    from repro.core.scheduler import _execute_sharded_guarded
+    from repro.core.executor import _execute_guarded
 
     before = _machine_memories()
     for offset in range(3):
         spec = RunSpec(workload="timesharing_light", seed_offset=offset, **SMALL)
-        outcome = (_execute_sharded_guarded(spec, 2, None) if sharded
-                   else _execute_spec_guarded(spec))
+        outcome = _execute_guarded(spec, shards, None)
         assert outcome[0] == "ok"
         assert _machine_memories() <= before
 
@@ -322,22 +320,33 @@ def _assert_bit_identical(sharded, reference):
 class TestExecuteSpecSharded:
     def test_three_shards_no_cache_bit_identical(self, reference_run):
         spec = RunSpec(workload="timesharing_light", **SMALL)
-        sharded = execute_spec_sharded(spec, shards=3)
+        sharded = execute_spec(spec, shards=3)
         _assert_bit_identical(sharded, reference_run)
         assert sharded.shard_count == 3
         assert sharded.shards_from_cache == 0
         assert sharded.manifest.shards == 3
         assert sharded.manifest.shards_from_cache == 0
 
+    def test_sharded_run_records_the_phase_split(self):
+        # A sharded run builds, warms up and measures like a whole one,
+        # and its metrics must say how long each phase took.
+        spec = RunSpec(workload="timesharing_light", **SMALL)
+        metrics = execute_spec(spec, shards=3).metrics
+        histograms = metrics["histograms"]
+        for phase in ("build", "warmup", "measure"):
+            assert histograms["phase.{}.seconds".format(phase)]["count"] == 1
+        assert histograms["phase.measure.seconds"]["sum"] > 0
+        assert metrics["gauges"]["speed.instructions_per_second"] > 0
+
     def test_single_shard_is_a_passthrough(self, reference_run):
         spec = RunSpec(workload="timesharing_light", **SMALL)
-        run = execute_spec_sharded(spec, shards=1)
+        run = execute_spec(spec, shards=1)
         _assert_bit_identical(run, reference_run)
         assert run.shard_count == 1
 
     def test_shards_clamped_to_instruction_budget(self):
         spec = RunSpec(workload="timesharing_light", instructions=3, warmup_instructions=50)
-        run = execute_spec_sharded(spec, shards=100)
+        run = execute_spec(spec, shards=100)
         assert run.shard_count == 3
 
     def test_cold_then_warm_cache(self, reference_run, tmp_path):
@@ -346,12 +355,12 @@ class TestExecuteSpecSharded:
         spec = RunSpec(workload="timesharing_light", **SMALL)
         cache = RunCache(str(tmp_path / "cache"))
 
-        cold = execute_spec_sharded(spec, shards=4, cache=cache)
+        cold = execute_spec(spec, shards=4, cache=cache)
         _assert_bit_identical(cold, reference_run)
         assert cold.shards_from_cache == 0
         assert cache.puts > 0
 
-        warm = execute_spec_sharded(spec, shards=4, cache=cache)
+        warm = execute_spec(spec, shards=4, cache=cache)
         _assert_bit_identical(warm, reference_run)
         assert warm.shards_from_cache == 4
         assert warm.manifest.shards_from_cache == 4
@@ -370,7 +379,7 @@ class TestExecuteSpecSharded:
 
         spec = RunSpec(workload="timesharing_light", **SMALL)
         cache = RunCache(str(tmp_path / "cache"))
-        execute_spec_sharded(spec, shards=4, cache=cache)
+        execute_spec(spec, shards=4, cache=cache)
 
         def _must_not_rebuild(*args, **kwargs):
             raise AssertionError(
@@ -379,18 +388,18 @@ class TestExecuteSpecSharded:
             )
 
         monkeypatch.setattr(experiment_module, "prepare_workload", _must_not_rebuild)
-        halved = execute_spec_sharded(spec, shards=2, cache=cache)
+        halved = execute_spec(spec, shards=2, cache=cache)
         _assert_bit_identical(halved, reference_run)
         assert halved.shard_count == 2
         # The poison is live: a run with nothing cached must build from
         # boot through the patched seam, and trips it.
         with pytest.raises(EngineError, match="rebuilding from boot"):
-            execute_spec_sharded(spec, shards=2)
+            execute_spec(spec, shards=2)
 
     def test_sharded_progress_events_name_the_shards(self):
         events = []
         spec = RunSpec(workload="timesharing_light", **SMALL)
-        execute_spec_sharded(spec, shards=3, progress=events.append)
+        execute_spec(spec, shards=3, progress=events.append)
         names = [e.name for e in events if e.kind == "start"]
         assert names == [
             "timesharing_light[shard 1/3]",
@@ -407,7 +416,7 @@ class TestExecuteSpecSharded:
 
         spec = RunSpec(workload="timesharing_light", **SMALL)
         cache = RunCache(str(tmp_path / "cache"))
-        cold = execute_spec_sharded(spec, shards=2, cache=cache)
-        warm = execute_spec_sharded(spec, shards=2, cache=cache)
+        cold = execute_spec(spec, shards=2, cache=cache)
+        warm = execute_spec(spec, shards=2, cache=cache)
         assert warm.manifest.config_hash == cold.manifest.config_hash
         assert warm.manifest.started_at >= cold.manifest.started_at

@@ -13,8 +13,8 @@ import os
 
 import pytest
 
-from repro.core.executor import EngineError, RunSpec
-from repro.core.scheduler import Scheduler, execute_spec_sharded, run_specs
+from repro.core.executor import EngineError, RunSpec, execute_spec
+from repro.core.scheduler import Scheduler, run_specs
 from repro.core.resilience import (
     ResiliencePolicy,
     RetryPolicy,
@@ -286,7 +286,7 @@ class TestShardedFailureDiagnostics:
         )
         with plan.active():
             with pytest.raises(EngineError) as excinfo:
-                execute_spec_sharded(spec, shards=3, cache=cache)
+                execute_spec(spec, shards=3, cache=cache)
         message = str(excinfo.value)
         assert "per-shard status" in message
         assert "shard 1/3" in message and "shard 3/3" in message
@@ -300,7 +300,7 @@ class TestShardedFailureDiagnostics:
 
         spec = RunSpec(workload="timesharing_light", **SMALL)
         cache = RunCache(str(tmp_path / "cache"))
-        execute_spec_sharded(spec, shards=3, cache=cache)
+        execute_spec(spec, shards=3, cache=cache)
         # evict one finished shard so the warm run must recompute it
         boundaries = shard_boundaries(spec.instructions, 3)
         _, shard_keys, _ = shard_cache_keys(spec, boundaries)
@@ -310,7 +310,7 @@ class TestShardedFailureDiagnostics:
         )
         with plan.active():
             with pytest.raises(EngineError) as excinfo:
-                execute_spec_sharded(
+                execute_spec(
                     spec, shards=3, cache=RunCache(str(tmp_path / "cache"))
                 )
         message = str(excinfo.value)
@@ -337,6 +337,30 @@ class TestShardedFailureDiagnostics:
             0: "computed", 1: "unfilled", 2: "unfilled"
         }
         assert "repair-chain traceback" in excinfo.value.worker_traceback
+
+    def test_uncached_failure_builds_one_machine(self, tmp_path, monkeypatch):
+        # Without a cache a failed chain banked no snapshots, so a repair
+        # pass could only rebuild and repeat it: the spec fails after
+        # one build and leaves the retry to the retry loop.
+        import repro.core.experiment as experiment
+
+        builds = []
+        real = experiment.prepare_workload
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "prepare_workload", counting)
+        plan = plan_with(
+            tmp_path, FaultRule(site="shard.measure", action="raise", times=-1)
+        )
+        with plan.active():
+            with pytest.raises(EngineError) as excinfo:
+                execute_spec(SPECS[0], shards=3)
+        assert len(builds) == 1
+        assert "repair-chain traceback" not in str(excinfo.value)
+        assert set(excinfo.value.shard_status.values()) == {"unfilled"}
 
 
 class TestShardedSpecsInTheRetryLoop:

@@ -11,8 +11,7 @@ import subprocess
 import sys
 
 import repro.core.experiment as experiment
-from repro.core.executor import RunSpec
-from repro.core.scheduler import execute_spec_sharded
+from repro.core.executor import RunSpec, execute_spec
 
 
 class TestLayering:
@@ -48,7 +47,7 @@ class TestLayering:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "prepare_workload", spy)
-        run = execute_spec_sharded(
+        run = execute_spec(
             RunSpec(workload="educational", instructions=600, warmup_instructions=100),
             shards=2,
         )

@@ -43,9 +43,9 @@ class TestBatchDedupe:
         executions = []
         real = executor_module.execute_spec
 
-        def counting(spec):
+        def counting(spec, *args, **kwargs):
             executions.append(spec.name)
-            return real(spec)
+            return real(spec, *args, **kwargs)
 
         monkeypatch.setattr(executor_module, "execute_spec", counting)
         scheduler = Scheduler(metrics=metrics)
@@ -125,7 +125,7 @@ class TestResultIndex:
     def test_index_is_bounded_lru(self, metrics, monkeypatch):
         golden = execute_spec(_spec(instructions=400, warmup_instructions=100))
 
-        def fake(spec):
+        def fake(spec, *args, **kwargs):
             run = copy.deepcopy(golden)
             run.spec = spec
             return run
@@ -175,7 +175,7 @@ class TestInflightAttach:
         release = threading.Event()
         executions = []
 
-        def gated(spec):
+        def gated(spec, *args, **kwargs):
             executions.append(spec.name)
             entered.set()
             assert release.wait(30)
@@ -221,7 +221,7 @@ class TestInflightAttach:
         entered = threading.Event()
         release = threading.Event()
 
-        def failing(spec):
+        def failing(spec, *args, **kwargs):
             entered.set()
             assert release.wait(30)
             raise RuntimeError("injected execution failure")
@@ -348,9 +348,9 @@ class TestCollectMode:
         release = threading.Event()
         real = executor_module.execute_spec
 
-        def gated(spec):
+        def gated(spec, *args, **kwargs):
             if spec.seed_offset != 7:
-                return real(spec)
+                return real(spec, *args, **kwargs)
             entered.set()
             assert release.wait(30)
             raise RuntimeError("injected in-flight failure")

@@ -23,8 +23,8 @@ from repro.core.cache_resolution import (
     run_cache_key,
     shard_cache_keys,
 )
-from repro.core.executor import RunSpec, shard_boundaries
-from repro.core.scheduler import Scheduler, execute_spec_sharded, run_specs
+from repro.core.executor import RunSpec, execute_spec, shard_boundaries
+from repro.core.scheduler import Scheduler, run_specs
 from repro.core.resilience import ResiliencePolicy, RetryPolicy
 from repro.core.runcache import CACHE_DIR_ENV, RunCache
 from repro.core.snapshot import SNAPSHOT_VERSION, MachineSnapshot
@@ -116,7 +116,7 @@ class TestSweepRecovery:
 class TestShardedSelfHealing:
     def _cold_golden(self, tmp_path):
         cache = RunCache(str(tmp_path / "cache"))
-        golden = execute_spec_sharded(SPEC, shards=SHARDS, cache=cache)
+        golden = execute_spec(SPEC, shards=SHARDS, cache=cache)
         boundaries = shard_boundaries(SPEC.instructions, SHARDS)
         _, shard_keys, snapshot_keys = shard_cache_keys(SPEC, boundaries)
         return cache, golden, boundaries, shard_keys, snapshot_keys
@@ -134,7 +134,7 @@ class TestShardedSelfHealing:
 
         warm_cache = RunCache(cache.root)
         policy = metered_policy()
-        recovered = execute_spec_sharded(
+        recovered = execute_spec(
             SPEC, shards=SHARDS, cache=warm_cache, policy=policy
         )
         assert payload_of(recovered) == payload_of(golden)
@@ -147,7 +147,7 @@ class TestShardedSelfHealing:
         assert counters["engine.quarantined_objects"] >= 2
         assert counters["engine.repaired_shards"] == 0
         # the recompute healed the store: a third run replays clean
-        healed = execute_spec_sharded(
+        healed = execute_spec(
             SPEC, shards=SHARDS, cache=RunCache(cache.root)
         )
         assert payload_of(healed) == payload_of(golden)
@@ -171,7 +171,7 @@ class TestShardedSelfHealing:
         )
         policy = metered_policy()
         with plan.active():
-            recovered = execute_spec_sharded(
+            recovered = execute_spec(
                 SPEC, shards=SHARDS, cache=RunCache(cache.root), policy=policy
             )
         assert payload_of(recovered) == payload_of(golden)
@@ -183,7 +183,7 @@ class TestShardedSelfHealing:
         midpoint snapshot replaced by ``make_blob(original_snapshot)``:
         a warm run must restore that snapshot (or recover without it)."""
         cache = RunCache(str(tmp_path / "cache"))
-        golden = execute_spec_sharded(SPEC, 2, cache=cache)
+        golden = execute_spec(SPEC, 2, cache=cache)
         boundaries = shard_boundaries(SPEC.instructions, 2)
         _, shard_keys, snapshot_keys = shard_cache_keys(SPEC, boundaries)
         key = snapshot_keys[boundaries[1]]
@@ -195,7 +195,7 @@ class TestShardedSelfHealing:
         return cache, golden, key
 
     def _assert_recomputed(self, cache, golden, key):
-        recovered = execute_spec_sharded(SPEC, 2, cache=RunCache(cache.root))
+        recovered = execute_spec(SPEC, 2, cache=RunCache(cache.root))
         assert payload_of(recovered) == payload_of(golden)
         assert recovered.manifest.quarantined_objects == 1
         # the recomputed boundary landed in the vacated slot
@@ -241,7 +241,7 @@ class TestShardedSelfHealing:
         )
         policy = metered_policy()
         with plan.active():
-            recovered = execute_spec_sharded(
+            recovered = execute_spec(
                 SPEC, shards=SHARDS, cache=RunCache(str(tmp_path / "cold")),
                 policy=policy,
             )
@@ -288,26 +288,26 @@ class TestForeignObjectsHeal:
     and recomputed bit-identically, whatever its kind."""
 
     def _shard(self, root, blob, monkeypatch):
-        golden = execute_spec_sharded(SPEC, SHARDS, cache=RunCache(root))
+        golden = execute_spec(SPEC, SHARDS, cache=RunCache(root))
         boundaries = shard_boundaries(SPEC.instructions, SHARDS)
         _, shard_keys, _ = shard_cache_keys(SPEC, boundaries)
         key = shard_keys[1]
         replace_object(RunCache(root), key, blob)
-        recovered = execute_spec_sharded(SPEC, SHARDS, cache=RunCache(root))
+        recovered = execute_spec(SPEC, SHARDS, cache=RunCache(root))
         assert payload_of(recovered) == payload_of(golden)
         assert recovered.manifest.quarantined_objects == 1
         return key, lambda cache: load_cached_shard(cache, key)
 
     def _snapshot(self, root, blob, monkeypatch):
         # shard 2/2 evicted, so the warm run must restore the midpoint
-        golden = execute_spec_sharded(SPEC, 2, cache=RunCache(root))
+        golden = execute_spec(SPEC, 2, cache=RunCache(root))
         boundaries = shard_boundaries(SPEC.instructions, 2)
         _, shard_keys, snapshot_keys = shard_cache_keys(SPEC, boundaries)
         key = snapshot_keys[boundaries[1]]
         for suffix in ("", ".sum", ".json"):
             os.unlink(RunCache(root)._object_path(shard_keys[1]) + suffix)
         replace_object(RunCache(root), key, blob)
-        recovered = execute_spec_sharded(SPEC, 2, cache=RunCache(root))
+        recovered = execute_spec(SPEC, 2, cache=RunCache(root))
         assert payload_of(recovered) == payload_of(golden)
         assert recovered.manifest.quarantined_objects == 1
         return key, lambda cache: load_cached_snapshot(cache, key)[0]

@@ -109,7 +109,7 @@ class TestShardedRerunSpeedup:
     def test_warm_cache_rerun_is_faster(self, tmp_path):
         import time
 
-        from repro.core.scheduler import execute_spec_sharded
+        from repro.core.executor import execute_spec
         from repro.core.runcache import RunCache
 
         spec = RunSpec(
@@ -117,10 +117,10 @@ class TestShardedRerunSpeedup:
         )
         cache = RunCache(str(tmp_path / "cache"))
         started = time.perf_counter()
-        cold = execute_spec_sharded(spec, shards=4, cache=cache)
+        cold = execute_spec(spec, shards=4, cache=cache)
         cold_wall = time.perf_counter() - started
         started = time.perf_counter()
-        warm = execute_spec_sharded(spec, shards=4, cache=cache)
+        warm = execute_spec(spec, shards=4, cache=cache)
         warm_wall = time.perf_counter() - started
         assert warm.shards_from_cache == 4
         # Replaying four finished shards is pure deserialization; even a

@@ -16,14 +16,14 @@ submission is provably mid-execution.  The dedupe contract under test:
   unobservable in the payload.
 """
 
+import hashlib
 import json
 import os
 import threading
 
 import pytest
 
-from repro.core.executor import RunSpec
-from repro.core.scheduler import execute_spec_sharded
+from repro.core.executor import RunSpec, execute_spec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import config_hash
 from repro.service import api
@@ -49,6 +49,18 @@ def _span_ledger(state_dir):
 
 def _markers(state_dir):
     return len(os.listdir(str(state_dir)))
+
+
+def test_a_whole_run_is_one_measured_span(tmp_path):
+    # A whole spec is a one-shard chain: one measured span, keyed at
+    # instruction 0, on the same ledger the sharded runs below use.
+    ledger = tmp_path / "whole-spans"
+    with _span_ledger(ledger).active():
+        execute_spec(RunSpec(**SPEC))
+    key = hashlib.sha256(
+        "shard.measure|{}@0".format(SPEC["workload"]).encode("utf-8")
+    ).hexdigest()[:16]
+    assert os.listdir(str(ledger)) == ["r0-{}-0".format(key)]
 
 
 def _result_bytes(run):
@@ -81,7 +93,7 @@ def test_concurrent_duplicate_sweeps_execute_once(
     # one execution is *supposed* to produce, measured the same way.
     golden_dir = tmp_path / "golden-spans"
     with _span_ledger(golden_dir).active():
-        golden = execute_spec_sharded(RunSpec(**SPEC), shards=SHARDS)
+        golden = execute_spec(RunSpec(**SPEC), shards=SHARDS)
     spans_per_execution = _markers(golden_dir)
     assert spans_per_execution > 0
 
