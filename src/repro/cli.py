@@ -464,18 +464,16 @@ def cmd_submit(args) -> int:
             from repro.obs.invariants import check_result
 
             result = client.result(summary["digest"]).result
-            outcomes = check_result(result)
-            broken = [o for o in outcomes if not o.ok]
+            checks = check_result(result)
+            broken = [check for check in checks if not check.ok]
             failed += len(broken)
             line += "  [{} identities {}]".format(
-                len(outcomes), "ok" if not broken else "BROKEN"
+                len(checks), "ok" if not broken else "BROKEN"
             )
             if not args.json:
                 emit(line)
-            for outcome in broken:
-                log.error(
-                    "identity broken", name=outcome.name, subsystem=outcome.subsystem
-                )
+            for check in broken:
+                log.error("identity broken", name=check.name, blame=check.blame)
         elif not args.json:
             emit(line)
     report = record.get("report")
@@ -769,9 +767,7 @@ def _format_cells(cells: dict) -> str:
 
 
 def cmd_check(args) -> int:
-    import json
-
-    from repro.obs.invariants import run_checked_workload, schema_envelope
+    from repro.obs.invariants import run_checked_workload
     from repro.workloads import COMPOSITE_WORKLOAD_NAMES
 
     log = get_logger("repro.check")
@@ -793,48 +789,66 @@ def cmd_check(args) -> int:
         )
         reports.append(report)
 
-    if args.json:
-        envelope = schema_envelope("check", [report.payload() for report in reports])
+    return _report_checks("check", reports, args.json)
+
+
+def _report_checks(command: str, reports, as_json: bool) -> int:
+    """Emit ``repro check`` / ``repro validate`` reports; exit 1 when any
+    check fails.
+
+    ``as_json`` emits the ``repro.check/v1`` envelope.  Text is one line
+    per report, one per check (a failing check adds its blame and
+    detail), the skips, and one summary line.
+    """
+    import json
+
+    from repro.obs.invariants import schema_envelope
+
+    if as_json:
+        envelope = schema_envelope(command, [report.to_dict() for report in reports])
         emit(json.dumps(envelope, indent=2))
         return 0 if envelope["ok"] else 1
 
-    failed = 0
     for report in reports:
-        emit("{}:".format(report.name))
-        for outcome in report.outcomes:
-            marker = "ok  " if outcome.ok else "FAIL"
-            line = "  {} {:<32} {:>14} == {:<14}".format(
-                marker,
-                outcome.name,
-                _format_value(outcome.lhs),
-                _format_value(outcome.rhs),
+        header = "{} {} ({} checks)".format(
+            "ok  " if report.ok else "FAIL", report.name, len(report.checks)
+        )
+        if report.modes:
+            header += " [{}] modes={}".format(report.covers, ",".join(report.modes))
+        emit(header)
+        for check in report.checks:
+            emit(
+                "  {} {:<32} expected {} actual {}{}".format(
+                    "ok  " if check.ok else "FAIL",
+                    check.name,
+                    _format_value(check.expected),
+                    _format_value(check.actual),
+                    " ({})".format(check.mode) if check.mode else "",
+                )
             )
-            emit(line.rstrip())
-            if not outcome.ok:
-                failed += 1
-                emit("       subsystem: {}".format(outcome.subsystem))
-                if outcome.detail:
-                    emit("       {}".format(outcome.detail))
-        for identity, reason in sorted(report.skipped.items()):
-            emit("  skip {:<32} {}".format(identity, reason))
-    total = sum(len(report.outcomes) for report in reports)
+            if not check.ok:
+                if check.blame:
+                    emit("       blame: {}".format(check.blame))
+                if check.detail:
+                    emit("       {}".format(check.detail))
+        for name, reason in sorted(report.skipped.items()):
+            emit("  skip {:<32} {}".format(name, reason))
+    checks = sum(len(report.checks) for report in reports)
+    failed = sum(len(report.failures) for report in reports)
     skipped = sum(len(report.skipped) for report in reports)
-    summary = "{} identities checked across {} workload(s): {}".format(
-        total, len(reports), "all hold" if not failed else "{} FAILED".format(failed)
+    summary = "{} checks across {} report(s): {}".format(
+        checks, len(reports), "{} FAILED".format(failed) if failed else "all hold"
     )
     if skipped:
         summary += " ({} skipped)".format(skipped)
     emit("\n" + summary)
-    return 0 if not failed else 1
+    return 1 if failed else 0
 
 
 def cmd_validate(args) -> int:
     """Run the directed validation probes: programs whose event counts
     are known by construction, diffed against the machine in every
     compile mode.  Exit 1 when the machine refutes the model."""
-    import json
-
-    from repro.obs.invariants import schema_envelope
     from repro.validate import (
         ALL_MODES,
         RefutationRunner,
@@ -877,45 +891,7 @@ def cmd_validate(args) -> int:
         log.info("validating", probe=name, modes=",".join(modes))
         reports.append(runner.run_probe(probes[name]))
 
-    if args.json:
-        envelope = schema_envelope(
-            "validate", [report.to_dict() for report in reports]
-        )
-        emit(json.dumps(envelope, indent=2))
-        return 0 if envelope["ok"] else 1
-
-    failed = 0
-    for report in reports:
-        marker = "ok  " if report.ok else "FAIL"
-        emit(
-            "{} {:<16} {:>3} checks [{}]".format(
-                marker,
-                report.name,
-                len(report.outcomes),
-                report.covers,
-            )
-        )
-        for outcome in report.failures:
-            failed += 1
-            emit(
-                "     FAIL {:<32} expected {} actual {}".format(
-                    outcome.name, outcome.expected, _format_value(outcome.actual)
-                )
-            )
-            emit("          blame: {}".format(outcome.blame))
-            if outcome.detail:
-                emit("          {}".format(outcome.detail))
-        for check, reason in sorted(report.skipped.items()):
-            emit("     skip {:<32} {}".format(check, reason))
-    total = sum(len(report.outcomes) for report in reports)
-    summary = "{} checks across {} probe(s), modes={}: {}".format(
-        total,
-        len(reports),
-        ",".join(modes),
-        "model holds" if not failed else "{} REFUTED".format(failed),
-    )
-    emit("\n" + summary)
-    return 0 if not failed else 1
+    return _report_checks("validate", reports, args.json)
 
 
 def cmd_stats(args) -> int:

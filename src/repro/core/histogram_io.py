@@ -12,6 +12,7 @@ the machine.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Dict, Optional
 
 from repro.core.experiment import ExperimentResult, MachineStats
@@ -48,51 +49,33 @@ def histogram_from_dict(payload: Dict) -> HistogramBoard:
     return board
 
 
+#: The one EventCounters field whose Counter keys are tuples; on the
+#: wire they are ``"position|row"`` strings.
+_TUPLE_KEYED = "specifier_counts"
+
+
 def _events_to_dict(events: EventCounters) -> Dict:
-    return {
-        "instructions": events.instructions,
-        "opcode_counts": dict(events.opcode_counts),
-        "branch_executed": dict(events.branch_executed),
-        "branch_taken": dict(events.branch_taken),
-        "specifier_counts": {
-            "{}|{}".format(*key): count for key, count in events.specifier_counts.items()
-        },
-        "indexed_specifiers": dict(events.indexed_specifiers),
-        "branch_displacements": events.branch_displacements,
-        "instruction_bytes": events.instruction_bytes,
-        "specifier_bytes": events.specifier_bytes,
-        "displacement_bytes": events.displacement_bytes,
-        "reads_by_source": dict(events.reads_by_source),
-        "writes_by_source": dict(events.writes_by_source),
-        "software_interrupt_requests": events.software_interrupt_requests,
-        "interrupts_delivered": events.interrupts_delivered,
-        "context_switches": events.context_switches,
-        "page_faults": events.page_faults,
-        "arithmetic_exceptions": events.arithmetic_exceptions,
-    }
+    payload = {}
+    for name in events.__dataclass_fields__:
+        value = getattr(events, name)
+        if name == _TUPLE_KEYED:
+            value = {"{}|{}".format(*key): count for key, count in value.items()}
+        elif isinstance(value, Counter):
+            value = dict(value)
+        payload[name] = value
+    return payload
 
 
 def _events_from_dict(payload: Dict) -> EventCounters:
     events = EventCounters()
-    events.instructions = payload["instructions"]
-    events.opcode_counts.update(payload["opcode_counts"])
-    events.branch_executed.update(payload["branch_executed"])
-    events.branch_taken.update(payload["branch_taken"])
-    for key, count in payload["specifier_counts"].items():
-        position, row = key.split("|", 1)
-        events.specifier_counts[(position, row)] = count
-    events.indexed_specifiers.update(payload["indexed_specifiers"])
-    events.branch_displacements = payload["branch_displacements"]
-    events.instruction_bytes = payload["instruction_bytes"]
-    events.specifier_bytes = payload["specifier_bytes"]
-    events.displacement_bytes = payload["displacement_bytes"]
-    events.reads_by_source.update(payload["reads_by_source"])
-    events.writes_by_source.update(payload["writes_by_source"])
-    events.software_interrupt_requests = payload["software_interrupt_requests"]
-    events.interrupts_delivered = payload["interrupts_delivered"]
-    events.context_switches = payload["context_switches"]
-    events.page_faults = payload["page_faults"]
-    events.arithmetic_exceptions = payload["arithmetic_exceptions"]
+    for name in events.__dataclass_fields__:
+        value = payload[name]
+        if name == _TUPLE_KEYED:
+            value = {tuple(key.split("|", 1)): count for key, count in value.items()}
+        if isinstance(getattr(events, name), Counter):
+            getattr(events, name).update(value)
+        else:
+            setattr(events, name, value)
     return events
 
 

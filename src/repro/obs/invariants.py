@@ -16,6 +16,14 @@ identities the micro-routine — whose numbers disagree.
 ``monitor.dump`` (action ``miscount``, see
 :mod:`repro.testing.faults`) exists so tests and demos can watch a
 seeded corruption trip exactly the identity that should catch it.
+
+This module also owns the check vocabulary both refutation commands
+report in: a :class:`Check` (what the model expected, what the run
+measured, the verdict and whom to blame), a :class:`CheckReport` per
+workload run or probe, and :func:`schema_envelope`, the pinned
+``repro.check/v1`` JSON wrapper.  ``repro validate``
+(:mod:`repro.validate.runner`) builds the same records from its probe
+expectations.
 """
 
 from __future__ import annotations
@@ -41,81 +49,92 @@ SUBSYSTEM = {
 
 
 @dataclass
-class IdentityOutcome:
-    """One identity, evaluated: ``lhs`` must equal ``rhs``."""
+class Check:
+    """One check, evaluated against one run: the record both ``repro
+    check`` (a counter identity) and ``repro validate`` (a probe
+    expectation or derived check) report.
+
+    ``expected`` is what the model says (a number, or for probes the
+    expectation's own wording such as ``"== 64"``), ``actual`` is what
+    the run measured and ``ok`` is the verdict.  ``description`` is set
+    only on identities and ``mode`` only on probe checks; each is
+    emitted only when set.
+    """
 
     name: str
-    description: str
-    lhs: float
-    rhs: float
+    expected: object
+    actual: float
+    ok: bool
+    blame: str = ""
     detail: str = ""
+    description: str = ""
+    mode: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-    @property
-    def subsystem(self) -> str:
-        return SUBSYSTEM.get(self.name, "unknown")
+    @classmethod
+    def identity(cls, name: str, description: str, lhs, rhs):
+        """A counter identity: ``lhs`` must equal ``rhs``; a break is
+        blamed on the identity's :data:`SUBSYSTEM`."""
+        return cls(
+            name,
+            expected=lhs,
+            actual=rhs,
+            ok=lhs == rhs,
+            blame=SUBSYSTEM.get(name, "unknown"),
+            description=description,
+        )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ok": self.ok,
-            "subsystem": self.subsystem,
-            "detail": self.detail,
-        }
+        out = {"name": self.name}
+        if self.description:
+            out["description"] = self.description
+        out.update(expected=self.expected, actual=self.actual, ok=self.ok)
+        if self.mode:
+            out["mode"] = self.mode
+        out.update(blame=self.blame, detail=self.detail)
+        return out
 
 
 @dataclass
 class CheckReport:
-    """Every identity evaluated against one run."""
+    """Every check evaluated against one workload run or one probe."""
 
     name: str
-    outcomes: List[IdentityOutcome] = field(default_factory=list)
-    #: identities not evaluated, mapped to why (e.g. trace ring dropped
+    checks: List[Check] = field(default_factory=list)
+    #: checks not evaluated, mapped to why (e.g. trace ring dropped
     #: events) — skipping silently would read as "checked and passed".
     skipped: Dict[str, str] = field(default_factory=dict)
+    #: the probe header, set (and emitted) only on ``repro validate``
+    #: reports: what the probe is, and the compile modes it ran under.
+    title: str = ""
+    covers: str = ""
+    canonical: bool = False
+    modes: Tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
+        return all(check.ok for check in self.checks)
 
     @property
-    def failures(self) -> List[IdentityOutcome]:
-        return [outcome for outcome in self.outcomes if not outcome.ok]
+    def failures(self) -> List[Check]:
+        return [check for check in self.checks if not check.ok]
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "outcomes": [outcome.to_dict() for outcome in self.outcomes],
-            "skipped": dict(self.skipped),
-        }
-
-    def payload(self) -> dict:
-        """This report in the stable ``repro.check/v1`` check shape
-        (see :func:`schema_envelope`)."""
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "checks": [
-                {
-                    "name": outcome.name,
-                    "description": outcome.description,
-                    "expected": outcome.lhs,
-                    "actual": outcome.rhs,
-                    "ok": outcome.ok,
-                    "blame": outcome.subsystem,
-                    "detail": outcome.detail,
-                }
-                for outcome in self.outcomes
-            ],
-            "skipped": dict(self.skipped),
-        }
+        """This report in the stable ``repro.check/v1`` shape (see
+        :func:`schema_envelope`)."""
+        out = {"name": self.name}
+        if self.modes:
+            out.update(
+                title=self.title,
+                covers=self.covers,
+                canonical=self.canonical,
+                modes=list(self.modes),
+            )
+        out.update(
+            ok=self.ok,
+            checks=[check.to_dict() for check in self.checks],
+            skipped=dict(self.skipped),
+        )
+        return out
 
 
 #: The pinned JSON schema version both ``repro check --json`` and
@@ -165,7 +184,7 @@ def check_result(
     counts: Optional[List[int]] = None,
     stalled: Optional[List[int]] = None,
     layout=None,
-) -> List[IdentityOutcome]:
+) -> List[Check]:
     """Evaluate the counter identities an
     :class:`~repro.core.experiment.ExperimentResult` must satisfy.
 
@@ -177,12 +196,11 @@ def check_result(
     reduction = result.reduction
     events = result.events
     stats = result.stats
-    outcomes: List[IdentityOutcome] = []
 
     matrix_total = sum(
         cycles for columns in reduction.matrix.values() for cycles in columns.values()
     )
-    classified = IdentityOutcome(
+    classified = Check.identity(
         "cycles.classified",
         "every counted cycle classifies into a Table 8 cell",
         lhs=matrix_total,
@@ -192,7 +210,7 @@ def check_result(
         normal + stalled_cycles
         for normal, stalled_cycles in reduction.routine_cycles.values()
     )
-    routines = IdentityOutcome(
+    routines = Check.identity(
         "cycles.routines",
         "per-routine cycle totals sum to total cycles",
         lhs=routine_total,
@@ -201,52 +219,44 @@ def check_result(
     if counts is not None and stalled is not None and layout is not None:
         detail = localize_unclassified(counts, stalled, layout)
         if detail:
-            for outcome in (classified, routines):
-                if not outcome.ok:
-                    outcome.detail = detail
-    outcomes.append(classified)
-    outcomes.append(routines)
-
-    outcomes.append(
-        IdentityOutcome(
-            "instructions.decode_vs_events",
-            "decode-dispatch executions equal instructions retired",
-            lhs=reduction.instructions,
-            rhs=events.instructions,
-            detail=(
-                ""
-                if reduction.instructions == events.instructions
-                else "the monitor's decode-dispatch bucket and the event "
-                "counter disagree; both gate on the same measurement "
-                "interval, so one instrument miscounted"
-            ),
-        )
+            for check in (classified, routines):
+                if not check.ok:
+                    check.detail = detail
+    decode = Check.identity(
+        "instructions.decode_vs_events",
+        "decode-dispatch executions equal instructions retired",
+        lhs=reduction.instructions,
+        rhs=events.instructions,
     )
-    outcomes.append(
-        IdentityOutcome(
+    if not decode.ok:
+        decode.detail = (
+            "the monitor's decode-dispatch bucket and the event counter "
+            "disagree; both gate on the same measurement interval, so one "
+            "instrument miscounted"
+        )
+    return [
+        classified,
+        routines,
+        decode,
+        Check.identity(
             "instructions.opcodes",
             "instructions retired equal the per-opcode count sum",
             lhs=sum(events.opcode_counts.values()),
             rhs=events.instructions,
-        )
-    )
-    outcomes.append(
-        IdentityOutcome(
+        ),
+        Check.identity(
             "memory.read_miss_split",
             "cache read misses split exactly into I-stream + D-stream",
             lhs=stats.cache_i_read_misses + stats.cache_d_read_misses,
             rhs=stats.cache_read_misses,
-        )
-    )
-    outcomes.append(
-        IdentityOutcome(
+        ),
+        Check.identity(
             "memory.tb_miss_split",
             "TB misses split exactly into I-stream + D-stream",
             lhs=stats.tb_i_misses + stats.tb_d_misses,
             rhs=stats.tb_misses,
-        )
-    )
-    return outcomes
+        ),
+    ]
 
 
 def localize_unclassified(
@@ -299,13 +309,12 @@ def check_trace(source, whole_run_events, dropped: int = 0):
     ``whole_run_events`` is the :class:`~repro.cpu.events.EventCounters`
     sum over the *entire* run (boot + warmup + measurement + Null
     process), because the tracer is attached from machine construction
-    and never gates.  Returns ``(outcomes, skipped)``; all three
+    and never gates.  Returns ``(checks, skipped)``; all three
     identities are skipped when the ring dropped events — counts over a
     truncated window prove nothing.
     """
     from repro.obs.query import TraceQuery
 
-    skipped: Dict[str, str] = {}
     if dropped:
         reason = "trace ring dropped {} events; aggregates not exact".format(dropped)
         return [], {
@@ -314,27 +323,26 @@ def check_trace(source, whole_run_events, dropped: int = 0):
             "trace.interrupts": reason,
         }
     query = TraceQuery(source)
-    outcomes = [
-        IdentityOutcome(
+    return [
+        Check.identity(
             "trace.instructions",
             "closed EBOX instruction spans equal instructions retired",
             lhs=query.where(track="EBOX", phase="E").count(),
             rhs=whole_run_events.instructions,
         ),
-        IdentityOutcome(
+        Check.identity(
             "trace.page_faults",
             "traced page-fault instants equal the page-fault counter",
             lhs=query.where(track="VMS", name="page fault").count(),
             rhs=whole_run_events.page_faults,
         ),
-        IdentityOutcome(
+        Check.identity(
             "trace.interrupts",
             "traced interrupt spans equal interrupts delivered",
             lhs=query.where(track="VMS", name="interrupt", phase="B").count(),
             rhs=whole_run_events.interrupts_delivered,
         ),
-    ]
-    return outcomes, skipped
+    ], {}
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +405,7 @@ def run_checked_workload(
     )
 
     report = CheckReport(name=profile_name)
-    report.outcomes.extend(
+    report.checks.extend(
         check_result(result, counts=counts, stalled=stalled, layout=machine.layout)
     )
     if tracer is not None:
@@ -405,9 +413,9 @@ def run_checked_workload(
         whole_run.merge_from(pre_events)
         whole_run.merge_from(machine.events)
         whole_run.merge_from(kernel.null_events)
-        trace_outcomes, trace_skipped = check_trace(
+        trace_checks, trace_skipped = check_trace(
             tracer, whole_run, dropped=tracer.dropped
         )
-        report.outcomes.extend(trace_outcomes)
+        report.checks.extend(trace_checks)
         report.skipped.update(trace_skipped)
     return report, result

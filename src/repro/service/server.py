@@ -347,7 +347,9 @@ class ExperimentService:
 
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+            # A body nested deeper than the decoder's recursion limit is
+            # as undecodable as a malformed one.
             raise ServiceError(400, "body is not valid JSON: {}".format(error))
         if not isinstance(payload, dict) or not isinstance(
             payload.get("specs"), list

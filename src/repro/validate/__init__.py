@@ -19,8 +19,6 @@ from repro.validate.probes import (
 from repro.validate.runner import (
     ALL_MODES,
     MODES,
-    ProbeOutcome,
-    ProbeReport,
     ProbeRun,
     RefutationRunner,
     ValidationError,
@@ -35,8 +33,6 @@ __all__ = [
     "Expectation",
     "Probe",
     "ProbeError",
-    "ProbeOutcome",
-    "ProbeReport",
     "ProbeRun",
     "RefutationRunner",
     "ValidationError",

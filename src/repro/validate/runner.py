@@ -4,11 +4,20 @@ The :class:`RefutationRunner` runs each :class:`~repro.validate.probes.Probe`
 through the normal machine/monitor path — the same
 :class:`~repro.core.monitor.UPCMonitor` strobe, the same
 :func:`~repro.core.reduction.reduce_histogram` — in both compile modes
-(interpreted and compiled), checks the
-probe's expectations against the first arm, asserts the other arms are
-bit-identical to it, and re-runs once traced so
+(interpreted and compiled), checks the probe's expectations against the
+first arm, asserts the other arms serialize (``result_to_json``, the
+form the compile differential and the golden digests compare) to the
+same document, and re-runs once traced so
 :class:`repro.obs.query.TraceQuery` aggregates can be diffed against
 the counters too.
+
+Every expectation and derived check becomes a
+:class:`repro.obs.invariants.Check` in one
+:class:`~repro.obs.invariants.CheckReport` per probe — the records
+``repro check`` reports in, so both commands share one JSON shape and
+one text renderer.  An :class:`~repro.validate.probes.Expectation`
+stays the probe's ground truth: its ``describe()`` is the check's
+``expected`` and its ``check()`` the verdict.
 
 On a violated expectation the failure carries blame: the expectation's
 own micro-routine when it names one, plus the
@@ -19,12 +28,14 @@ same localization ``repro check`` uses.
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
-from repro.validate.probes import Expectation, Probe, build_probes
+from repro.obs.invariants import Check, CheckReport, localize_unclassified
+from repro.validate.probes import Probe, build_probes
 
 #: Mode name -> environment overrides (None = ensure unset).  ``current``
 #: runs under whatever the caller's environment already says — the CI
@@ -62,63 +73,6 @@ def _mode_env(mode: str):
 
 
 @dataclass
-class ProbeOutcome:
-    """One expectation (or derived check), evaluated against one run."""
-
-    name: str
-    expected: str
-    actual: float
-    ok: bool
-    mode: str
-    blame: str = ""
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "ok": self.ok,
-            "mode": self.mode,
-            "blame": self.blame,
-            "detail": self.detail,
-        }
-
-
-@dataclass
-class ProbeReport:
-    """Every check for one probe across every requested mode."""
-
-    name: str
-    title: str = ""
-    covers: str = ""
-    canonical: bool = False
-    modes: Tuple[str, ...] = ()
-    outcomes: List[ProbeOutcome] = field(default_factory=list)
-    skipped: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
-
-    @property
-    def failures(self) -> List[ProbeOutcome]:
-        return [outcome for outcome in self.outcomes if not outcome.ok]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "title": self.title,
-            "covers": self.covers,
-            "canonical": self.canonical,
-            "modes": list(self.modes),
-            "ok": self.ok,
-            "checks": [outcome.to_dict() for outcome in self.outcomes],
-            "skipped": dict(self.skipped),
-        }
-
-
-@dataclass
 class ProbeRun:
     """The raw observables of one probe execution in one mode."""
 
@@ -133,29 +87,6 @@ class ProbeRun:
 
     def metric(self, path: str) -> float:
         return resolve_metric(path, self.reduction, self.events, self.stats)
-
-    def signature(self) -> dict:
-        """Everything two modes must agree on, JSON-shaped for diffing."""
-        from dataclasses import asdict
-
-        return {
-            "instructions": self.reduction.instructions,
-            "cycles": self.reduction.total_cycles,
-            "matrix": {
-                row: dict(columns) for row, columns in self.reduction.matrix.items()
-            },
-            "routines": {
-                name: list(pair)
-                for name, pair in sorted(self.reduction.routine_cycles.items())
-            },
-            "specifiers": {
-                "{}/{}".format(*key): count
-                for key, count in sorted(self.events.specifier_counts.items())
-            },
-            "indexed": dict(self.events.indexed_specifiers),
-            "interrupts": self.events.interrupts_delivered,
-            "stats": asdict(self.stats),
-        }
 
 
 def resolve_metric(path: str, reduction, events, stats) -> float:
@@ -243,8 +174,19 @@ def execute_probe(probe: Probe, mode: str, tracer=None) -> ProbeRun:
         )
 
 
+def _decoded_result(probe: Probe, run: ProbeRun) -> dict:
+    from repro.core.experiment import ExperimentResult
+    from repro.core.histogram_io import result_to_json
+
+    return json.loads(
+        result_to_json(
+            ExperimentResult(probe.name, run.reduction, run.events, run.stats)
+        )
+    )
+
+
 def _first_divergence(a: dict, b: dict, prefix: str = "") -> str:
-    """Name the first leaf where two signatures disagree."""
+    """Name the first leaf where two decoded results disagree."""
     for key in sorted(set(a) | set(b)):
         path = "{}.{}".format(prefix, key) if prefix else str(key)
         left, right = a.get(key), b.get(key)
@@ -278,8 +220,8 @@ class RefutationRunner:
         self.trace = trace
         self.tracer_capacity = tracer_capacity
 
-    def run_probe(self, probe: Probe) -> ProbeReport:
-        report = ProbeReport(
+    def run_probe(self, probe: Probe) -> CheckReport:
+        report = CheckReport(
             name=probe.name,
             title=probe.title,
             covers=probe.covers,
@@ -289,9 +231,9 @@ class RefutationRunner:
         runs = [execute_probe(probe, mode) for mode in self.modes]
         anchor = runs[0]
 
-        report.outcomes.append(
-            ProbeOutcome(
-                name="run.halted",
+        report.checks.append(
+            Check(
+                "run.halted",
                 expected="== True",
                 actual=float(anchor.halted),
                 ok=anchor.halted,
@@ -303,35 +245,35 @@ class RefutationRunner:
             )
         )
 
-        localization = ""
+        localization = None
         for expectation in probe.expectations:
             actual = anchor.metric(expectation.metric)
-            ok = expectation.check(actual)
-            detail = ""
-            if not ok:
-                if not localization:
-                    localization = self._localize(anchor)
-                detail = localization
-            report.outcomes.append(
-                ProbeOutcome(
-                    name=expectation.metric,
-                    expected=expectation.describe(),
-                    actual=actual,
-                    ok=ok,
-                    mode=anchor.mode,
-                    blame=expectation.blame or _blame_from_metric(expectation.metric),
-                    detail=detail,
-                )
+            check = Check(
+                expectation.metric,
+                expected=expectation.describe(),
+                actual=actual,
+                ok=expectation.check(actual),
+                mode=anchor.mode,
+                blame=expectation.blame or _blame_from_metric(expectation.metric),
             )
+            if not check.ok:
+                if localization is None:
+                    localization = localize_unclassified(
+                        anchor.counts, anchor.stalled, anchor.layout
+                    )
+                check.detail = localization
+            report.checks.append(check)
 
         # The modes are contractually bit-identical; checking the
         # anchor and pinning the other arms to it checks everything.
-        anchor_signature = anchor.signature()
+        # The arms are compared in the serialization the compile
+        # differential and the golden digests use.
+        anchor_result = _decoded_result(probe, anchor)
         for run in runs[1:]:
-            divergence = _first_divergence(anchor_signature, run.signature())
-            report.outcomes.append(
-                ProbeOutcome(
-                    name="crossmode.{}".format(run.mode),
+            divergence = _first_divergence(anchor_result, _decoded_result(probe, run))
+            report.checks.append(
+                Check(
+                    "crossmode.{}".format(run.mode),
                     expected="bit-identical to the {} arm".format(anchor.mode),
                     actual=float(not divergence),
                     ok=not divergence,
@@ -345,7 +287,7 @@ class RefutationRunner:
             self._check_trace(probe, report)
         return report
 
-    def _check_trace(self, probe: Probe, report: ProbeReport) -> None:
+    def _check_trace(self, probe: Probe, report: CheckReport) -> None:
         """Diff trace aggregates against the counters: traced EBOX
         instruction spans and UCODE specifier spans must equal what the
         monitor counted.  A tracer forces the interpreted path, so the
@@ -365,9 +307,9 @@ class RefutationRunner:
         query = TraceQuery(tracer)
         spans = query.where(track="EBOX", phase="E").count()
         retired = run.events.instructions
-        report.outcomes.append(
-            ProbeOutcome(
-                name="trace.instruction_spans",
+        report.checks.append(
+            Check(
+                "trace.instruction_spans",
                 expected="== {} (instructions retired)".format(retired),
                 actual=spans,
                 ok=spans == retired,
@@ -379,9 +321,9 @@ class RefutationRunner:
             track="UCODE", phase="B", name_in=("spec1", "spec26")
         ).count()
         spec_total = sum(run.events.specifier_counts.values())
-        report.outcomes.append(
-            ProbeOutcome(
-                name="trace.specifier_spans",
+        report.checks.append(
+            Check(
+                "trace.specifier_spans",
                 expected="== {} (specifiers processed)".format(spec_total),
                 actual=spec_spans,
                 ok=spec_spans == spec_total,
@@ -390,13 +332,7 @@ class RefutationRunner:
             )
         )
 
-    @staticmethod
-    def _localize(run: ProbeRun) -> str:
-        from repro.obs.invariants import localize_unclassified
-
-        return localize_unclassified(run.counts, run.stalled, run.layout)
-
-    def run(self, names: Optional[Sequence[str]] = None) -> List[ProbeReport]:
+    def run(self, names: Optional[Sequence[str]] = None) -> List[CheckReport]:
         probes = build_probes()
         if names is None:
             names = list(probes)

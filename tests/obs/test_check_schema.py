@@ -10,7 +10,12 @@ dropped field fails loudly.  Regenerate deliberately with:
 import json
 import os
 
-from repro.obs.invariants import SCHEMA_VERSION, schema_envelope
+from repro.obs.invariants import (
+    SCHEMA_VERSION,
+    Check,
+    CheckReport,
+    schema_envelope,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "check_schema.json")
 
@@ -42,7 +47,7 @@ def check_envelope():
         warmup_instructions=WARMUP,
     )
     assert report.ok
-    return schema_envelope("check", [report.payload()])
+    return schema_envelope("check", [report.to_dict()])
 
 
 def test_check_envelope_matches_the_golden_shape():
@@ -70,6 +75,25 @@ def test_validate_envelope_reuses_the_same_schema():
     check_keys = set(envelope["reports"][0]["checks"][0])
     # Same contract minus the identity-only field, plus the mode tag.
     assert check_keys - {"mode"} == golden_check_keys - {"description"}
+
+
+def test_one_key_order_fits_both_commands():
+    """One ``Check`` / ``CheckReport`` serializer emits both commands'
+    shapes: identities add ``description``, probe checks add ``mode``,
+    probe reports add the probe header."""
+    identity = Check.identity("cycles.classified", "d", lhs=1, rhs=1)
+    assert list(identity.to_dict()) == [
+        "name", "description", "expected", "actual", "ok", "blame", "detail",
+    ]
+    probe_check = Check("instructions", "== 1", 1, True, mode="compiled")
+    assert list(probe_check.to_dict()) == [
+        "name", "expected", "actual", "ok", "mode", "blame", "detail",
+    ]
+    assert list(CheckReport("w").to_dict()) == ["name", "ok", "checks", "skipped"]
+    assert list(CheckReport("p", modes=("compiled",)).to_dict()) == [
+        "name", "title", "covers", "canonical", "modes", "ok", "checks",
+        "skipped",
+    ]
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ miscount fault trips exactly the right identity with the right blame."""
 import pytest
 
 from repro.obs.invariants import (
+    Check,
     CheckReport,
-    IdentityOutcome,
     check_trace,
     run_checked_workload,
 )
@@ -15,19 +15,19 @@ INSTRUCTIONS = 3_000
 WARMUP = 500
 
 
-def test_outcome_equality_and_subsystem():
-    ok = IdentityOutcome("cycles.classified", "d", lhs=5, rhs=5)
-    bad = IdentityOutcome("cycles.classified", "d", lhs=5, rhs=6)
+def test_identity_equality_and_blame():
+    ok = Check.identity("cycles.classified", "d", lhs=5, rhs=5)
+    bad = Check.identity("cycles.classified", "d", lhs=5, rhs=6)
     assert ok.ok and not bad.ok
-    assert bad.subsystem == "monitor"
+    assert bad.blame == "monitor"
     assert bad.to_dict()["ok"] is False
 
 
 def test_report_rolls_up_failures():
     report = CheckReport(name="x")
-    report.outcomes.append(IdentityOutcome("a", "d", 1, 1))
+    report.checks.append(Check.identity("a", "d", 1, 1))
     assert report.ok
-    report.outcomes.append(IdentityOutcome("b", "d", 1, 2))
+    report.checks.append(Check.identity("b", "d", 1, 2))
     assert not report.ok
     assert [outcome.name for outcome in report.failures] == ["b"]
 
@@ -39,7 +39,7 @@ def test_identities_hold_on_honest_runs(workload):
     )
     assert report.ok, [outcome.to_dict() for outcome in report.failures]
     assert result.instructions > 0
-    names = {outcome.name for outcome in report.outcomes}
+    names = {outcome.name for outcome in report.checks}
     assert "cycles.classified" in names
     assert "memory.read_miss_split" in names
 
@@ -53,7 +53,7 @@ def test_trace_identities_hold_and_match_counters():
     )
     assert report.ok, [outcome.to_dict() for outcome in report.failures]
     assert not report.skipped
-    names = {outcome.name for outcome in report.outcomes}
+    names = {outcome.name for outcome in report.checks}
     assert {"trace.instructions", "trace.page_faults", "trace.interrupts"} <= names
 
 
@@ -73,13 +73,13 @@ def test_miscount_fault_trips_the_cycle_identity(tmp_path):
     failed = {outcome.name for outcome in report.failures}
     assert failed == {"cycles.classified"}
     (outcome,) = report.failures
-    assert outcome.subsystem == "monitor"
+    assert outcome.blame == "monitor"
     # Localization names the decode dispatch, the busiest compute-slot
     # bucket, where the phantom stalled cycles landed.
     assert "decode.dispatch" in outcome.detail
     assert "COMPUTE_A" in outcome.detail
     # The phantom count is deterministic in the plan seed.
-    assert outcome.rhs - outcome.lhs == 1007
+    assert outcome.actual - outcome.expected == 1007
 
 
 def test_fault_is_readout_only_not_live_banks(tmp_path):
@@ -135,7 +135,7 @@ def test_checked_workload_skips_loudly_on_an_overflowed_ring():
     # the counter identities still ran and still hold
     assert report.ok
     assert any(
-        outcome.name == "cycles.classified" for outcome in report.outcomes
+        outcome.name == "cycles.classified" for outcome in report.checks
     )
 
 
@@ -150,7 +150,7 @@ def test_checked_workload_without_tracer_has_no_trace_checks():
     )
     assert report.skipped == {}
     assert not any(
-        outcome.name.startswith("trace.") for outcome in report.outcomes
+        outcome.name.startswith("trace.") for outcome in report.checks
     )
 
 
@@ -193,7 +193,7 @@ class TestCLI:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL cycles.classified" in out
-        assert "subsystem: monitor" in out
+        assert "blame: monitor" in out
         assert "decode.dispatch" in out
 
     def test_check_json_emits_the_stable_envelope(self, capsys):

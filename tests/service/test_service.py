@@ -9,6 +9,7 @@ import json
 import socket
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.executor import EngineError, MachineConfig, RunSpec, execute_spec
 from repro.service import api
@@ -33,6 +34,24 @@ def client(service):
 @pytest.fixture(scope="module")
 def golden():
     return execute_spec(RunSpec(**SPEC))
+
+
+BAD_REQUEST = b"HTTP/1.1 400 Bad Request"
+
+
+def post_sweeps(port, body: bytes, content_length=None) -> bytes:
+    """POST raw ``body`` to ``/sweeps`` and return the status line."""
+    if content_length is None:
+        content_length = str(len(body))
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(
+            b"POST /sweeps HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: " + content_length.encode("latin-1")
+            + b"\r\n\r\n" + body
+        )
+        sock.shutdown(socket.SHUT_WR)
+        response = b"".join(iter(lambda: sock.recv(65536), b""))
+    return response.split(b"\r\n", 1)[0]
 
 
 class TestWireFormat:
@@ -185,18 +204,17 @@ class TestRoutes:
     ):
         if isinstance(body, dict):
             body = json.dumps({"specs": [dict(SPEC, **body)]}).encode("utf-8")
-        if content_length is None:
-            content_length = str(len(body))
         jobs_before = len(client.jobs())
-        with socket.create_connection(("127.0.0.1", service.port), timeout=30) as sock:
-            sock.sendall(
-                b"POST /sweeps HTTP/1.1\r\nHost: localhost\r\n"
-                b"Content-Length: " + content_length.encode("latin-1")
-                + b"\r\n\r\n" + body
-            )
-            sock.shutdown(socket.SHUT_WR)
-            response = b"".join(iter(lambda: sock.recv(65536), b""))
-        assert response.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert post_sweeps(service.port, body, content_length) == BAD_REQUEST
+        assert len(client.jobs()) == jobs_before
+
+    def test_deeply_nested_body_is_a_400_not_a_500(self, service, client):
+        # Past the JSON decoder's recursion limit the body is undecodable
+        # like any malformed one, not a server fault.
+        depth = 100_000
+        body = b'{"specs": ' + b"[" * depth + b"]" * depth + b"}"
+        jobs_before = len(client.jobs())
+        assert post_sweeps(service.port, body) == BAD_REQUEST
         assert len(client.jobs()) == jobs_before
 
     def test_get_on_sweeps_405(self, client):
@@ -264,3 +282,92 @@ class TestErrorEnvelope:
             assert second["state"] == "done"
         finally:
             svc.shutdown()
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+COUNTS = st.integers(min_value=0, max_value=1 << 40)
+#: A well-typed value for every field the wire format carries.
+WELL_TYPED = {
+    "workload": st.text(max_size=12),
+    "instructions": COUNTS,
+    "warmup_instructions": COUNTS,
+    "process_count": st.none() | COUNTS,
+    "seed_offset": st.integers(),
+    "label": st.none() | st.text(max_size=12),
+    "config": st.none() | st.fixed_dictionaries(
+        {},
+        optional={
+            name: st.none()
+            | (st.booleans() if name == "decode_overlap" else st.integers())
+            for name in MachineConfig.__dataclass_fields__
+        },
+    ),
+}
+#: Specs the service accepts, and spec-shaped dicts with any field
+#: missing, mistyped or unknown.
+SPEC_PAYLOADS = st.fixed_dictionaries(
+    {"workload": WELL_TYPED["workload"]},
+    optional={name: WELL_TYPED[name] for name in WELL_TYPED if name != "workload"},
+) | st.fixed_dictionaries(
+    {},
+    optional=dict(
+        {name: strategy | JSON_VALUES for name, strategy in WELL_TYPED.items()},
+        bogus=JSON_VALUES,
+    ),
+)
+
+
+def _is_object(body: bytes) -> bool:
+    try:
+        return isinstance(json.loads(body.decode("utf-8")), dict)
+    except (UnicodeDecodeError, ValueError, RecursionError):
+        return False
+
+
+class TestInputFuzz:
+    """The service's input boundary under arbitrary input.  Only bodies
+    the service must refuse are fuzzed: an accepted spec would run."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(payload=JSON_VALUES | SPEC_PAYLOADS)
+    def test_spec_payload_decodes_or_is_refused(self, payload):
+        from repro.obs.provenance import config_hash
+
+        try:
+            spec = api.spec_from_payload(payload)
+        except api.ApiError:
+            return
+        wire = json.loads(json.dumps(api.spec_to_payload(spec)))
+        clone = api.spec_from_payload(wire)
+        assert clone == spec
+        assert config_hash(clone) == config_hash(spec)
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        svc = ExperimentService(concurrency=1).start_in_thread()
+        yield svc, ServiceClient("http://127.0.0.1:{}".format(svc.port))
+        svc.shutdown()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        body=st.binary(max_size=256).filter(lambda body: not _is_object(body))
+        | JSON_VALUES.filter(lambda value: not isinstance(value, dict)).map(
+            lambda value: json.dumps(value).encode("utf-8")
+        )
+    )
+    def test_non_object_bodies_are_a_400_and_create_no_job(self, fresh, body):
+        service, client = fresh
+        assert post_sweeps(service.port, body) == BAD_REQUEST
+        assert client.jobs() == []

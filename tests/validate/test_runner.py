@@ -61,9 +61,29 @@ class TestRunnerPlumbing:
 
     def test_crossmode_checks_pin_every_other_arm(self):
         report = RefutationRunner(trace=False).run_probe(PROBES["reg_mov_chain"])
-        names = {outcome.name for outcome in report.outcomes}
+        names = {outcome.name for outcome in report.checks}
         assert "crossmode.compiled" in names
         assert report.ok
+
+    def test_crossmode_names_the_first_divergent_leaf(self, monkeypatch):
+        """The arms are compared as serialized results, so a counter the
+        probe's expectations never mention still pins the arms."""
+        import repro.validate.runner as runner_module
+
+        honest = runner_module.execute_probe
+
+        def drifted(probe, mode, tracer=None):
+            run = honest(probe, mode, tracer=tracer)
+            if mode == "compiled":
+                run.events.page_faults += 1
+            return run
+
+        monkeypatch.setattr(runner_module, "execute_probe", drifted)
+        report = RefutationRunner(trace=False).run_probe(PROBES["reg_mov_chain"])
+        (failure,) = report.failures
+        assert failure.name == "crossmode.compiled"
+        assert failure.blame == "compile"
+        assert failure.detail.startswith("events.page_faults: ")
 
     def test_tiny_trace_ring_skips_loudly(self):
         runner = RefutationRunner(
@@ -154,7 +174,7 @@ class TestCLI:
         code = main(["validate", "--probe", "reg_mov_chain"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "model holds" in out
+        assert "all hold" in out
 
     def test_validate_exits_1_and_blames_under_skew(self, tmp_path, capsys):
         from repro.cli import main
@@ -166,7 +186,7 @@ class TestCLI:
             ])
         assert code == 1
         out = capsys.readouterr().out
-        assert "REFUTED" in out
+        assert "FAILED" in out
         assert "blame: spec1.register" in out
 
     def test_validate_json_envelope_under_skew(self, tmp_path, capsys):
