@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 from repro.core.monitor import bucket_fold
+from repro.cpu.ibuffer import IB_CAPACITY
 from repro.cpu.operands import (
     IllegalInstruction,
     IllegalSpecifier,
@@ -861,7 +862,6 @@ def execute_record(record, ebox) -> bool:
     board = ebox._board
     collecting = board is not None and board._collecting
     counts = board._counts if collecting else None
-    ib_run = ib.run
     operands = []
     append = operands.append
 
@@ -873,10 +873,18 @@ def execute_record(record, ebox) -> bool:
                     counts[bucket] += count
             cycles = op[1]
             ebox.cycle_count += cycles
-            ib_run(cycles)
+            # EBox._tick_slot's clock: the IB runs only when it is due.
+            end = ib._now + cycles
+            if end < ib._wake:
+                ib._now = end
+            else:
+                ib.run(cycles)
         elif kind == OP_CONSUME:
             count = op[1]
-            if len(buf) >= count:
+            n = len(buf)
+            if n >= count:
+                if n >= IB_CAPACITY and count and not ib.tb_miss_pending:
+                    ib._wake = ib._now + 2  # try_consume's rule: a full IB resumes
                 del buf[:count]
                 ib._decode_va += count
             else:
@@ -894,7 +902,7 @@ def execute_record(record, ebox) -> bool:
                         counts[bucket] += count
                 cycles = op[1]
                 ebox.cycle_count += cycles
-                ib_run(cycles)
+                ib.run(cycles)
         else:  # OP_BRANCH
             ebox.branch_displacement = op[2]
             events.branch_displacements += 1

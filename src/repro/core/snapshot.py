@@ -32,9 +32,13 @@ Implementation notes:
   so the raw pickle is well under a megabyte, and :func:`capture`
   compresses it at zlib level 1.  Version 1 compressed the whole 8 MB
   array inside the pickle and then the pickle again at level 6, which
-  made a capture three times slower for a payload 0.3–2.5% smaller.  A
-  version 1 blob is refused with :class:`SnapshotFormatError`; a cache
-  holding one quarantines it and recomputes the boundary.
+  made a capture three times slower for a payload 0.3–2.5% smaller.
+  Version 3 pickles the instruction buffer's event horizon (``_wake``)
+  in place of version 2's relative fill and port counters, and names
+  the device board's ``next_fire`` and the interrupt controller's
+  ``requests``.  An older blob is refused with
+  :class:`SnapshotFormatError`; a cache holding one quarantines it and
+  recomputes the boundary.
 * Snapshots are pickles: restoring one executes the usual pickle
   machinery, so only load snapshots you (or your own cache) wrote —
   the same trust model as the run cache itself.
@@ -51,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 #: Bump when the snapshot payload or header layout changes shape.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: Identifies a snapshot file/blob; the trailing byte is the format
 #: generation so even pre-header parsers fail loudly on a new one.

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.isa.datatypes import DataType
-from repro.isa.opcodes import OPCODES, Opcode, OpcodeGroup
+from repro.isa.opcodes import OPCODES, Opcode
 from repro.isa.psl import AccessMode, ProcessorStatus
 from repro.isa.registers import RegisterFile
 from repro.isa.specifiers import AccessType, OperandSpec
@@ -44,7 +44,6 @@ from repro.memory.tb import TBMiss
 from repro.cpu.events import EventCounters
 from repro.cpu.ibuffer import InstructionBuffer
 from repro.cpu.operands import (
-    OPERAND_SIZE,
     IllegalInstruction,
     OperandRef,
     decode_branch_displacement,
@@ -79,17 +78,6 @@ _IB_WAIT = MicroSlot.IB_WAIT.value
 
 class HaltExecution(Exception):
     """Raised when the processor halts (HALT opcode or fatal fault)."""
-
-
-_TABLE5_GROUP_ROW = {
-    OpcodeGroup.SIMPLE: "simple",
-    OpcodeGroup.FIELD: "field",
-    OpcodeGroup.FLOAT: "float",
-    OpcodeGroup.CALLRET: "callret",
-    OpcodeGroup.SYSTEM: "system",
-    OpcodeGroup.CHARACTER: "character",
-    OpcodeGroup.DECIMAL: "decimal",
-}
 
 
 class EBox:
@@ -309,7 +297,12 @@ class EBox:
             else:
                 board._counts[bucket] += count
         self.cycle_count += count
-        self.ib.run(count)
+        ib = self.ib
+        end = ib._now + count
+        if end < ib._wake:
+            ib._now = end  # nothing is due: the IB's run() in one comparison
+        else:
+            ib.run(count)
 
     def _charge_compute(self, routine, cycles: int) -> None:
         """Spend compute cycles: first at COMPUTE_A, the rest at COMPUTE_B."""
@@ -462,9 +455,10 @@ class EBox:
 
     def _take_bytes(self, count: int, wait_routine) -> bytes:
         """Consume I-stream bytes, spending IB-stall cycles as needed."""
+        ib = self.ib
         waited = 0
         while True:
-            data = self.ib.try_consume(count)
+            data = ib.try_consume(count)
             if data is not None:
                 if waited and self._tracer is not None:
                     self._tracer.instant(
@@ -474,14 +468,19 @@ class EBox:
                         {"cycles": waited, "routine": wait_routine.name},
                     )
                 return data
-            if self.ib.tb_miss_pending:
+            if ib.tb_miss_pending:
                 self._service_istream_tb_miss()
                 continue
-            self._tick_slot(wait_routine, _IB_WAIT)
-            waited += 1
+            # No byte can arrive before the IB's next event: stall until
+            # it in one charge (never past the watchdog).
+            stall = ib._wake - ib._now
+            if waited + stall > _STALL_WATCHDOG_CYCLES:
+                stall = _STALL_WATCHDOG_CYCLES + 1 - waited
+            self._tick_slot(wait_routine, _IB_WAIT, count=stall)
+            waited += stall
             if waited > _STALL_WATCHDOG_CYCLES:
                 raise HaltExecution(
-                    "IB stall watchdog at va {:#010x}".format(self.ib.decode_va)
+                    "IB stall watchdog at va {:#010x}".format(ib.decode_va)
                 )
 
     def _service_istream_tb_miss(self) -> None:
@@ -553,28 +552,24 @@ class EBox:
 
     def exec_read(self, va: int, size: int) -> int:
         """An execute-phase memory read (stack pops, string loops ...)."""
-        source = _TABLE5_GROUP_ROW[self.current_opcode.group]
-        return self.data_read(va, size, self._exec_routine, source)
+        return self.data_read(va, size, self._exec_routine, self.current_opcode.group_name)
 
     def exec_write(self, va: int, size: int, value: int) -> None:
         """An execute-phase memory write (stack pushes, string stores ...)."""
-        source = _TABLE5_GROUP_ROW[self.current_opcode.group]
-        self.data_write(va, size, value, self._exec_routine, source)
+        self.data_write(va, size, value, self._exec_routine, self.current_opcode.group_name)
 
     def exec_read_physical(self, pa: int, size: int) -> int:
         """A physically-addressed execute-phase read (PCB traffic)."""
         outcome = self.memory.read_physical(pa, size, now=self.cycle_count)
         self._reference(self._exec_routine, _READ, outcome.stall_cycles, "pa", pa)
-        source = _TABLE5_GROUP_ROW[self.current_opcode.group]
-        self.events.reads_by_source[source] += 1
+        self.events.reads_by_source[self.current_opcode.group_name] += 1
         return outcome.value
 
     def exec_write_physical(self, pa: int, size: int, value: int) -> None:
         """A physically-addressed execute-phase write (PCB traffic)."""
         outcome = self.memory.write_physical(pa, size, value, now=self.cycle_count)
         self._reference(self._exec_routine, _WRITE, outcome.stall_cycles, "pa", pa)
-        source = _TABLE5_GROUP_ROW[self.current_opcode.group]
-        self.events.writes_by_source[source] += 1
+        self.events.writes_by_source[self.current_opcode.group_name] += 1
 
     def push(self, value: int) -> None:
         """Push one longword onto the current stack."""
@@ -601,7 +596,7 @@ class EBox:
                 self.regs.write(operand.register, value & 0xFFFFFFFF)
                 self.regs.write((operand.register + 1) & 0xF, (value >> 32) & 0xFFFFFFFF)
             else:
-                size = OPERAND_SIZE[dtype]
+                size = operand.size
                 if size < 4:
                     # Sub-longword register writes merge into the low bits.
                     old = self.regs.read(operand.register)
@@ -611,7 +606,7 @@ class EBox:
             return
         if operand.address is None:
             raise IllegalInstruction("store to a valueless operand")
-        size = OPERAND_SIZE[dtype]
+        size = operand.size
         table5_row = "spec1" if operand.position_class == "spec1" else "spec2_6"
         self.data_write(operand.address, size, value, operand.routine, table5_row)
 
@@ -676,8 +671,9 @@ class EBox:
         if self.halted:
             return False
 
-        if self.machine is not None:
-            pending = self.machine.pending_interrupt(self.psl.ipl)
+        machine = self.machine
+        if machine is not None and machine.interrupts.requests:
+            pending = machine.pending_interrupt(self.psl.ipl)
             if pending is not None:
                 self._deliver_interrupt(*pending)
                 return True

@@ -14,14 +14,27 @@ cites for its 2.2-references-per-instruction figure.
 An I-stream TB miss does not trap; it sets a flag the EBOX discovers only
 when it runs out of bytes (Section 2.1), and fetching pauses until the
 EBOX refills the TB.
+
+The buffer is background hardware that needs attention only at events:
+a fetch issuing, or an outstanding fill delivering.  ``_wake`` holds the
+absolute cycle of the next one (:data:`NEVER` while the buffer is full
+or a TB miss is pending), so a clock advance that ends before it costs
+one comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.memory.pagetable import PAGE_SHIFT, PAGE_SIZE
+
 IB_CAPACITY = 8
+
+#: ``_wake`` while nothing happens until the EBOX acts: the buffer is
+#: full (a consume resumes it) or an I-stream TB miss is pending (the
+#: miss service resumes it).
+NEVER = 1 << 62
 
 
 @dataclass
@@ -41,9 +54,18 @@ class IBStats:
 class InstructionBuffer:
     """8-byte prefetch buffer running in EBOX cycle time.
 
-    The EBOX calls :meth:`run` once per EBOX cycle (the buffer fetches in
-    the background), :meth:`try_consume` to take decoded bytes, and
-    :meth:`redirect` on taken branches.
+    The EBOX advances it with :meth:`run` as it spends cycles (the
+    buffer fetches in the background), takes decoded bytes with
+    :meth:`try_consume`, and calls :meth:`redirect` on taken branches.
+
+    The IB shares the cache port with EBOX data references and wins it
+    at most every other cycle, which also keeps it from racing far past
+    branch points: a fetch at cycle t makes the next one wait for t+2.
+    A fetch that fills the buffer, misses the cache or misses the TB
+    leaves that one-cycle port cooldown pending, and it stays pending
+    until the buffer resumes — so every resume (a consume from a full
+    buffer, a cleared TB miss, a redirect out of a pause or fill, and a
+    fill delivering) schedules the next fetch two cycles on.
     """
 
     def __init__(self, memory):
@@ -55,21 +77,23 @@ class InstructionBuffer:
         self._bytes = bytearray()
         self._fetch_va = 0
         self._decode_va = 0
-        self._fill_wait = 0  # cycles until an outstanding miss delivers
+        #: the longword an outstanding cache miss delivers at ``_wake``
         self._pending_value: Optional[int] = None
         self._pending_va = 0
         self.tb_miss_pending = False
         self._now = 0  # tracks the EBOX cycle clock (advanced by run())
-        self._port_cooldown = 0  # cache-port sharing with the EBOX
+        self._wake = 1  # the first cycle fetches
 
     # -- control -----------------------------------------------------------
 
     def redirect(self, va: int) -> None:
         """Flush and start fetching at ``va`` (taken branch / REI / boot)."""
+        if self._pending_value is not None or self._wake == NEVER:
+            # Out of a fill or a pause: the port cooldown is still due.
+            self._wake = self._now + 2
         self._bytes.clear()
         self._fetch_va = va
         self._decode_va = va
-        self._fill_wait = 0
         self._pending_value = None
         self.tb_miss_pending = False
         self.stats.redirects += 1
@@ -78,7 +102,9 @@ class InstructionBuffer:
 
     def clear_tb_miss(self) -> None:
         """The EBOX refilled the TB; resume fetching."""
-        self.tb_miss_pending = False
+        if self.tb_miss_pending:
+            self.tb_miss_pending = False
+            self._wake = self._now + 2 if len(self._bytes) < IB_CAPACITY else NEVER
 
     @property
     def decode_va(self) -> int:
@@ -95,93 +121,130 @@ class InstructionBuffer:
     def run(self, cycles: int = 1) -> None:
         """Advance the prefetcher by ``cycles`` EBOX cycles.
 
-        Cycle-exact but batched: runs of cycles in which the prefetcher
-        provably does nothing (waiting out a fill, TB-miss paused, or
-        buffer full — the overwhelmingly common states) are skipped in
-        one arithmetic step instead of being iterated one by one.  Only
-        cycles that can issue a cache reference take the per-cycle path,
-        so ``_now`` is identical to the unbatched clock at every fetch.
+        Cycle-exact but event-driven: only the cycles at ``_wake`` do
+        anything, each as the per-cycle clock would have done it then.
         """
-        while cycles > 0:
-            if self._fill_wait > 0:
-                # Wait out the outstanding miss (or as much as fits).
-                step = self._fill_wait if self._fill_wait <= cycles else cycles
-                self._now += step
-                self._fill_wait -= step
-                cycles -= step
-                if self._fill_wait == 0 and self._pending_value is not None:
-                    self._accept(self._pending_va, self._pending_value)
-                    self._pending_value = None
-                continue
-            if self.tb_miss_pending or len(self._bytes) >= IB_CAPACITY:
-                # Paused until the EBOX refills the TB / consumes bytes:
-                # nothing can happen for the rest of this batch.
-                self._now += cycles
-                return
-            self._now += 1
-            cycles -= 1
-            if self._port_cooldown > 0:
-                # The IB shares the cache port with EBOX data references;
-                # it wins at most every other cycle, which also keeps it
-                # from racing arbitrarily far past branch points.
-                self._port_cooldown -= 1
-                continue
-            self._port_cooldown = 1
-            value, cache_hit, tb_miss, fill_cycles = self.memory.istream_fetch(
-                self._fetch_va, now=self._now
-            )
-            if tb_miss:
-                self.tb_miss_pending = True
-                self.stats.tb_miss_flags += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "IFETCH", self._now, "ifetch tb miss", {"va": self._fetch_va}
-                    )
-                continue
-            self.stats.references += 1
-            if cache_hit:
-                self._accept(self._fetch_va, value)
-            else:
-                # Data arrives later — after the SBI transaction (plus
-                # any queueing behind concurrent traffic) completes; the
-                # IB then accepts as many bytes as it has room for.
-                self._pending_va = self._fetch_va
-                self._pending_value = value
-                self._fill_wait = fill_cycles
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "IFETCH",
-                        self._now,
-                        "ifetch miss",
-                        {"va": self._fetch_va, "fill_cycles": fill_cycles},
-                    )
-
-    def _accept(self, va: int, longword: int) -> None:
-        """Accept bytes from the longword containing ``va`` into the IB."""
-        offset = va & 3
-        available = 4 - offset
-        room = IB_CAPACITY - len(self._bytes)
-        take = min(available, room)
-        if take <= 0:
+        end = self._now + cycles
+        wake = self._wake
+        if end < wake:
+            self._now = end
             return
-        data = longword.to_bytes(4, "little")[offset : offset + take]
-        self._bytes.extend(data)
-        self._fetch_va += take
-        self.stats.bytes_delivered += take
+        buf = self._bytes
+        stats = self.stats
+        while wake <= end:
+            now = wake
+            value = self._pending_value
+            if value is not None:
+                # The outstanding fill delivers.
+                va = self._pending_va
+                self._pending_value = None
+            else:
+                # One I-stream reference for the longword holding
+                # fetch_va: the TB tag check and the cache way probe run
+                # on the dense tables, moving every counter exactly as
+                # translate() and Cache.read() would.  The TB and cache
+                # are read here, not bound once: a machine's
+                # configuration may replace them after it is built.
+                va = self._fetch_va
+                aligned = va & ~3
+                memory = self.memory
+                if memory.trace_hook is not None:
+                    memory.trace_hook("iread", aligned)
+                tb = memory.tb
+                vpn = (aligned & 0x3FFFFFFF) >> PAGE_SHIFT
+                top = (aligned >> 30) & 3
+                if top >= 2:
+                    index = (vpn & tb._index_mask) + tb.half_entries
+                    tag = (vpn >> tb._index_bits) << 2 | 2
+                else:
+                    index = vpn & tb._index_mask
+                    tag = (vpn >> tb._index_bits) << 2 | top
+                tstats = tb.stats
+                if tb._tags[index] != tag:
+                    # No trap: the EBOX finds the flag when it runs out
+                    # of bytes, and fetching pauses until it services it.
+                    tstats.misses += 1
+                    tstats.i_misses += 1
+                    self.tb_miss_pending = True
+                    stats.tb_miss_flags += 1
+                    wake = NEVER
+                    if self.tracer is not None:
+                        self.tracer.instant("IFETCH", now, "ifetch tb miss", {"va": va})
+                    break
+                tstats.hits += 1
+                stats.references += 1
+                pa = (tb._pfns[index] << PAGE_SHIFT) | (aligned & (PAGE_SIZE - 1))
+                physical = memory.physical
+                mem32 = physical._mem32
+                if mem32 is not None and pa + 4 <= physical.size:
+                    value = mem32[pa >> 2]
+                else:
+                    value = physical.read(pa, 4)
+                cache = memory.cache
+                clock = cache._clock + 1
+                cache._clock = clock
+                sets = cache.sets
+                block = pa // cache.block_size
+                ways = cache.ways
+                base = (block % sets) * ways
+                ctag = block // sets
+                ctags = cache._tags
+                lru = cache._lru
+                cstats = cache.stats
+                for i in range(base, base + ways):
+                    if ctags[i] == ctag:
+                        lru[i] = clock
+                        cstats.read_hits += 1
+                        cstats.i_read_hits += 1
+                        break
+                else:
+                    cstats.read_misses += 1
+                    cstats.i_read_misses += 1
+                    victim = base
+                    least = lru[base]
+                    for i in range(base + 1, base + ways):
+                        if lru[i] < least:
+                            least = lru[i]
+                            victim = i
+                    ctags[victim] = ctag
+                    lru[victim] = clock
+                    # The data arrives after the SBI transaction (plus
+                    # any queueing behind concurrent traffic) completes.
+                    fill = memory.sbi.read_block(now)
+                    self._pending_va = va
+                    self._pending_value = value
+                    wake = now + fill
+                    if self.tracer is not None:
+                        self.tracer.instant(
+                            "IFETCH", now, "ifetch miss", {"va": va, "fill_cycles": fill}
+                        )
+                    continue
+            # Accept as many bytes of the longword from va on as fit.
+            # The buffer is never full here: it fetched, so it had room.
+            offset = va & 3
+            take = 4 - offset
+            room = IB_CAPACITY - len(buf)
+            if take >= room:
+                take = room
+                wake = NEVER
+            else:
+                wake = now + 2
+            buf += value.to_bytes(4, "little")[offset : offset + take]
+            self._fetch_va = va + take
+            stats.bytes_delivered += take
+        self._wake = wake
+        self._now = end
 
     # -- the EBOX side ---------------------------------------------------------
 
     def try_consume(self, count: int) -> Optional[bytes]:
         """Take ``count`` bytes if available; None means IB stall."""
-        if len(self._bytes) < count:
+        buf = self._bytes
+        if len(buf) < count:
             return None
-        taken = bytes(self._bytes[:count])
-        del self._bytes[:count]
+        if len(buf) >= IB_CAPACITY and count and not self.tb_miss_pending:
+            self._wake = self._now + 2  # a full buffer resumes
+        taken = bytes(buf[:count])
+        del buf[:count]
         self._decode_va += count
         return taken
-
-    def peek(self, count: int) -> Optional[bytes]:
-        """Look at the next ``count`` bytes without consuming them."""
-        if len(self._bytes) < count:
-            return None
-        return bytes(self._bytes[:count])

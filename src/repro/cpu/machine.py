@@ -36,25 +36,26 @@ class InterruptController:
     """Pending-interrupt bookkeeping (the machine's request lines)."""
 
     def __init__(self):
-        self._pending: List[InterruptRequest] = []
+        #: posted, unacknowledged requests, oldest first.  The EBOX tests
+        #: it for emptiness before every instruction and asks for the
+        #: highest deliverable one only when it is not.
+        self.requests: List[InterruptRequest] = []
 
     def post(self, request: InterruptRequest) -> None:
-        self._pending.append(request)
+        self.requests.append(request)
 
     def highest_above(self, current_ipl: int) -> Optional[InterruptRequest]:
-        if not self._pending:  # checked once per instruction; usually empty
-            return None
-        deliverable = [r for r in self._pending if r.ipl > current_ipl]
+        deliverable = [r for r in self.requests if r.ipl > current_ipl]
         if not deliverable:
             return None
         return max(deliverable, key=lambda r: r.ipl)
 
     def acknowledge(self, request: InterruptRequest) -> None:
-        self._pending.remove(request)
+        self.requests.remove(request)
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        return len(self.requests)
 
 
 class FrameAllocator:

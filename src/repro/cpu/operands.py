@@ -165,7 +165,8 @@ class OperandRef:
     ``value`` is populated for READ and MODIFY access (raw unsigned form
     of the operand's data type); ``address`` for memory operands;
     ``register`` for register-mode operands.  ``routine`` is the
-    specifier microroutine whose WRITE slot a result store charges.
+    specifier microroutine whose WRITE slot a result store charges, and
+    ``size`` the operand's bytes (``OPERAND_SIZE``).
     """
 
     spec: OperandSpec
@@ -175,6 +176,7 @@ class OperandRef:
     value: Optional[int]
     routine: Routine
     position_class: str  # 'spec1' | 'spec26'
+    size: int
 
     @property
     def is_register(self) -> bool:
@@ -397,6 +399,7 @@ def resolve_operand(ebox, plan: SpecPlan) -> OperandRef:
         value,
         plan.routine,
         plan.position_class,
+        plan.size,
     )
 
 

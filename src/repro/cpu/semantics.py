@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.isa.datatypes import (
-    DataType,
     add_with_flags,
     div_with_flags,
     f_floating_decode,
@@ -60,19 +59,6 @@ def dispatch(ebox, opcode: Opcode, operands: List[OperandRef]) -> None:
     fn(ebox, opcode, operands)
 
 
-_BITS = {
-    DataType.BYTE: 8,
-    DataType.WORD: 16,
-    DataType.LONG: 32,
-    DataType.QUAD: 64,
-    DataType.F_FLOAT: 32,
-}
-
-
-def _bits(dtype: DataType) -> int:
-    return _BITS[dtype]
-
-
 def _base_cycles(ebox) -> int:
     cycles = exec_profile(ebox.current_opcode).base_cycles
     if ebox.current_opcode.group is OpcodeGroup.FLOAT and ebox.float_slowdown > 1:
@@ -95,14 +81,14 @@ def _per_item(ebox) -> int:
 def _move(ebox, opcode, ops):
     value = ops[0].value
     ebox.exec_compute(_base_cycles(ebox))
-    ebox.psl.cc.set_nz(value, _bits(ops[0].dtype))
+    ebox.psl.cc.set_nz(value, ops[0].spec.dtype.bits)
     ebox.store(ops[1], value)
 
 
 @handler("MOVZBW", "MOVZBL", "MOVZWL")
 def _move_zero_extended(ebox, opcode, ops):
     ebox.exec_compute(_base_cycles(ebox))
-    ebox.psl.cc.set_nz(ops[0].value, _bits(ops[1].dtype))
+    ebox.psl.cc.set_nz(ops[0].value, ops[1].spec.dtype.bits)
     ebox.store(ops[1], ops[0].value)
 
 
@@ -138,7 +124,7 @@ def _clear(ebox, opcode, ops):
 
 @handler("MCOMB", "MCOMW", "MCOML")
 def _complement(ebox, opcode, ops):
-    bits = _bits(ops[0].dtype)
+    bits = ops[0].spec.dtype.bits
     value = (~ops[0].value) & ((1 << bits) - 1)
     ebox.exec_compute(max(1, _base_cycles(ebox)))
     ebox.psl.cc.set_nz(value, bits)
@@ -147,7 +133,7 @@ def _complement(ebox, opcode, ops):
 
 @handler("MNEGB", "MNEGW", "MNEGL")
 def _negate(ebox, opcode, ops):
-    bits = _bits(ops[0].dtype)
+    bits = ops[0].spec.dtype.bits
     result, cc = sub_with_flags(0, ops[0].value, bits)
     ebox.exec_compute(max(1, _base_cycles(ebox)))
     ebox.psl.cc = cc
@@ -156,8 +142,8 @@ def _negate(ebox, opcode, ops):
 
 @handler("CVTBW", "CVTBL", "CVTWL", "CVTWB", "CVTLB", "CVTLW")
 def _convert_integer(ebox, opcode, ops):
-    src_bits = _bits(ops[0].dtype)
-    dst_bits = _bits(ops[1].dtype)
+    src_bits = ops[0].spec.dtype.bits
+    dst_bits = ops[1].spec.dtype.bits
     ebox.exec_compute(_base_cycles(ebox))
     extended = sign_extend(ops[0].value, src_bits)
     signed = to_signed(extended, 32)
@@ -182,7 +168,7 @@ def _nop(ebox, opcode, ops):
 
 def _alu_binary(ebox, opcode, ops, operation):
     """Shared body for two- and three-operand ALU forms."""
-    bits = _bits(ops[0].dtype)
+    bits = ops[0].spec.dtype.bits
     a = ops[0].value
     b = ops[1].value  # destination's old value for 2-op (modify access)
     result, cc = operation(a, b, bits)
@@ -223,7 +209,7 @@ def _sbwc(ebox, opcode, ops):
 
 @handler("INCB", "INCW", "INCL")
 def _increment(ebox, opcode, ops):
-    bits = _bits(ops[0].dtype)
+    bits = ops[0].spec.dtype.bits
     result, cc = add_with_flags(ops[0].value, 1, bits)
     ebox.exec_compute(max(1, _base_cycles(ebox)))
     ebox.psl.cc = cc
@@ -232,7 +218,7 @@ def _increment(ebox, opcode, ops):
 
 @handler("DECB", "DECW", "DECL")
 def _decrement(ebox, opcode, ops):
-    bits = _bits(ops[0].dtype)
+    bits = ops[0].spec.dtype.bits
     result, cc = sub_with_flags(ops[0].value, 1, bits)
     ebox.exec_compute(max(1, _base_cycles(ebox)))
     ebox.psl.cc = cc
@@ -241,7 +227,7 @@ def _decrement(ebox, opcode, ops):
 
 @handler("CMPB", "CMPW", "CMPL")
 def _compare(ebox, opcode, ops):
-    bits = _bits(ops[0].dtype)
+    bits = ops[0].spec.dtype.bits
     _, cc = sub_with_flags(ops[0].value, ops[1].value, bits)
     ebox.exec_compute(max(1, _base_cycles(ebox)))
     cc.v = False
@@ -251,18 +237,18 @@ def _compare(ebox, opcode, ops):
 @handler("TSTB", "TSTW", "TSTL")
 def _test(ebox, opcode, ops):
     ebox.exec_compute(max(1, _base_cycles(ebox)))
-    ebox.psl.cc.set_nz(ops[0].value, _bits(ops[0].dtype))
+    ebox.psl.cc.set_nz(ops[0].value, ops[0].spec.dtype.bits)
     ebox.psl.cc.c = False
 
 
 @handler("BITB", "BITW", "BITL")
 def _bit_test(ebox, opcode, ops):
     ebox.exec_compute(max(1, _base_cycles(ebox)))
-    ebox.psl.cc.set_nz(ops[0].value & ops[1].value, _bits(ops[0].dtype))
+    ebox.psl.cc.set_nz(ops[0].value & ops[1].value, ops[0].spec.dtype.bits)
 
 
 def _logical(ebox, ops, combine):
-    bits = _bits(ops[0].dtype)
+    bits = ops[0].spec.dtype.bits
     result = combine(ops[0].value, ops[1].value) & ((1 << bits) - 1)
     ebox.exec_compute(max(1, _base_cycles(ebox)))
     ebox.psl.cc.set_nz(result, bits)
@@ -405,7 +391,7 @@ def _subtract_one_branch(ebox, opcode, ops):
 
 @handler("ACBB", "ACBW", "ACBL")
 def _add_compare_branch(ebox, opcode, ops):
-    bits = _bits(ops[0].dtype)
+    bits = ops[0].spec.dtype.bits
     limit = to_signed(sign_extend(ops[0].value, bits), 32)
     addend = to_signed(sign_extend(ops[1].value, bits), 32)
     index, cc = add_with_flags(ops[2].value, ops[1].value, bits)
@@ -460,7 +446,7 @@ def _jump(ebox, opcode, ops):
 
 @handler("CASEB", "CASEW", "CASEL")
 def _case(ebox, opcode, ops):
-    bits = _bits(ops[0].dtype)
+    bits = ops[0].spec.dtype.bits
     selector = to_signed(sign_extend(ops[0].value, bits), 32)
     base = to_signed(sign_extend(ops[1].value, bits), 32)
     limit = to_signed(sign_extend(ops[2].value, bits), 32)
@@ -675,7 +661,7 @@ def _float_test(ebox, opcode, ops):
 
 @handler("CVTBF", "CVTWF", "CVTLF")
 def _int_to_float(ebox, opcode, ops):
-    bits = _bits(ops[0].dtype)
+    bits = ops[0].spec.dtype.bits
     value = float(to_signed(sign_extend(ops[0].value, bits), 32))
     ebox.exec_compute(_base_cycles(ebox))
     _float_cc(ebox, value)
@@ -690,7 +676,7 @@ def _float_to_int(ebox, opcode, ops):
         converted = int(round(value))
     else:
         converted = int(value)  # truncate toward zero
-    bits = _bits(ops[1].dtype)
+    bits = ops[1].spec.dtype.bits
     result = truncate(converted, bits)
     ebox.psl.cc.set_nz(result, bits)
     limit = 1 << (bits - 1)

@@ -19,8 +19,28 @@ import math
 from enum import Enum
 
 
+#: ``(size, bits)`` by type code: bytes in one datum, and the width of
+#: one integer datum.  Packed and field sizes are contextual, and
+#: neither has an integer width.
+_GEOMETRY = {
+    "b": (1, 8),
+    "w": (2, 16),
+    "l": (4, 32),
+    "q": (8, 64),
+    "f": (4, 32),
+    "p": (0, 0),
+    "v": (4, 0),
+}
+
+
 class DataType(Enum):
-    """Operand data types used by the instruction subset."""
+    """Operand data types used by the instruction subset.
+
+    ``size`` and ``bits`` (see ``_GEOMETRY``) are plain attributes of
+    each member: execute handlers read them per operand, and a table
+    keyed by the member would hash it through ``Enum.__hash__``, a
+    Python-level call.
+    """
 
     BYTE = "b"
     WORD = "w"
@@ -30,21 +50,9 @@ class DataType(Enum):
     PACKED = "p"
     VARIABLE_FIELD = "v"
 
-    @property
-    def size(self) -> int:
-        """Size in bytes of one datum (packed/field sizes are contextual)."""
-        return _SIZES[self]
+    def __init__(self, code: str) -> None:
+        self.size, self.bits = _GEOMETRY[code]
 
-
-_SIZES = {
-    DataType.BYTE: 1,
-    DataType.WORD: 2,
-    DataType.LONG: 4,
-    DataType.QUAD: 8,
-    DataType.F_FLOAT: 4,
-    DataType.PACKED: 0,
-    DataType.VARIABLE_FIELD: 4,
-}
 
 MASK8 = 0xFF
 MASK16 = 0xFFFF

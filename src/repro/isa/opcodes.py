@@ -55,6 +55,13 @@ class Opcode:
     operands: Tuple[OperandSpec, ...]
     group: OpcodeGroup
     branch_class: Optional[BranchClass] = None
+    #: ``group.value`` (the Table 1 and Table 5 row name), precomputed:
+    #: the EBOX reads it on every execute-phase reference, and neither
+    #: ``Enum.value`` nor a table keyed by the member is free.
+    group_name: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "group_name", self.group.value)
 
     @property
     def is_pc_changing(self) -> bool:

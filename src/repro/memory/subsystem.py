@@ -14,7 +14,7 @@ references (the paper's *unaligned* event, 0.016 per instruction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, Optional
 
 from repro.memory.cache import Cache
 from repro.memory.pagetable import PAGE_SHIFT, PAGE_SIZE, PageTable, PageTableEntry, region_of, vpn_of
@@ -59,23 +59,6 @@ class WriteOutcome:
     cache_hits: int
     stall_cycles: int
     unaligned: bool
-
-
-class IStreamOutcome(NamedTuple):
-    """The result of one IB longword fetch attempt.
-
-    A NamedTuple, not a dataclass — the IB calls this roughly twice per
-    simulated instruction and object construction was measurable; the
-    hot caller unpacks it positionally.
-    """
-
-    value: int = 0
-    cache_hit: bool = False
-    tb_miss: bool = False
-    fill_cycles: int = 0  # SBI transaction time on a miss (incl. queueing)
-
-
-_ISTREAM_TB_MISS = IStreamOutcome(tb_miss=True)
 
 
 @dataclass
@@ -448,82 +431,8 @@ class MemorySubsystem:
             physical_refs=1, cache_hits=hits, stall_cycles=stall, unaligned=False
         )
 
-    # -- I-stream references ----------------------------------------------
-
-    def istream_fetch(self, va: int, now: Optional[int] = None):
-        """One IB reference: fetch the longword containing ``va``.
-
-        Returns ``(value, cache_hit, tb_miss, fill_cycles)``.  Unlike
-        EBOX references, an I-stream TB miss does *not* microtrap — it
-        just sets a flag the EBOX discovers when it runs out of IB bytes
-        (Section 2.1).  A miss here therefore returns a tb_miss tuple
-        instead of raising.  On a cache miss ``fill_cycles`` is the SBI
-        transaction time including any queueing behind concurrent
-        traffic.
-        """
-        aligned = va & ~3
-        if self.trace_hook is not None:
-            self.trace_hook("iread", aligned)
-        # TB tag check, cache way scan and the longword load flattened
-        # over the dense tables — this is the prefetcher's once-or-more
-        # per instruction call, the hottest body in the simulator.  Every
-        # counter moves exactly as the translate()/cache.read() calls it
-        # replaces moved them.
-        tb = self.tb
-        vpn = (aligned & 0x3FFFFFFF) >> PAGE_SHIFT
-        top = (aligned >> 30) & 3
-        if top >= 2:
-            index = (vpn & tb._index_mask) + tb.half_entries
-            tag = (vpn >> tb._index_bits) << 2 | 2
-        else:
-            index = vpn & tb._index_mask
-            tag = (vpn >> tb._index_bits) << 2 | top
-        tstats = tb.stats
-        if tb._tags[index] != tag:
-            tstats.misses += 1
-            tstats.i_misses += 1
-            return _ISTREAM_TB_MISS
-        tstats.hits += 1
-        pa = (tb._pfns[index] << PAGE_SHIFT) | (aligned & (PAGE_SIZE - 1))
-        cache = self.cache
-        clock = cache._clock + 1
-        cache._clock = clock
-        block = pa // cache.block_size
-        ways = cache.ways
-        base = (block % cache.sets) * ways
-        ctag = block // cache.sets
-        ctags = cache._tags
-        cstats = cache.stats
-        hit = False
-        for i in range(base, base + ways):
-            if ctags[i] == ctag:
-                cache._lru[i] = clock
-                cstats.read_hits += 1
-                cstats.i_read_hits += 1
-                hit = True
-                break
-        if hit:
-            fill = 0
-        else:
-            cstats.read_misses += 1
-            cstats.i_read_misses += 1
-            lru = cache._lru
-            victim = base
-            least = lru[base]
-            for i in range(base + 1, base + ways):
-                if lru[i] < least:
-                    least = lru[i]
-                    victim = i
-            ctags[victim] = ctag
-            lru[victim] = clock
-            fill = self.sbi.read_block(now)
-        physical = self.physical
-        mem32 = physical._mem32
-        if mem32 is not None and pa + 4 <= physical.size:
-            value = mem32[pa >> 2]
-        else:
-            value = physical.read(pa, 4)
-        return IStreamOutcome(value, hit, False, fill)
+    # -- I-stream support (the IB makes its references itself, on the TB
+    #    and cache tables: repro.cpu.ibuffer) ------------------------------
 
     def istream_page_valid(self, va: int) -> bool:
         """Whether the page holding ``va`` is mapped (IB prefetch guard)."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.pagetable import PAGE_SHIFT, PAGE_SIZE, region_of, vpn_of
+from repro.memory.pagetable import PAGE_SHIFT, PAGE_SIZE
 
 HALF_ENTRIES = 64
 
@@ -77,18 +77,18 @@ class TranslationBuffer:
         self._writable = [False] * (2 * half_entries)
         self.stats = TBStats()
 
-    _REGION_CODE = {"p0": 0, "p1": 1, "system": 2}
-
     def _slot_and_tag(self, va: int):
         # Index by low VPN bits within the region; tag with the rest plus
-        # the region so P0 and P1 pages cannot alias each other.
-        vpn = vpn_of(va)
+        # the region so P0 and P1 pages cannot alias each other.  The
+        # region is the top VA bit pair: p0/p1/system is 0/1/2+, as
+        # repro.memory.pagetable.region_of reads it.
+        vpn = (va & 0x3FFFFFFF) >> PAGE_SHIFT
+        top = (va >> 30) & 3
         index = vpn & self._index_mask
-        region = region_of(va)
-        tag = (vpn >> self._index_bits) << 2 | self._REGION_CODE[region]
-        if region == "system":
+        if top >= 2:
             index += self.half_entries
-        return index, tag
+            top = 2
+        return index, (vpn >> self._index_bits) << 2 | top
 
     def translate(self, va: int, write: bool = False, stream: str = "d") -> int:
         """Translate ``va``; raise :class:`TBMiss` when not resident.
@@ -96,10 +96,8 @@ class TranslationBuffer:
         Returns the physical address.  (Write-protection faults are the
         VMS layer's concern; the TB only caches what it was filled with.)
 
-        This is the hottest call in the simulator (every I-stream fetch
-        and D-stream piece lands here), so ``_slot_and_tag`` is inlined
-        as straight arithmetic: region p0/p1/system is the top VA bit
-        pair (0/1/2+), matching :func:`~repro.memory.pagetable.region_of`.
+        Every D-stream piece off the fused fast paths lands here, so
+        ``_slot_and_tag`` is inlined.
         """
         vpn = (va & 0x3FFFFFFF) >> PAGE_SHIFT
         top = (va >> 30) & 3
@@ -127,8 +125,16 @@ class TranslationBuffer:
 
     def peek(self, va: int):
         """Physical address when resident, else None — no statistics or
-        timing side effects (the replay compiler's I-stream lookahead)."""
-        index, tag = self._slot_and_tag(va)
+        timing side effects (the replay compiler's I-stream lookahead,
+        a hot path, so ``_slot_and_tag`` is inlined)."""
+        vpn = (va & 0x3FFFFFFF) >> PAGE_SHIFT
+        top = (va >> 30) & 3
+        if top >= 2:
+            index = (vpn & self._index_mask) + self.half_entries
+            tag = (vpn >> self._index_bits) << 2 | 2
+        else:
+            index = vpn & self._index_mask
+            tag = (vpn >> self._index_bits) << 2 | top
         if self._tags[index] != tag:
             return None
         return (self._pfns[index] << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.opcodes import Opcode, OpcodeGroup
+from repro.isa.opcodes import Opcode
 from repro.isa.specifiers import AddressingMode
 
 
@@ -209,16 +209,16 @@ _EXEC_PROFILES = {
     "ASHP": ExecProfile(18, per_item_cycles=6),
 }
 
-#: Fallback execute cost per group for opcodes not listed above
-#: (plain ALU operations and the like).
+#: Fallback execute cost per group (by ``Opcode.group_name``) for
+#: opcodes not listed above (plain ALU operations and the like).
 _GROUP_DEFAULTS = {
-    OpcodeGroup.SIMPLE: ExecProfile(1),
-    OpcodeGroup.FIELD: ExecProfile(5),
-    OpcodeGroup.FLOAT: ExecProfile(4),
-    OpcodeGroup.CALLRET: ExecProfile(8),
-    OpcodeGroup.SYSTEM: ExecProfile(8),
-    OpcodeGroup.CHARACTER: ExecProfile(8, per_item_cycles=3),
-    OpcodeGroup.DECIMAL: ExecProfile(12, per_item_cycles=4),
+    "simple": ExecProfile(1),
+    "field": ExecProfile(5),
+    "float": ExecProfile(4),
+    "callret": ExecProfile(8),
+    "system": ExecProfile(8),
+    "character": ExecProfile(8, per_item_cycles=3),
+    "decimal": ExecProfile(12, per_item_cycles=4),
 }
 
 
@@ -227,7 +227,7 @@ def exec_profile(opcode: Opcode) -> ExecProfile:
     profile = _EXEC_PROFILES.get(opcode.mnemonic)
     if profile is not None:
         return profile
-    return _GROUP_DEFAULTS[opcode.group]
+    return _GROUP_DEFAULTS[opcode.group_name]
 
 
 #: TB-miss service routine: compute cycles beside the PTE read.  With the

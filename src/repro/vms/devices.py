@@ -51,15 +51,17 @@ class DeviceTimer:
 
 
 class DeviceBoard:
-    """All device timers; polled between instructions by the kernel loop."""
+    """All device timers; the kernel loop polls them between
+    instructions once the clock reaches :attr:`next_fire`."""
 
     def __init__(self, seed: int = 0):
         self.timers: List[DeviceTimer] = []
         self._seed = seed
-        #: earliest next_fire over all timers; the kernel polls once per
-        #: instruction and device periods are thousands of cycles, so
-        #: almost every poll returns on this one comparison.
-        self._next_fire = 0
+        #: earliest next_fire over all timers.  The kernel polls only
+        #: once the clock reaches it; device periods are thousands of
+        #: cycles, so between firings each instruction pays one
+        #: comparison.
+        self.next_fire = 0
 
     def add(self, name: str, ipl: int, period_cycles: int, callback, jitter: float = 0.3) -> DeviceTimer:
         timer = DeviceTimer(
@@ -75,7 +77,7 @@ class DeviceBoard:
             _random=random.Random((self._seed ^ zlib.crc32(name.encode())) & 0xFFFFFFFF),
         )
         self.timers.append(timer)
-        self._next_fire = min(self._next_fire, timer.next_fire)
+        self.next_fire = min(self.next_fire, timer.next_fire)
         return timer
 
     def start(self, now: int) -> None:
@@ -84,13 +86,11 @@ class DeviceBoard:
         self._refresh_next_fire()
 
     def _refresh_next_fire(self) -> None:
-        self._next_fire = min(
+        self.next_fire = min(
             (timer.next_fire for timer in self.timers), default=1 << 62
         )
 
     def poll(self, now: int) -> None:
-        if now < self._next_fire:
-            return
         for timer in self.timers:
             timer.poll(now)
         self._refresh_next_fire()

@@ -615,9 +615,11 @@ class VMSKernel:
         ebox = self.ebox
         devices = self.devices
         while executed < max_instructions:
-            if max_cycles is not None and ebox.cycle_count >= max_cycles:
+            cycle = ebox.cycle_count
+            if max_cycles is not None and cycle >= max_cycles:
                 break
-            devices.poll(ebox.cycle_count)
+            if cycle >= devices.next_fire:
+                devices.poll(cycle)
             if not ebox.step():
                 break
             executed += 1

@@ -229,6 +229,29 @@ class TestShardedSelfHealing:
 
         self._assert_recomputed(*self._plant_midpoint_snapshot(tmp_path, version_1))
 
+    def test_version_2_snapshot_is_quarantined_and_recomputed(self, tmp_path):
+        # A cache written before the IB kept an event horizon: version 2
+        # pickled an IB without ``_wake``, so restoring one would run a
+        # machine whose prefetcher never fetches.  It must be refused,
+        # counted as a miss and recomputed, never restored.
+        def version_2(original):
+            return MachineSnapshot(
+                payload=original.payload,
+                digest=original.digest,
+                meta=original.meta,
+                version=2,
+            ).to_bytes()
+
+        cache, golden, key = self._plant_midpoint_snapshot(tmp_path, version_2)
+        reader = RunCache(cache.root)
+        assert load_cached_snapshot(reader, key) == (None, None)
+        assert (reader.misses, reader.hits, reader.quarantined) == (1, 0, 1)
+        assert cache.get(key) is None  # moved aside, not left to restore
+        recovered = execute_spec(SPEC, 2, cache=RunCache(cache.root))
+        assert payload_of(recovered) == payload_of(golden)
+        rebuilt = MachineSnapshot.from_bytes(RunCache(cache.root).get(key))
+        assert rebuilt.version == SNAPSHOT_VERSION == 3
+
     def test_mid_chain_fault_is_filled_by_the_repair_pass(self, tmp_path):
         _, golden, _, _, _ = self._cold_golden(tmp_path)
         # shard 2/3 faults once: the first chain banks shard 1/3 and the

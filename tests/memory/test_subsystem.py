@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cpu.ibuffer import InstructionBuffer
 from repro.memory import (
     MemorySubsystem,
     PageFault,
@@ -158,29 +159,54 @@ class TestWriteTiming:
 
 
 class TestIStreamPath:
+    """The IB's own references: it probes the TB and cache tables itself."""
+
+    @staticmethod
+    def fetch(subsystem, va):
+        """An IB started at ``va`` and run for one cycle: one fetch."""
+        ib = InstructionBuffer(subsystem)
+        ib.redirect(va)
+        ib.run(1)
+        return ib
+
+    @staticmethod
+    def deliver(ib):
+        """Run up to the outstanding fill's delivery cycle."""
+        ib.run(ib._wake - ib._now)
+
     def test_istream_tb_miss_sets_flag_not_exception(self):
         subsystem = make_subsystem()
-        outcome = subsystem.istream_fetch(0x200)
-        assert outcome.tb_miss and not outcome.cache_hit
+        ib = self.fetch(subsystem, 0x200)
+        assert ib.tb_miss_pending and not ib._bytes
+        assert ib.stats.references == 0 and ib.stats.tb_miss_flags == 1
+        assert subsystem.tb.stats.i_misses == 1
+        assert subsystem.cache.stats.read_hits + subsystem.cache.stats.read_misses == 0
 
     def test_istream_fetch_after_fill(self):
         subsystem = make_subsystem()
         subsystem.physical.write(0x200, 4, 0x11223344)
         subsystem.service_tb_miss(0x200)
-        outcome = subsystem.istream_fetch(0x200)
-        assert not outcome.tb_miss and outcome.value == 0x11223344
+        ib = self.fetch(subsystem, 0x200)
+        assert not ib.tb_miss_pending and ib._pending_value == 0x11223344
+        self.deliver(ib)
+        assert bytes(ib._bytes) == (0x11223344).to_bytes(4, "little")
+        assert ib.fetch_va == 0x204
 
     def test_istream_fetch_aligns_down(self):
         subsystem = make_subsystem()
         subsystem.physical.write(0x200, 4, 0xAABBCCDD)
         subsystem.service_tb_miss(0x200)
-        outcome = subsystem.istream_fetch(0x203)
-        assert outcome.value == 0xAABBCCDD
+        seen = []
+        subsystem.trace_hook = lambda kind, va: seen.append((kind, va))
+        ib = self.fetch(subsystem, 0x203)
+        self.deliver(ib)
+        assert seen == [("iread", 0x200)]
+        assert bytes(ib._bytes) == b"\xaa"  # only the byte at 0x203
 
     def test_istream_miss_counts_in_i_stream_stats(self):
         subsystem = make_subsystem()
         subsystem.service_tb_miss(0x200)
-        subsystem.istream_fetch(0x200)
+        self.fetch(subsystem, 0x200)
         assert subsystem.cache.stats.i_read_misses == 1
 
     def test_istream_page_valid(self):
