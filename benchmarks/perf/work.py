@@ -15,9 +15,11 @@ Three arms pin the replay compiler's record caches, which are
 process-global and so the main source of run-to-run drift:
 
 ``interpreted``    ``REPRO_NO_COMPILE=1``: the per-microcycle path.
-``compiled-cold``  the first machine in the process, after
-                   ``clear_record_caches()``: records form during the
-                   warm-up and the window.
+``compiled-cold``  the first machine in the process, emptied of records
+                   after its warm-up: a snapshot round trip drops its
+                   per-EBox caches and ``clear_record_caches()`` the
+                   layout-wide ones, so the window pays for forming
+                   every record it replays.
 ``compiled-warm``  a second machine of the same workload in the same
                    process, built after the first ran warm-up + window:
                    the layout-wide record caches are already full.
@@ -81,6 +83,7 @@ def count_window(kernel, instructions: int):
 
 def child(workload: str, arm: str, warmup: int, window: int) -> dict:
     """One arm of one workload, in this (fresh) interpreter."""
+    from repro.core import snapshot
     from repro.core.compile import clear_record_caches
     from repro.core.experiment import prepare_workload
 
@@ -90,6 +93,9 @@ def child(workload: str, arm: str, warmup: int, window: int) -> dict:
         kernel.run(max_instructions=warmup + window)
         kernel, _ = prepare_workload(workload)
     kernel.run(max_instructions=warmup)
+    if arm == "compiled-cold":
+        kernel = snapshot.restore(snapshot.capture(kernel))
+        clear_record_caches()
     kernel.start_measurement()
     executed, calls, bytecodes = count_window(kernel, window)
     return {

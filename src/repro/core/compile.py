@@ -18,20 +18,20 @@ Three layers:
   histogram buckets (the monitor's own fold) plus the precomputed
   (bucket, count) increment sequences its compute charges produce,
   patched-entry abort detour included.
-* :func:`compile_record` — the trace-JIT.  Given the raw bytes of one
-  instruction it builds an :class:`InstructionRecord`: an op list of
-  CONSUME / DECODE_TICK / ADVANCE / SPEC / BRANCH steps in the
-  interpreter's exact order of I-stream consumption, cycle charging,
-  event counting and memory references, with adjacent charges batched.
-  What a specifier means and costs comes from the interpreter's own
-  :func:`~repro.cpu.operands.plan_specifier`: the plan's charges become
-  ADVANCE ops, and its SPEC op calls the shared
+* :class:`Recorder` / :func:`form_record` — records are memos of the
+  interpreter, not a second decoder.  On an image's second sighting
+  ``EBox`` interprets the instruction with a :class:`Recorder`
+  attached; when it retires, the recorded ops become an
+  :class:`InstructionRecord`: CONSUME / DECODE_TICK / ADVANCE / SPEC /
+  BRANCH steps in the interpreter's own order of I-stream consumption,
+  cycle charging, event counting and memory references, with adjacent
+  charges batched.  A SPEC op carries the interpreter's own
+  :class:`~repro.cpu.operands.SpecPlan` and replays through the shared
   :func:`~repro.cpu.operands.resolve_operand`.  A record holds only
   what is static about an instruction; whether its decode cycle is
   spent (the ``decode_overlap`` ablation) is decided when it replays.
   Records are keyed by raw instruction bytes alone — the uops.info
-  keying: one record per opcode × specifier-mode (× displacement)
-  variant — and shared by every machine on the same layout.
+  keying — and shared by every machine on the same layout.
 * :func:`execute_record` — the replay engine ``EBox.step`` dispatches
   to.  It bails out *before mutating anything* unless the
   instruction's full byte image is either already in the IB or
@@ -48,47 +48,38 @@ Three layers:
   ``data_write``.  Interrupts are delivered before dispatch, so a
   record never sees one.
 
-An execution falls back to the interpreted path when the record's bytes
-are neither buffered nor verifiable ahead of the prefetcher, or when the
-instruction can never compile: longer than the 16-byte image cap, an
-unknown opcode or one without execute semantics, or an illegal
-specifier (the interpreter raises the architectural exception).  The
-whole path is off under an attached tracer, a nonstandard monitor
-board, an armed cost-skew fault, or ``REPRO_NO_COMPILE=1`` (the
-differential harness runs every workload both ways).  Machine snapshots
-never contain replay state, so a snapshot is byte-identical whether the
-run that produced it was compiled or interpreted.
+An execution falls back to the interpreted path when its image has no
+record yet, or when the record's bytes are neither buffered nor
+verifiable ahead of the prefetcher.  An instruction that raises (an
+unknown opcode, an illegal specifier: the interpreter raises the
+architectural exception) forms no record, so it is interpreted every
+time.  The whole path is off under an attached tracer, a nonstandard
+monitor board, an armed cost-skew fault, or ``REPRO_NO_COMPILE=1``
+(the differential harness runs every workload both ways).  Machine
+snapshots never contain replay state, so a snapshot is byte-identical
+whether the run that produced it was compiled or interpreted.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from weakref import WeakKeyDictionary
 
 from repro.core.monitor import bucket_fold
 from repro.cpu.ibuffer import IB_CAPACITY
-from repro.cpu.operands import (
-    IllegalInstruction,
-    IllegalSpecifier,
-    decode_branch_displacement,
-    decode_specifier,
-    merges_execute,
-    plan_specifier,
-    resolve_operand,
-)
-from repro.isa.opcodes import OPCODES
-from repro.isa.specifiers import AccessType
+from repro.cpu.operands import resolve_operand
 from repro.memory.pagetable import PAGE_SIZE
 from repro.ucode.microword import MicroSlot
 
 #: Environment switch: set to 1/true/yes/on to force the interpreted path.
 NO_COMPILE_ENV = "REPRO_NO_COMPILE"
 
-#: Cap on a record's byte image.  Instructions longer than the IB are
-#: verified via the lookahead and consume through ``_take_bytes``
-#: under-runs; beyond 16 bytes (three memory operands with long
-#: displacements) instructions are rare enough to interpret forever.
+#: Length of the I-stream lookahead a record lookup probes with.
+#: Instructions longer than the IB are verified via the lookahead and
+#: consume through ``_take_bytes`` under-runs; a record longer than 16
+#: bytes (three memory operands with long displacements) is never found
+#: by a probe, only through the per-machine VA cache.
 _MAX_IMAGE = 16
 
 #: Soft cap on distinct byte-keyed records per layout; beyond it new
@@ -126,7 +117,8 @@ class CompileStats:
 
     #: microroutines flattened into RoutinePrograms for this layout
     routines_specialized: int = 0
-    #: instruction records compiled (cache misses that built a program)
+    #: instruction records formed (recorded executions whose bytes had
+    #: no record yet)
     records_compiled: int = 0
     #: fast-path executions (JIT cache hit, replay ran to completion)
     jit_hits: int = 0
@@ -134,14 +126,12 @@ class CompileStats:
     jit_misses: int = 0
     #: byte-image mismatches at a cached address (aliasing / rewrites)
     byte_fallbacks: int = 0
-    #: instructions found permanently uncompilable
-    uncompilable: int = 0
     #: cycles charged by replayed instructions
     fast_cycles: int = 0
     #: cycles charged by interpreted instructions (compile enabled)
     slow_cycles: int = 0
-    #: interpreter fallbacks by cause ("uncompilable" / "byte_mismatch"
-    #: / "unresolved"), diagnosed on the jit-miss path
+    #: interpreter fallbacks by cause ("byte_mismatch" / "unresolved"),
+    #: diagnosed on the jit-miss path
     fallback_causes: dict = field(default_factory=dict)
 
     @property
@@ -155,32 +145,19 @@ class CompileStats:
         return self.fast_cycles / total if total else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "routines_specialized": self.routines_specialized,
-            "records_compiled": self.records_compiled,
-            "jit_hits": self.jit_hits,
-            "jit_misses": self.jit_misses,
-            "byte_fallbacks": self.byte_fallbacks,
-            "uncompilable": self.uncompilable,
-            "fast_cycles": self.fast_cycles,
-            "slow_cycles": self.slow_cycles,
-            "fallback_causes": dict(sorted(self.fallback_causes.items())),
-            "fast_instruction_fraction": round(self.fast_instruction_fraction, 4),
-            "fast_cycle_fraction": round(self.fast_cycle_fraction, 4),
-        }
+        out = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        out["fallback_causes"] = dict(sorted(self.fallback_causes.items()))
+        out["fast_instruction_fraction"] = round(self.fast_instruction_fraction, 4)
+        out["fast_cycle_fraction"] = round(self.fast_cycle_fraction, 4)
+        return out
 
     def merge_from(self, other: "CompileStats") -> None:
         """Accumulate another machine's stats (shard merging)."""
         self.routines_specialized = max(
             self.routines_specialized, other.routines_specialized
         )
-        self.records_compiled += other.records_compiled
-        self.jit_hits += other.jit_hits
-        self.jit_misses += other.jit_misses
-        self.byte_fallbacks += other.byte_fallbacks
-        self.uncompilable += other.uncompilable
-        self.fast_cycles += other.fast_cycles
-        self.slow_cycles += other.slow_cycles
+        for name in _COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for cause, count in other.fallback_causes.items():
             self.fallback_causes[cause] = self.fallback_causes.get(cause, 0) + count
 
@@ -191,16 +168,12 @@ class CompileStats:
 #: MetricsRegistry name prefix for the replay diagnostics.
 METRIC_PREFIX = "sim.compile."
 
-#: CompileStats fields that accumulate (counters; the remainder are
-#: point-in-time gauges).
-_COUNTER_FIELDS = (
-    "records_compiled",
-    "jit_hits",
-    "jit_misses",
-    "byte_fallbacks",
-    "uncompilable",
-    "fast_cycles",
-    "slow_cycles",
+#: CompileStats fields that accumulate: every int field but the
+#: ``routines_specialized`` gauge.
+_COUNTER_FIELDS = tuple(
+    spec.name
+    for spec in fields(CompileStats)
+    if isinstance(spec.default, int) and spec.name != "routines_specialized"
 )
 
 
@@ -382,15 +355,15 @@ def specialize_layout(layout) -> LayoutReplay:
 
 
 # ---------------------------------------------------------------------------
-# layer 2: the instruction compiler (trace-JIT)
+# layer 2: records formed by recording the interpreter
 # ---------------------------------------------------------------------------
 
 
 class InstructionRecord:
-    """A compiled instruction: the merged replay program.
+    """A recorded instruction: the merged replay program.
 
-    Never mutated after :func:`compile_record` returns, so one record
-    is safely shared by every machine on its layout.
+    Never mutated after :func:`form_record` returns, so one record is
+    safely shared by every machine on its layout.
     """
 
     __slots__ = (
@@ -404,67 +377,19 @@ class InstructionRecord:
         "last_source_routine",
     )
 
-    #: distinguishes real records from NeverRecord on the hot path
-    never = False
 
+class Recorder:
+    """Records one interpreted instruction as replay ops.
 
-class NeverRecord:
-    """A witness that instructions starting with ``raw`` never compile.
-
-    Any buffer beginning with the witness prefix fails compilation at
-    the same point for the same reason (specifier parsing is
-    deterministic on prefixes), so the EBOX skips straight to the
-    interpreter — which raises the same architectural exception the
-    instruction always raised.
-    """
-
-    __slots__ = ("raw",)
-    never = True
-
-    def __init__(self, raw):
-        self.raw = raw
-
-
-class _NeedMoreBytes(Exception):
-    """Compilation ran past the bytes currently available."""
-
-
-class _Uncompilable(Exception):
-    """The prefix seen so far proves this can never compile."""
-
-
-class _Cursor:
-    """Byte source over a raw image for ``decode_specifier``.
-
-    Every successful ``take`` is logged so the compiler can emit one
-    CONSUME op per interpreted ``take`` call — take boundaries are
-    where IB stalls can happen, and where partially-consumed bytes
-    free buffer room for the prefetcher.
-    """
-
-    __slots__ = ("raw", "pos", "takes")
-
-    def __init__(self, raw, pos):
-        self.raw = raw
-        self.pos = pos
-        self.takes = []
-
-    def take(self, count):
-        start = self.pos
-        end = start + count
-        raw = self.raw
-        if end > len(raw):
-            if end > _MAX_IMAGE:
-                # Longer than the replay's image cap: never compiled.
-                raise _Uncompilable()
-            raise _NeedMoreBytes()
-        self.pos = end
-        self.takes.append(count)
-        return raw[start:end]
-
-
-class _OpBuilder:
-    """Accumulates replay ops, merging adjacent compatible charges.
+    ``EBox`` calls it from five plan-level sites while a recorder is
+    attached: each I-stream take (``EBox._take_bytes``: the consumed
+    bytes and a CONSUME on that take's wait routine), the decode cycle
+    (a DECODE_TICK, recorded whether or not this execution spends it:
+    the ``decode_overlap`` rule is applied at replay), each specifier's
+    plan (an ADVANCE per compute charge, then the SPEC op), each branch
+    displacement, and retirement.  Everything dynamic — IB stalls, TB
+    misses, page faults, read/write stalls, unaligned detours — happens
+    below those sites and is not recorded: the replay meets it again.
 
     Charge bursts merge when nothing interleaves: ``ib.run(a);
     ib.run(b)`` ≡ ``ib.run(a+b)``, and histogram increments inside one
@@ -479,35 +404,51 @@ class _OpBuilder:
     then holds references to one copy.  SPEC ops keep their own plans.
     """
 
-    __slots__ = ("ops", "shared")
+    __slots__ = (
+        "replay",
+        "shared",
+        "ops",
+        "raw",
+        "opcode",
+        "merge_pending",
+        "last_source_routine",
+    )
 
-    def __init__(self, shared):
+    def __init__(self, layout):
+        self.replay = specialize_layout(layout)
+        self.shared = _layout_cache(layout)[3]
         self.ops = []
-        self.shared = shared
+        self.raw = bytearray()
 
-    def consume(self, count, wait_routine):
-        if count <= 0:
-            return
-        self.ops.append((OP_CONSUME, count, wait_routine))
+    def take(self, data, wait_routine):
+        self.raw += data
+        if data:
+            self.ops.append((OP_CONSUME, len(data), wait_routine))
 
-    def advance(self, cycles, incs):
-        if cycles <= 0:
-            return
-        ops = self.ops
-        if ops and ops[-1][0] == OP_ADVANCE:
-            prev = ops[-1]
-            ops[-1] = (OP_ADVANCE, prev[1] + cycles, prev[2] + tuple(incs))
-        else:
-            ops.append((OP_ADVANCE, cycles, tuple(incs)))
+    def decode_tick(self, routine):
+        cycles, incs = self.replay.program_for(routine).slot_incs(_COMPUTE_A)
+        self.ops.append((OP_DECODE_TICK, cycles, incs))
 
     def spec(self, plan):
-        self.ops.append((OP_SPEC, plan))
+        ops = self.ops
+        for routine, cycles in plan.charges:
+            cycles, incs = self.replay.program_for(routine).compute_incs(cycles)
+            if cycles <= 0:
+                continue
+            if ops and ops[-1][0] == OP_ADVANCE:
+                prev = ops[-1]
+                ops[-1] = (OP_ADVANCE, prev[1] + cycles, prev[2] + incs)
+            else:
+                ops.append((OP_ADVANCE, cycles, incs))
+        ops.append((OP_SPEC, plan))
 
     def branch(self, width, displacement):
         self.ops.append((OP_BRANCH, width, displacement))
 
-    def decode_tick(self, cycles, incs):
-        self.ops.append((OP_DECODE_TICK, cycles, incs))
+    def retire(self, opcode, merge_pending, last_source_routine):
+        self.opcode = opcode
+        self.merge_pending = merge_pending
+        self.last_source_routine = last_source_routine
 
     def build(self):
         shared = self.shared
@@ -523,91 +464,38 @@ class _OpBuilder:
         return tuple(ops)
 
 
-def compile_record(layout, raw):
-    """Compile the instruction whose byte image starts ``raw``.
+def form_record(layout, recorder):
+    """The record for the instruction ``recorder`` saw retire.
 
-    Returns an :class:`InstructionRecord`, or a :class:`NeverRecord`
-    when the prefix proves the instruction permanently uncompilable
-    (unknown opcode, no execute semantics, illegal specifier, longer
-    than the 16-byte image cap); raises :class:`_NeedMoreBytes` when
-    ``raw`` is a prefix of a longer instruction and more bytes could
-    change the answer.
+    Returns ``(record, formed)``.  Records are keyed by the consumed
+    bytes alone — the uops.info keying: one record per opcode ×
+    specifier-mode (× displacement) variant — and the first write wins:
+    when those bytes already have a record (a probe too short to find
+    it sent this execution to the recorder), that object is returned
+    and ``formed`` is False, so a record never changes once a machine
+    may hold it.
     """
     from repro.cpu.semantics import HANDLERS
 
-    if not raw:
-        raise _NeedMoreBytes()
-    opcode = OPCODES.get(raw[0])
-    if opcode is None:
-        return NeverRecord(bytes(raw[:1]))
-    handler = HANDLERS.get(opcode.mnemonic)
-    if handler is None:
-        return NeverRecord(bytes(raw[:1]))
-
-    replay = specialize_layout(layout)
-    builder = _OpBuilder(_layout_cache(layout)[3])
-    cursor = _Cursor(raw, 1)
-
-    builder.consume(1, layout.decode)
-    # Whether the decode cycle is spent (always on the 780; after a
-    # taken branch only under decode_overlap) is known at replay time.
-    builder.decode_tick(*replay.program_for(layout.decode).slot_incs(_COMPUTE_A))
-
-    last_source_routine = None
-    last_operand_mode = None
-
-    try:
-        for position, spec in enumerate(opcode.operands):
-            if spec.access is AccessType.BRANCH:
-                width, value = decode_branch_displacement(cursor.take, spec.dtype)
-                builder.consume(width, layout.bdisp)
-                builder.branch(width, value)
-                continue
-
-            plan = _compile_specifier(replay, layout, position, spec, cursor, builder)
-            builder.spec(plan)
-            last_operand_mode = plan.mode
-            if spec.access is AccessType.READ:
-                last_source_routine = plan.routine
-    except _Uncompilable:
-        return NeverRecord(bytes(raw[: min(cursor.pos, _MAX_IMAGE)]))
-
+    records, lengths, _sightings, _ops = _layout_cache(layout)
+    raw = bytes(recorder.raw)
+    record = records.get(raw)
+    if record is not None:
+        return record, False
+    opcode = recorder.opcode
     record = InstructionRecord()
-    record.raw = bytes(raw[: cursor.pos])
-    record.ops = builder.build()
+    record.raw = raw
+    record.ops = recorder.build()
     record.opcode = opcode
     record.mnemonic = opcode.mnemonic
-    record.handler = handler
+    record.handler = HANDLERS[opcode.mnemonic]
     record.exec_routine = layout.execute[opcode.mnemonic]
-    record.merge_pending = merges_execute(
-        opcode, last_source_routine, last_operand_mode
-    )
-    record.last_source_routine = last_source_routine
-    return record
-
-
-def _compile_specifier(replay, layout, position, spec, cursor, builder):
-    """Compile one operand specifier into charge ops; returns its plan.
-
-    One CONSUME per interpreted take (spec byte, index base byte,
-    extension ...), all waiting on this position's wait routine, then
-    one ADVANCE per compute charge.  The specifier's event counts and
-    memory traffic happen when the SPEC op resolves the plan.
-    """
-    first_take = len(cursor.takes)
-    try:
-        plan = plan_specifier(
-            layout, position, spec, decode_specifier(cursor.take, spec.dtype)
-        )
-    except (IllegalSpecifier, IllegalInstruction):
-        # The interpreter raises the architectural exception.
-        raise _Uncompilable()
-    wait_routine = layout.spec1_wait if position == 0 else layout.spec26_wait
-    for count in cursor.takes[first_take:]:
-        builder.consume(count, wait_routine)
-    for routine, cycles in plan.charges:
-        builder.advance(*replay.program_for(routine).compute_incs(cycles))
-    return plan
+    record.merge_pending = recorder.merge_pending
+    record.last_source_routine = recorder.last_source_routine
+    if len(records) < _RECORD_CACHE_CAP:
+        records[raw] = record
+        lengths.setdefault(raw[0], set()).add(len(raw))
+    return record, True
 
 
 # ---------------------------------------------------------------------------
@@ -618,24 +506,18 @@ def _compile_specifier(replay, layout, position, spec, cursor, builder):
 #: {image: sightings}, {op key: shared op})
 _LAYOUT_RECORDS: "WeakKeyDictionary" = WeakKeyDictionary()
 
-#: Executions of a byte image seen before its record is compiled.  The
-#: first sighting is interpreted and only counted (a dict increment,
-#: ~0.3 µs); compilation (~100 µs) happens on the second.  One-shot
-#: images — cold boot paths, straight-line code executed once — never
-#: pay compilation at all, which matters because a workload's byte-image
-#: working set can exceed the instruction budget of a short run.
+#: Executions of a byte image seen before its record forms.  The first
+#: sighting is interpreted and only counted (a dict increment, ~0.3 µs);
+#: the second is interpreted with a :class:`Recorder` attached.
+#: One-shot images — cold boot paths, straight-line code executed once —
+#: never pay for a record at all (about 1 KB each), which matters
+#: because a workload's byte-image working set can exceed the
+#: instruction budget of a short run.
 _COMPILE_MIN_SIGHTINGS = 2
 
 #: Bound on the sightings table; cleared wholesale if ever exceeded
-#: (counting restarts, records already compiled are unaffected).
+#: (counting restarts, records already formed are unaffected).
 _SIGHTINGS_CAP = 1 << 18
-
-#: Executions to wait before re-attempting compilation of an image
-#: whose last attempt ran out of bytes (a chronically short probe — an
-#: instruction tail the lookahead can never see, e.g. behind a
-#: persistently in-flight fill).  Without backoff every execution would
-#: re-parse and re-fail, ~100 µs a time.
-_RETRY_BACKOFF = 64
 
 
 def _layout_cache(layout):
@@ -646,22 +528,14 @@ def _layout_cache(layout):
     return entry
 
 
-def resolve(layout, buf, stats=None):
-    """Find (or compile) the record for the instruction starting ``buf``.
-
-    ``buf`` is the IB's current byte run (a bytearray), or a
-    :func:`peek_image` lookahead extending it.  Returns an
-    :class:`InstructionRecord`, a :class:`NeverRecord`, or ``None``
-    when more IB bytes could change the answer (not cached — the
-    interpreter handles this execution and prefetch catches up).
+def _lookup(records, lengths, buf):
+    """The cached record whose raw starts ``buf``, or None.
 
     Record raws are prefix-unambiguous — specifier parsing is
     deterministic, so no valid instruction image is a proper prefix of
-    another, and a failing witness prefix is never a prefix of a valid
-    image — which makes probing the cached lengths for one first byte
+    another — which makes probing the cached lengths for one first byte
     sound: at most one can match.
     """
-    records, lengths, sightings, _ops = _layout_cache(layout)
     lens = lengths.get(buf[0])
     if lens:
         n = len(buf)
@@ -670,35 +544,49 @@ def resolve(layout, buf, stats=None):
                 record = records.get(bytes(buf[:length]))
                 if record is not None:
                     return record
-    key = bytes(buf[:_MAX_IMAGE])
+    return None
+
+
+def resolve(ebox):
+    """The record for the instruction at ``ebox``'s decode point.
+
+    Probes the layout's byte-keyed records with the IB's bytes when the
+    buffer is full (most records fit it), else — or when a full buffer
+    matches nothing, an instruction longer than the IB — with the
+    :func:`peek_image` lookahead of what the prefetcher will deliver.
+    Returns the record.  Otherwise counts a sighting of the probed
+    image and returns True on its ``_COMPILE_MIN_SIGHTINGS``-th (the
+    caller interprets this execution with a :class:`Recorder` attached)
+    and False before, or when not even the first byte is determined.
+    """
+    records, lengths, sightings, _ops = _layout_cache(ebox.layout)
+    buf = ebox.ib._bytes
+    if len(buf) >= IB_CAPACITY:
+        record = _lookup(records, lengths, buf)
+        if record is not None:
+            return record
+    probe = peek_image(ebox)
+    if probe is None:
+        return False
+    record = _lookup(records, lengths, probe)
+    if record is not None:
+        return record
+    key = probe[:_MAX_IMAGE]
     count = sightings.get(key, 0) + 1
     if count < _COMPILE_MIN_SIGHTINGS:
         if len(sightings) >= _SIGHTINGS_CAP:
             sightings.clear()
         sightings[key] = count
-        return None
-    try:
-        record = compile_record(layout, bytes(buf))
-    except _NeedMoreBytes:
-        sightings[key] = _COMPILE_MIN_SIGHTINGS - 1 - _RETRY_BACKOFF
-        return None
+        return False
     sightings.pop(key, None)
-    if stats is not None:
-        if record.never:
-            stats.uncompilable += 1
-        else:
-            stats.records_compiled += 1
-    if len(records) < _RECORD_CACHE_CAP:
-        records[record.raw] = record
-        lengths.setdefault(record.raw[0], set()).add(len(record.raw))
-    return record
+    return True
 
 
 def clear_record_caches() -> None:
     """Drop every layout's record cache and shared op table.
 
-    Benchmarks and tests call this between arms so each arm compiles
-    its records from cold (machines built afterwards start with empty
+    Benchmarks and tests call this between arms so each arm forms its
+    records from cold (machines built afterwards start with empty
     per-machine caches; the layout-wide byte-keyed caches are what
     persists across machines).
     """

@@ -68,10 +68,6 @@ from typing import Callable, Dict, Iterator, Optional
 
 from repro.testing import faults
 
-#: Bump to invalidate every existing cache entry (key derivation
-#: changes, stored-object shape changes).
-CACHE_SCHEMA_VERSION = 1
-
 #: The pickle protocol of every object :meth:`RunCache.store` banks.
 PICKLE_PROTOCOL = 4
 
@@ -85,17 +81,17 @@ DEFAULT_CACHE_DIRNAME = ".repro-cache"
 def cache_key(kind: str, **fields) -> str:
     """Derive the content address for one cached object.
 
-    The key commits to the cache schema version, the package version
-    (determinism across code changes is not guaranteed, so a release
-    bump retires stale objects), the object ``kind`` and every
-    caller-supplied field — for shards that is the spec's config hash
-    plus the instruction span, which by the determinism guarantee fixes
-    the object's content.
+    The key commits to :func:`~repro.obs.provenance.code_version`, the
+    digest of the package's sources (determinism holds for one code
+    version only, and the digest covers this module's key derivation
+    and every pickled class, so any edit retires every stale object),
+    the object ``kind`` and every caller-supplied field — for shards
+    that is the spec's config hash plus the instruction span, which by
+    the determinism guarantee fixes the object's content.
     """
     from repro.obs.provenance import code_version
 
     payload = {
-        "schema": CACHE_SCHEMA_VERSION,
         "code_version": code_version(),
         "kind": kind,
     }

@@ -21,13 +21,16 @@ microcode: first a read, then a write" (Section 3.2).
 
 An instruction runs on one of two paths that must count bit-identically:
 the per-microcycle interpreter (:meth:`EBox._step_interpreted`) or the
-replay of a compiled record (:func:`repro.core.compile.execute_record`).
-Both run inside one instruction frame owned here —
+replay of a record (:func:`repro.core.compile.execute_record`).  Both
+run inside one instruction frame owned here —
 :meth:`EBox._begin_instruction` before the specifiers, :meth:`EBox._retire`
 around the execute handler — and share one clock (cycles, monitor and
 prefetcher advance together), one decode-cycle rule, and one
-memory-reference charge (:meth:`EBox._reference`).  The replay differs
-only in batching a record's static charges.
+memory-reference charge (:meth:`EBox._reference`).  There is one
+decoder: a record is what the interpreter did on those bytes, taken
+down by a :class:`~repro.core.compile.Recorder` attached while it ran
+(:meth:`EBox._form_record`), and the replay differs only in batching
+the record's static charges.
 """
 
 from __future__ import annotations
@@ -153,7 +156,9 @@ class EBox:
         # standard 16,000-bucket board, and no REPRO_NO_COMPILE=1.
         self._resolve_record = replay.resolve
         self._execute_record = replay.execute_record
-        self._peek_image = replay.peek_image
+        #: the :class:`~repro.core.compile.Recorder` taking down the
+        #: instruction being interpreted, or None (the usual case)
+        self._recorder = None
         # Preserved across tracer swaps (records and diagnostics are
         # mode-independent); created fresh on construction and restore.
         if "_record_cache" not in self.__dict__:
@@ -225,7 +230,7 @@ class EBox:
         "_tracer",
         "_resolve_record",
         "_execute_record",
-        "_peek_image",
+        "_recorder",
         "_record_cache",
         "_space_caches",
         "_cache_space",
@@ -467,6 +472,8 @@ class EBox:
                         "ib stall",
                         {"cycles": waited, "routine": wait_routine.name},
                     )
+                if self._recorder is not None:
+                    self._recorder.take(data, wait_routine)
                 return data
             if ib.tb_miss_pending:
                 self._service_istream_tb_miss()
@@ -507,6 +514,8 @@ class EBox:
             lambda n: self._take_bytes(n, wait_routine), spec.dtype
         )
         plan = plan_specifier(layout, position, spec, decoded)
+        if self._recorder is not None:
+            self._recorder.spec(plan)
         for routine, cycles in plan.charges:
             self._charge_compute(routine, cycles)
         operand = resolve_operand(self, plan)
@@ -696,65 +705,70 @@ class EBox:
         self._cache_space = space
 
     def _step_compiled(self) -> bool:
-        """Replay the next instruction from its compiled record.
+        """Replay the next instruction from its record.
 
-        Anything without a valid record — bytes not fully buffered yet,
-        permanently uncompilable instructions, a stale cache entry —
-        falls through to :meth:`_interpret` for this execution.
+        The VA cache answers most executions; a miss (or a record whose
+        bytes are not there) asks the layout's byte-keyed records
+        (:func:`repro.core.compile.resolve`).  An image without a record
+        is interpreted for this execution — on its second sighting with
+        a recorder attached, which forms the record.
         """
         space = self.memory.page_tables["p0"]
         if space is not self._cache_space:
             self._switch_space(space)
-        ib = self.ib
-        va = ib._decode_va
+        va = self.ib._decode_va
         stats = self.compile_stats
         record = self._record_cache.get(va)
         if record is None:
             cause = "unresolved"
         elif self._try_replay(record, stats):
             return not self.halted
-        elif record.never and ib._bytes.startswith(record.raw):
-            return self._interpret(stats, "uncompilable", va)
         else:
             # Bytes at this address changed (process aliasing or a
             # rewritten program): re-resolve against the buffer.
             stats.byte_fallbacks += 1
             cause = "byte_mismatch"
-        probe = ib._bytes
-        if len(probe) < 8:
-            # The IB was flushed (taken branch) or is still filling:
-            # resolve against the side-effect-free lookahead image of
-            # what the prefetcher will deliver.
-            image = self._peek_image(self)
-            if image is not None and len(image) > len(probe):
-                probe = image
-        compiled_before = stats.records_compiled
-        record = self._resolve_record(self.layout, probe, stats) if probe else None
-        if record is None and len(probe) >= 8:
-            # A full IB that still would not resolve usually means an
-            # instruction longer than the buffer: extend the probe by
-            # lookahead up to the record image cap.
-            image = self._peek_image(self)
-            if image is not None and len(image) > len(probe):
-                record = self._resolve_record(self.layout, image, stats)
-        if record is None:
+        found = self._resolve_record(self)
+        if found is True:
+            return self._form_record(stats, cause, va)
+        if found is False:
             return self._interpret(stats, cause, va)
-        self._record_cache[va] = record
-        channel = self._compile_events
-        if channel is not None and stats.records_compiled > compiled_before:
-            channel.emit(
-                self.cycle_count, "record formed", record.mnemonic, len(record.raw)
-            )
-        if self._try_replay(record, stats):
+        self._record_cache[va] = found
+        if self._try_replay(found, stats):
             return not self.halted
-        return self._interpret(
-            stats, "uncompilable" if record.never else "byte_mismatch", va
-        )
+        return self._interpret(stats, "byte_mismatch", va)
+
+    def _form_record(self, stats, cause: str, va: int) -> bool:
+        """Interpret one instruction with a recorder attached, and keep
+        what it recorded as the record for the bytes it consumed.
+
+        The record goes into the layout's byte-keyed cache (first write
+        wins) and into the VA cache that was active when the instruction
+        began.  An execution that raises forms nothing.
+        """
+        from repro.core.compile import Recorder, form_record
+
+        cache = self._record_cache
+        self._recorder = recorder = Recorder(self.layout)
+        try:
+            result = self._interpret(stats, cause, va)
+        finally:
+            self._recorder = None
+        record, formed = form_record(self.layout, recorder)
+        cache[va] = record
+        if formed:
+            stats.records_compiled += 1
+            channel = self._compile_events
+            if channel is not None:
+                channel.emit(
+                    self.cycle_count, "record formed", record.mnemonic, len(record.raw)
+                )
+        return result
 
     def _try_replay(self, record, stats) -> bool:
-        """Replay ``record`` if it is real and its bytes are (provably)
-        there, counting the hit; False with nothing mutated otherwise."""
-        if record.never or not self._execute_record(record, self):
+        """Replay ``record`` if its bytes are (provably) there, counting
+        the hit; False with nothing mutated otherwise."""
+        if not self._execute_record(record, self):
             return False
         stats.jit_hits += 1
         stats.fast_cycles += self.cycle_count - self._instruction_start_cycle
@@ -820,6 +834,9 @@ class EBox:
         self._instruction_start_cycle = self.cycle_count
         redirects_before = ib.stats.redirects
         opcode_byte = self._take_bytes(1, self.layout.decode)[0]
+        recorder = self._recorder
+        if recorder is not None:
+            recorder.decode_tick(self.layout.decode)
         # The 780's first I-Decode for an instruction cannot start until
         # the previous instruction completes: one non-overlapped decode
         # cycle each.  With decode_overlap (the 11/750's improvement) the
@@ -848,6 +865,8 @@ class EBox:
                 )
                 self.events.branch_displacements += 1
                 self.events.displacement_bytes += width
+                if recorder is not None:
+                    recorder.branch(width, self.branch_displacement)
             else:
                 operands.append(self._process_specifier(position, spec))
 
@@ -856,6 +875,8 @@ class EBox:
             self._last_source_routine,
             operands[-1].mode if operands else None,
         )
+        if recorder is not None:
+            recorder.retire(opcode, merge_pending, self._last_source_routine)
         self._retire(self._dispatch, operands, merge_pending, start_va, redirects_before)
         return not self.halted
 

@@ -5,8 +5,8 @@ workload, how long" for every histogram they banked; a simulator should
 do at least as well.  A :class:`RunManifest` pins down everything needed
 to reproduce (or distrust) one :class:`~repro.core.executor.EngineRun`:
 the spec's configuration hash, the seeds actually used, the code
-version (package version plus git commit when available), and the
-wall-clock timings.
+version (a digest of the package's sources, beside the package version
+and the git commit when available), and the wall-clock timings.
 
 Manifests are plain picklable data — they cross the process-pool
 boundary inside ``EngineRun`` payloads and serialize with
@@ -26,9 +26,40 @@ from typing import Dict, Optional
 
 _git_commit_cache: Optional[str] = None
 _git_commit_probed = False
+_code_digest: Optional[str] = None
 
 
 def code_version() -> str:
+    """sha256 over every ``.py`` source of the ``repro`` package.
+
+    Each file contributes its package-relative path, its length and its
+    bytes, in sorted path order; the digest is computed once per
+    process.  Cache keys commit to it, so editing any module retires
+    every shard, snapshot, run and generated image the old code banked.
+    It depends on the sources alone — not on where the package lives,
+    file times or ``__pycache__`` — so a server, its spawned workers and
+    a restarted server on the same tree agree on it.
+    """
+    global _code_digest
+    if _code_digest is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        sources = []
+        for directory, _dirs, names in os.walk(root):
+            for name in names:
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    sources.append(os.path.relpath(path, root).replace(os.sep, "/"))
+        digest = hashlib.sha256()
+        for relative in sorted(sources):
+            with open(os.path.join(root, relative), "rb") as handle:
+                data = handle.read()
+            digest.update("{}\0{}\0".format(relative, len(data)).encode("utf-8"))
+            digest.update(data)
+        _code_digest = digest.hexdigest()
+    return _code_digest
+
+
+def package_version() -> str:
     from repro import __version__
 
     return __version__
@@ -101,6 +132,7 @@ class RunManifest:
     instructions_requested: int
     warmup_instructions: int
     code_version: str = field(default_factory=code_version)
+    package_version: str = field(default_factory=package_version)
     git_commit: Optional[str] = None
     python_version: str = field(default_factory=platform.python_version)
     #: the process that executed the run (a service's worker process,

@@ -23,12 +23,10 @@ R9 queue base, R10 loop counter, R11 index register.
 
 from __future__ import annotations
 
-import hashlib
-import os
 import random
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.asm import Assembler
 from repro.isa.datatypes import packed_decimal_encode, packed_size
@@ -536,11 +534,6 @@ def _build_data_image(profile: WorkloadProfile, rng: random.Random) -> bytes:
 #: so its id() cannot be recycled while the entry is live.
 _PROGRAM_CACHE: Dict = {}
 
-#: Packages (under ``repro``) whose sources determine an image's bytes.
-_IMAGE_SOURCES = ("workloads", "asm", "isa")
-
-_sources_digest: Optional[str] = None
-
 
 def generate_program(profile: WorkloadProfile, variant: int = 0) -> GeneratedProgram:
     """Generate one process image for ``profile``.
@@ -559,34 +552,16 @@ def generate_program(profile: WorkloadProfile, variant: int = 0) -> GeneratedPro
     return program
 
 
-def _image_sources_digest() -> str:
-    """sha256 over the sources that determine an image's bytes
-    (:data:`_IMAGE_SOURCES`), hashed once per process: editing the
-    generator, the assembler or the ISA tables retires every banked
-    image."""
-    global _sources_digest
-    if _sources_digest is None:
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        digest = hashlib.sha256()
-        for package in _IMAGE_SOURCES:
-            directory = os.path.join(package_root, package)
-            for name in sorted(os.listdir(directory)):
-                if name.endswith(".py"):
-                    digest.update("{}/{}\0".format(package, name).encode("utf-8"))
-                    with open(os.path.join(directory, name), "rb") as handle:
-                        digest.update(handle.read())
-        _sources_digest = digest.hexdigest()
-    return _sources_digest
-
-
 def _banked_program(profile: WorkloadProfile, variant: int) -> GeneratedProgram:
     """The image for ``(profile, variant)``, read from the bank of
     generated images in the default :class:`~repro.core.runcache.RunCache`
     (``$REPRO_CACHE_DIR``, else ``.repro-cache``) or generated and
     banked there.
 
-    The key commits to the profile's fields, the variant, the Python
-    version (``random``'s stream) and :func:`_image_sources_digest`.
+    The key commits to the profile's fields, the variant and the Python
+    version (``random``'s stream); like every cache key it also commits
+    to the digest of the package's sources, so editing the generator,
+    the assembler or the ISA tables retires every banked image.
     The bank can only save time: a corrupt, undecodable or foreign
     entry is quarantined and regenerated
     (:meth:`~repro.core.runcache.RunCache.load`), and an ``OSError``
@@ -603,7 +578,6 @@ def _banked_program(profile: WorkloadProfile, variant: int) -> GeneratedProgram:
             profile=asdict(profile),
             variant=variant,
             python="{}.{}".format(*sys.version_info[:2]),
-            sources=_image_sources_digest(),
         )
         program = bank.load(key, GeneratedProgram)
     except OSError:

@@ -1,11 +1,11 @@
 """Unit tests for the replay compiler (:mod:`repro.core.compile`).
 
 White-box coverage of the pieces the differential harness exercises
-only in aggregate: the sighting-gated resolve cache, the retry backoff
-for chronically short probes, NeverRecord witnesses, the 16-byte image
-cap, the side-effect-free I-stream lookahead, the env/tracer gates,
-record immutability, ops shared across records, and the metrics
-round-trip.
+only in aggregate: the sighting-gated resolve cache, first-write-wins
+record formation, the length probe, undecodable opcodes, an instruction
+longer than the lookahead probe, the side-effect-free and capped
+I-stream lookahead, the env/tracer gates, record immutability, ops
+shared across records, and the metrics round-trip.
 """
 
 import os
@@ -22,6 +22,8 @@ from repro.core.experiment import (
 )
 from repro.core.monitor import UPCMonitor
 from repro.cpu import VAX780
+from repro.cpu.ebox import IllegalInstruction
+from repro.isa.opcodes import OPCODES
 from repro.obs.metrics import MetricsRegistry
 from repro.ucode.routines import build_layout
 
@@ -41,85 +43,136 @@ def layout():
     return build_layout(fresh=True)
 
 
+def _machine(layout, *instrs):
+    """A machine on ``layout`` with ``instrs`` loaded at 0x200."""
+    machine = VAX780(monitor=UPCMonitor.build(), layout=layout)
+    machine.load_program(encode(*instrs), 0x200)
+    return machine
+
+
 class TestResolve:
-    def test_two_sightings_before_compiling(self, layout):
-        image = encode(("MOVL", "#1", "R0"))
-        stats = replay.CompileStats()
-        assert replay.resolve(layout, bytearray(image), stats) is None
-        assert stats.records_compiled == 0
-        record = replay.resolve(layout, bytearray(image), stats)
-        assert record is not None and not record.never
-        assert record.mnemonic == "MOVL"
-        assert bytes(record.raw) == image
-        assert stats.records_compiled == 1
+    PROGRAM = (("NOP",), ("ADDL2", "#5", "R1"), ("MOVL", "#2", "R3"), ("HALT",))
 
-    def test_probe_finds_cached_record_under_longer_buffer(self, layout):
-        image = encode(("ADDL2", "#5", "R1"))
-        replay.resolve(layout, bytearray(image))
-        record = replay.resolve(layout, bytearray(image))
-        # A buffer that continues into the next instruction still
-        # resolves to the same record via the length probe.
-        longer = bytearray(image + encode(("MOVL", "#2", "R3")))
-        assert replay.resolve(layout, longer) is record
+    def test_second_sighting_asks_for_a_recording(self, layout, monkeypatch):
+        monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
+        machine = _machine(layout, *self.PROGRAM)
+        machine.run(max_instructions=1)  # the NOP; ADDL2 is next
+        ebox = machine.ebox
+        assert replay.resolve(ebox) is False  # first sighting: counted
+        assert replay.resolve(ebox) is True  # second: record this one
+        assert replay.resolve(ebox) is False  # the count restarts
+        before = ebox.compile_stats.records_compiled
+        ebox._form_record(ebox.compile_stats, "unresolved", ebox.ib._decode_va)
+        assert ebox.compile_stats.records_compiled == before + 1
+        # Another machine at the same point finds the record by its
+        # bytes, although its IB holds the next instruction's too.
+        other = _machine(layout, *self.PROGRAM)
+        other.run(max_instructions=1)
+        record = replay.resolve(other.ebox)
+        assert isinstance(record, replay.InstructionRecord)
+        assert record.mnemonic == "ADDL2"
+        assert record.raw == encode(("ADDL2", "#5", "R1"))
+        assert len(other.ebox.ib._bytes) > len(record.raw)
 
-    def test_short_probe_sets_retry_backoff(self, layout):
-        image = encode(("MOVL", "I^#305419896", "R0"))  # 7 bytes
-        probe = bytearray(image[:3])
-        assert replay.resolve(layout, probe) is None  # sighting 1
-        assert replay.resolve(layout, probe) is None  # compile attempt
-        sightings = replay._layout_cache(layout)[2]
-        key = bytes(probe[: replay._MAX_IMAGE])
-        # The failed attempt (ran out of bytes) pushed the counter far
-        # negative so the next executions skip recompiling.
-        assert sightings[key] == (
-            replay._COMPILE_MIN_SIGHTINGS - 1 - replay._RETRY_BACKOFF
+    def test_second_recording_keeps_the_first_record(self, layout, monkeypatch):
+        monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
+        kept = []
+        for _ in range(2):
+            machine = _machine(layout, ("MOVL", "#1", "R0"), ("HALT",))
+            ebox = machine.ebox
+            va = ebox.ib._decode_va
+            ebox._form_record(ebox.compile_stats, "unresolved", va)
+            kept.append((ebox._record_cache[va], ebox.compile_stats.records_compiled))
+        (first, formed), (second, formed_again) = kept
+        assert second is first
+        assert (formed, formed_again) == (1, 0)
+        assert replay._layout_cache(layout)[0][first.raw] is first
+
+    def test_probe_finds_cached_record_under_longer_buffer(self, layout, monkeypatch):
+        monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
+        machine = _machine(layout, *self.PROGRAM)
+        machine.run(max_instructions=1)
+        ebox = machine.ebox
+        ebox._form_record(ebox.compile_stats, "unresolved", ebox.ib._decode_va)
+        records, lengths = replay._layout_cache(layout)[:2]
+        raw = encode(("ADDL2", "#5", "R1"))
+        record = records[raw]
+        # A buffer that continues into the next instruction still finds
+        # the record through the length probe; one short of it does not.
+        longer = bytearray(raw + encode(("MOVL", "#2", "R3")))
+        assert replay._lookup(records, lengths, longer) is record
+        assert replay._lookup(records, lengths, bytearray(raw[:-1])) is None
+
+    def test_undecodable_opcode_forms_no_record(self, layout, monkeypatch):
+        monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
+        byte = next(code for code in range(256) if code not in OPCODES)
+        image = encode(("NOP",)) + bytes([byte]) + encode(("HALT",))
+        for _ in range(replay._COMPILE_MIN_SIGHTINGS + 1):
+            machine = VAX780(monitor=UPCMonitor.build(), layout=layout)
+            machine.load_program(image, 0x200)
+            with pytest.raises(IllegalInstruction, match="undecodable opcode"):
+                machine.run()
+            assert machine.ebox.compile_stats.records_compiled == 0
+        records = replay._layout_cache(layout)[0]
+        assert not any(raw[0] == byte for raw in records)
+
+
+class TestOversizedInstruction:
+    # Three indexed longword-displacement specifiers: 19 bytes, longer
+    # than any lookahead probe, so its record is found through the VA
+    # cache only.
+    ADDL3 = ("ADDL3", "L^8(R1)[R2]", "L^8(R3)[R4]", "L^8(R5)[R6]")
+
+    def _run(self, monkeypatch, no_compile):
+        if no_compile:
+            monkeypatch.setenv(replay.NO_COMPILE_ENV, "1")
+        else:
+            monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
+        asm = Assembler(origin=0x200)
+        for register in (1, 3, 5):
+            asm.instr("MOVAL", "cells", "R{}".format(register))
+        asm.instr("MOVL", "#0", "R2")
+        asm.instr("MOVL", "#1", "R4")
+        asm.instr("MOVL", "#0", "R6")
+        asm.instr("MOVL", "#12", "R7")
+        asm.label("loop")
+        asm.instr(*self.ADDL3)  # cells[2] += cells[3]
+        asm.instr("SOBGTR", "R7", "loop")
+        asm.instr("HALT")
+        asm.align(4)
+        asm.label("cells")
+        for value in (0, 0, 100, 7):
+            asm.long(value)
+        image = asm.assemble()
+        monitor = UPCMonitor.build()
+        machine = VAX780(monitor=monitor, layout=build_layout(fresh=True))
+        machine.load_program(image, 0x200)
+        monitor.start()
+        machine.run()
+        monitor.stop()
+        ebox = machine.ebox
+        state = (
+            [ebox.regs.read(index) for index in range(16)],
+            machine.read_virtual(image.index(bytes([100, 0, 0, 0])) + 0x200, 4),
+            ebox.cycle_count,
+            monitor.board.dump(),
+            machine.events,
         )
-        # The full image is a different key and compiles normally.
-        replay.resolve(layout, bytearray(image))
-        record = replay.resolve(layout, bytearray(image))
-        assert record is not None and record.mnemonic == "MOVL"
+        return state, ebox
 
-    def test_never_record_for_unknown_opcode(self, layout):
-        # Find a first byte with no execute semantics; the compiler
-        # must return a NeverRecord witness rather than raising.
-        never = None
-        for byte in range(256):
-            raw = bytes([byte]) + b"\x00" * (replay._MAX_IMAGE - 1)
-            try:
-                record = replay.compile_record(layout, raw)
-            except replay._NeedMoreBytes:
-                continue
-            if record.never:
-                never = raw
-                break
-        assert never is not None, "every opcode byte compiled?"
-        stats = replay.CompileStats()
-        assert replay.resolve(layout, bytearray(never), stats) is None
-        witness = replay.resolve(layout, bytearray(never), stats)
-        assert witness.never
-        assert stats.uncompilable == 1
-        assert stats.records_compiled == 0
-
-
-class TestImageCap:
-    def test_take_past_cap_is_uncompilable(self):
-        cursor = replay._Cursor(b"\x00" * replay._MAX_IMAGE, 15)
-        with pytest.raises(replay._Uncompilable):
-            cursor.take(2)
-
-    def test_take_past_buffer_needs_more_bytes(self):
-        cursor = replay._Cursor(b"\x00" * 6, 4)
-        with pytest.raises(replay._NeedMoreBytes):
-            cursor.take(4)  # end 8 <= cap, just not buffered yet
-
-    def test_oversized_instruction_never_compiles(self, layout):
-        # Three indexed longword-displacement specifiers: 19 bytes.
-        image = encode(
-            ("ADDL3", "L^8(R1)[R2]", "L^8(R3)[R4]", "L^8(R5)[R6]")
-        )
-        assert len(image) > replay._MAX_IMAGE
-        record = replay.compile_record(layout, image[: replay._MAX_IMAGE])
-        assert record.never
+    def test_oversized_instruction_replays_bit_identically(self, monkeypatch):
+        compiled, ebox = self._run(monkeypatch, no_compile=False)
+        interpreted, _ = self._run(monkeypatch, no_compile=True)
+        assert len(encode(self.ADDL3)) > replay._MAX_IMAGE
+        assert compiled[1] == 100 + 12 * 7
+        oversized = [
+            record
+            for record in ebox._record_cache.values()
+            if len(record.raw) > replay._MAX_IMAGE
+        ]
+        assert [record.mnemonic for record in oversized] == ["ADDL3"]
+        assert ebox.compile_stats.jit_hits >= 10
+        assert compiled == interpreted
 
 
 class TestGates:
@@ -191,6 +244,21 @@ class TestLookahead:
         after = (tb.stats.hits, tb.stats.misses, ebox.cycle_count)
         assert before == after
 
+    def test_peek_image_stops_at_the_cap(self, layout, monkeypatch):
+        # The oversized ADDL3 (19 bytes) at the decode point: the probe
+        # and the sightings key it counts under both stop at the cap.
+        monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
+        addl3 = encode(TestOversizedInstruction.ADDL3)
+        machine = _machine(layout, ("NOP",), TestOversizedInstruction.ADDL3, ("HALT",))
+        machine.run(max_instructions=1)
+        ebox = machine.ebox
+        image = replay.peek_image(ebox)
+        assert len(addl3) > replay._MAX_IMAGE
+        assert image == addl3[: replay._MAX_IMAGE]
+        assert replay.resolve(ebox) is False
+        sightings = replay._layout_cache(layout)[2]
+        assert list(sightings) == [addl3[: replay._MAX_IMAGE]]
+
 
 def _slot_values(obj):
     return tuple(getattr(obj, slot, None) for slot in type(obj).__slots__)
@@ -214,7 +282,7 @@ class TestSharedRecords:
                 "timesharing_light", instructions=3_000, warmup_instructions=500
             )
             records = replay._layout_cache(build_layout())[0]
-            assert any(not record.never for record in records.values())
+            assert records
             before = {key: _record_state(record) for key, record in records.items()}
             run_workload(
                 "timesharing_light", instructions=3_000, warmup_instructions=500
@@ -226,11 +294,18 @@ class TestSharedRecords:
 
 
 class TestSharedOps:
-    def test_records_share_their_ops(self, layout):
+    def test_records_share_their_ops(self, layout, monkeypatch):
         # Same consume shape (opcode byte, two register specifiers),
         # different instructions: every CONSUME is one shared object.
-        first = replay.compile_record(layout, encode(("MOVL", "R1", "R0")))
-        second = replay.compile_record(layout, encode(("ADDL2", "R2", "R3")))
+        monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
+        monkeypatch.setattr(replay, "_COMPILE_MIN_SIGHTINGS", 1)
+        movl = encode(("MOVL", "R1", "R0"))
+        addl2 = encode(("ADDL2", "R2", "R3"))
+        _machine(
+            layout, ("NOP",), ("MOVL", "R1", "R0"), ("ADDL2", "R2", "R3"), ("HALT",)
+        ).run()
+        records = replay._layout_cache(layout)[0]
+        first, second = records[movl], records[addl2]
         consumes = [
             [op for op in record.ops if op[0] == replay.OP_CONSUME]
             for record in (first, second)
@@ -272,7 +347,7 @@ class TestSharedOps:
         try:
             shared_stats, shared_json = one_run()
             monkeypatch.setattr(
-                replay._OpBuilder, "build", lambda self: tuple(self.ops)
+                replay.Recorder, "build", lambda self: tuple(self.ops)
             )
             private_stats, private_json = one_run()
         finally:

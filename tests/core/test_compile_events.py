@@ -62,7 +62,7 @@ class TestChannelCapture:
         assert compiled is not None
         causes = reason_tally(compiled, "fallback")
         assert channel.label_counts(KIND_FALLBACK) == causes
-        assert set(causes) <= {"uncompilable", "byte_mismatch", "unresolved"}
+        assert set(causes) <= {"byte_mismatch", "unresolved"}
 
     def test_events_adapt_to_trace_tuples(self):
         channel, _result, _compiled = channel_run()

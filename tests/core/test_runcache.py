@@ -46,9 +46,7 @@ class TestCacheKey:
 
     def test_reserved_field_collision_rejected(self):
         # "kind" is already shielded by the positional signature; the
-        # remaining reserved names must be rejected explicitly.
-        with pytest.raises(ValueError, match="reserved"):
-            cache_key("shard", schema=2)
+        # remaining reserved name must be rejected explicitly.
         with pytest.raises(ValueError, match="reserved"):
             cache_key("shard", code_version="0.0.0")
 
@@ -411,3 +409,41 @@ class TestPersistentStats:
             "hits": 0, "misses": 0, "puts": 0, "quarantined": 0
         }
         assert cache.persistent_totals()["puts"] == 0
+
+
+class TestCodeVersion:
+    def test_objects_of_other_code_are_misses(self, cache, monkeypatch):
+        # A shard, a boundary snapshot and a whole run banked under one
+        # code digest are misses under another, and hits again under
+        # the first.
+        from repro.core.cache_resolution import (
+            load_cached_run,
+            load_cached_shard,
+            load_cached_snapshot,
+            shard_cache_keys,
+            store_run,
+        )
+        from repro.core.executor import RunSpec, execute_spec
+        from repro.obs import provenance
+
+        spec = RunSpec(workload="timesharing_light", instructions=600, warmup_instructions=100)
+        boundaries = [0, 300, 600]
+
+        def lookups():
+            chash, shard_keys, snapshot_keys = shard_cache_keys(spec, boundaries)
+            return (
+                [load_cached_shard(cache, key) is not None for key in shard_keys],
+                load_cached_snapshot(cache, snapshot_keys[300])[0] is not None,
+                load_cached_run(cache, chash) is not None,
+            )
+
+        monkeypatch.setattr(provenance, "_code_digest", "a" * 64)
+        run = execute_spec(spec, shards=2, cache=cache)
+        store_run(cache, spec, run)
+        assert lookups() == ([True, True], True, True)
+        monkeypatch.setattr(provenance, "_code_digest", "b" * 64)
+        assert lookups() == ([False, False], False, False)
+        rerun = execute_spec(spec, shards=2, cache=cache)
+        assert rerun.manifest.shards_from_cache == 0
+        monkeypatch.setattr(provenance, "_code_digest", "a" * 64)
+        assert lookups() == ([True, True], True, True)

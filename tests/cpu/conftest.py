@@ -1,8 +1,10 @@
 """Shared fixtures: assemble-and-run helpers for CPU tests.
 
 Every test class here that takes the ``harness`` fixture is collected
-twice: as written, and as ``<Class>Replayed``, whose harness compiles
-each instruction record at its first sighting, so the same programs and
+twice: as written, and as ``<Class>Replayed``, whose harness first runs
+the program on a throwaway machine of the same layout with records
+forming at their first sighting, so the measured machine replays
+straight-line code at its first execution and the same programs and
 expected values check the replay path too.  The compiled-vs-interpreted
 differential cannot catch an operand bug the two paths share; these
 absolute expectations can.
@@ -16,6 +18,7 @@ from repro.asm import Assembler
 from repro.core import compile as replay
 from repro.core.monitor import UPCMonitor
 from repro.cpu import VAX780
+from repro.cpu.operands import IllegalInstruction
 
 ORIGIN = 0x200
 
@@ -36,6 +39,8 @@ class MachineHarness:
 
     def run(self, max_instructions=100_000):
         image = self.asm.assemble()
+        if self.replayed:
+            self._form_records(image, max_instructions)
         self.machine.load_program(image, ORIGIN)
         self.monitor.start()
         executed = self.machine.run(max_instructions=max_instructions)
@@ -46,6 +51,18 @@ class MachineHarness:
             if self.max_interpreted is not None:
                 assert stats.jit_misses <= self.max_interpreted, stats.fallback_causes
         return executed
+
+    def _form_records(self, image, max_instructions):
+        """Run ``image`` once on a throwaway machine sharing this one's
+        layout: records are memos of interpreted executions, and the
+        ones formed there are the ones the measured run replays."""
+        rehearsal = VAX780(monitor=UPCMonitor.build(), layout=self.machine.layout)
+        rehearsal.load_program(image, ORIGIN)
+        try:
+            rehearsal.run(max_instructions=max_instructions)
+        except IllegalInstruction:
+            # The measured run raises it again, where the test expects it.
+            pass
 
     # Conveniences -----------------------------------------------------
 

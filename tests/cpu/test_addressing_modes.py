@@ -9,6 +9,8 @@ import pytest
 
 from repro.asm import Assembler
 from repro.core import compile as replay
+from repro.core.monitor import UPCMonitor
+from repro.cpu import VAX780
 from repro.cpu.ebox import IllegalInstruction
 from repro.isa.opcodes import opcode_by_mnemonic
 from repro.ucode.routines import build_layout
@@ -327,12 +329,35 @@ class TestIllegalAccess:
 
 class TestIllegalAccessNeverCompiles:
     @pytest.mark.parametrize("case", sorted(_ILLEGAL))
-    def test_compile_record_declines(self, case):
+    def test_no_record_forms(self, case, monkeypatch):
+        # Interpreted past its sightings, with a recorder attached from
+        # the second on: the raise leaves no record in either cache.
+        monkeypatch.delenv(replay.NO_COMPILE_ENV, raising=False)
+        recorders = []
+
+        class Recorder(replay.Recorder):
+            def __init__(self, layout):
+                super().__init__(layout)
+                recorders.append(self)
+
+        monkeypatch.setattr(replay, "Recorder", Recorder)
         instruction, _ = _ILLEGAL[case]
         asm = Assembler(origin=0x200)
+        asm.instr("NOP")
         asm.instr(*instruction)
-        raw = asm.assemble()
-        record = replay.compile_record(build_layout(), raw + b"\x00")
-        assert record.never
-        # The witness runs through the illegal specifier, no further.
-        assert raw.startswith(record.raw) and len(record.raw) > 1
+        asm.instr("HALT")
+        image = asm.assemble()
+        opcode = image[1:2]
+        layout = build_layout(fresh=True)
+        for _ in range(replay._COMPILE_MIN_SIGHTINGS + 1):
+            machine = VAX780(monitor=UPCMonitor.build(), layout=layout)
+            machine.load_program(image, 0x200)
+            with pytest.raises(IllegalInstruction):
+                machine.run()
+            assert not any(
+                record.raw.startswith(opcode)
+                for record in machine.ebox._record_cache.values()
+            )
+        assert any(bytes(recorder.raw[:1]) == opcode for recorder in recorders)
+        records = replay._layout_cache(layout)[0]
+        assert not any(raw.startswith(opcode) for raw in records)

@@ -13,6 +13,7 @@ import pickle
 import pytest
 
 from repro.core.runcache import CACHE_DIR_ENV, RunCache
+from repro.obs import provenance
 from repro.testing import faults
 from repro.testing.faults import FaultPlan, FaultRule
 from repro.workloads import codegen, profile_by_name
@@ -122,7 +123,7 @@ def test_a_foreign_object_is_quarantined(bank, fresh, monkeypatch):
 def test_changed_sources_are_a_miss(bank, fresh, monkeypatch):
     codegen.generate_program(PROFILE, 0)
     _new_process(monkeypatch)
-    monkeypatch.setattr(codegen, "_sources_digest", "0" * 64)
+    monkeypatch.setattr(provenance, "_code_digest", "0" * 64)
     calls = _generations(monkeypatch)
     assert codegen.generate_program(PROFILE, 0) == fresh
     assert calls == [("educational", 0)]
